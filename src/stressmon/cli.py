@@ -22,7 +22,8 @@ from .errors import StressmonError
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, grouped_cv, fit_model, knn, model_from_dict,
                     model_to_dict, personalization_eval)
-from .learn.trees import TreeEnsembleModel
+from .learn.evaluate import _auto_select
+from .learn.trees import TreeEnsembleModel, select_top_features
 from .sim import SimConfig, run_simulation
 
 EXIT_OK = 0
@@ -177,11 +178,12 @@ def cmd_train_eval(args) -> int:
     completed = dataset.knn_impute(labeled, k=spec.impute_k,
                                    weighting=spec.impute_weighting)
     X, y = completed.values, completed.labels.astype(int)
-    if spec.select_top not in (None, "auto"):
-        from .learn.trees import select_top_features
-        cols = select_top_features(X, y, int(spec.select_top), seed=args.seed)
-    else:
+    if spec.select_top is None:
         cols = list(range(len(completed.columns)))
+    elif spec.select_top == "auto":
+        cols = _auto_select(X, y, completed.groups, spec, args.seed)
+    else:
+        cols = select_top_features(X, y, int(spec.select_top), seed=args.seed)
     model = fit_model(spec, X[:, cols], y, args.seed,
                       feature_names=[completed.columns[i] for i in cols])
     model_path = os.path.join(args.out, "model.json")

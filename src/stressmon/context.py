@@ -181,6 +181,21 @@ def extract_context_features(snapshots, schema):
 
 # -- file formats -------------------------------------------------------------
 
+def _check_payload(sensor, payload):
+    """Apply the coercion :func:`extract_context_features` will apply.
+
+    Raises ValueError or TypeError for a payload it could not use: a binned
+    or passthrough value that ``float`` rejects, or a location that is not
+    a list of at least two numbers.  Weather text is never rejected.
+    """
+    if sensor == "location":
+        if not isinstance(payload, (list, tuple)) or len(payload) < 2:
+            raise TypeError(f"location payload must list lat and lon, got {payload!r}")
+        float(payload[0]), float(payload[1])
+    elif sensor != "weather" and payload is not None:
+        float(payload)
+
+
 def read_context_jsonl(path):
     """Read a context log; raises DataFormatError naming the bad line."""
     snapshots = []
@@ -190,13 +205,15 @@ def read_context_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-                snapshots.append(ContextSnapshot(
+                snap = ContextSnapshot(
                     user_id=str(rec["user_id"]),
                     timestamp_ms=int(rec["timestamp_ms"]),
                     sensor=str(rec["sensor"]),
                     payload=rec["payload"],
-                ))
-            except (ValueError, KeyError, TypeError) as err:
+                )
+                _check_payload(snap.sensor, snap.payload)
+                snapshots.append(snap)
+            except (ValueError, KeyError, TypeError, OverflowError) as err:
                 raise DataFormatError(f"{path}:{lineno}: bad context record: {err}") from err
     return snapshots
 

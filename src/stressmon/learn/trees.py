@@ -7,6 +7,25 @@ criterion with ceil(sqrt(d)) feature candidates per node; boosted trees
 fit squared-error regression trees to logistic-loss residuals with Newton
 leaf values.  All randomness flows from per-tree generator streams keyed
 by (seed, tree_index), so results are independent of evaluation order.
+
+Both ensembles find splits with one scanner, :func:`_best_split`.  It
+takes a node's candidate columns as a feature-major (k, m) block, each
+row already sorted, and scores the separating cuts of every row in one
+pass of 2-D array operations; only the impurity statistic differs (class
+counts for Gini, residual sums for squared error).  The sorted order
+comes from:
+
+* forest: each node stably sorts just its k = ceil(sqrt(d)) candidate
+  columns over its bootstrap rows.  Pre-sorting all d columns per tree
+  costs more, because every node would then partition d lists to scan k;
+* boosting: every round fits the same rows, so the columns are stably
+  sorted once per ensemble and the (d, m) order block is stably
+  partitioned down each tree, so no node sorts anything.
+
+Taking the first maximum over the cuts listed row by row keeps the
+tie-breaks of a per-feature scan: the earliest candidate, then the lowest
+threshold.  Stable sorts and partitions keep its order of summation too,
+so boosting's residual sums, and the models, match it to the last bit.
 """
 from __future__ import annotations
 
@@ -104,65 +123,96 @@ def _gini(pos: np.ndarray, n: np.ndarray):
     return 1.0 - p ** 2 - (1.0 - p) ** 2
 
 
-def _best_gini_split(X, y, rows, candidates, n_root):
-    """Best (decrease, feature, threshold) over candidate features, or None.
+def _best_split(xs, decrease_at):
+    """Best (decrease, block row, threshold) of a sorted block, or None.
 
-    The decrease is weighted by rows/n_root.  Ties keep the earliest
-    candidate feature and the lowest threshold, so results are
-    deterministic given the candidate order.
+    ``xs`` is a feature-major (k, m) block whose rows are the node's
+    candidate columns, each sorted ascending.  ``decrease_at(row, at)``
+    gives the weighted impurity decrease of cutting block row ``row``
+    after its ``at``-th value.  Only cuts whose midpoint separates the two
+    neighbours are scored.  They are listed row by row, so the first
+    maximum keeps the earliest row, then the lowest threshold.
     """
-    m = rows.size
-    total_pos = y[rows].sum()
+    hi = xs[:, 1:]
+    thrs = 0.5 * (xs[:, :-1] + hi)
+    # equal neighbours give thrs == hi; midpoints of near-adjacent floats
+    # can round up to hi too and would leave a child empty
+    row, at = np.nonzero(thrs < hi)
+    if row.size == 0:
+        return None
+    decrease = decrease_at(row, at)
+    i = int(decrease.argmax())
+    if not decrease[i] > MIN_IMPURITY_DECREASE:
+        return None
+    return float(decrease[i]), int(row[i]), float(thrs[row[i], at[i]])
+
+
+def _gini_decrease(ys, n_root):
+    """``decrease_at`` for the Gini criterion over a sorted (k, m) label block."""
+    m = ys.shape[1]
+    total_pos = ys[0].sum()
     parent = float(_gini(np.array(total_pos, dtype=float), np.array(float(m))))
-    best = None
-    for f in candidates:
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = y[rows][order]
-        cut = np.flatnonzero(xs_sorted[:-1] != xs_sorted[1:])
-        if cut.size == 0:
-            continue
-        thrs = 0.5 * (xs_sorted[cut] + xs_sorted[cut + 1])
-        # midpoints of near-adjacent floats can round up and leave a child empty
-        separating = thrs < xs_sorted[cut + 1]
-        cut, thrs = cut[separating], thrs[separating]
-        if cut.size == 0:
-            continue
-        left_n = (cut + 1).astype(float)
-        left_pos = np.cumsum(ys_sorted)[cut].astype(float)
+    cum_pos = np.cumsum(ys, axis=1)
+
+    def decrease_at(row, at):
+        left_n = (at + 1).astype(float)
+        left_pos = cum_pos[row, at].astype(float)
         right_n = m - left_n
         right_pos = total_pos - left_pos
         weighted = (left_n * _gini(left_pos, left_n)
                     + right_n * _gini(right_pos, right_n)) / m
-        decreases = (parent - weighted) * (m / n_root)
-        i = int(np.argmax(decreases))
-        if decreases[i] <= MIN_IMPURITY_DECREASE:
-            continue
-        if best is None or decreases[i] > best[0]:
-            best = (float(decreases[i]), int(f), float(thrs[i]))
-    return best
+        return (parent - weighted) * (m / n_root)
+    return decrease_at
 
 
-def _grow_classification_tree(X, y, rows, depth_left, rng, max_features, n_root):
+def _sse_decrease(rs, rr, n_root):
+    """``decrease_at`` for squared error over a sorted (k, m) residual block.
+
+    ``rr`` holds the node's residuals in row order; the parent sums are
+    taken over it so they do not depend on any column's sort order.
+    """
+    m = rr.size
+    sum_all = rr.sum()
+    sse_parent = float((rr ** 2).sum() - sum_all ** 2 / m)
+    csum = np.cumsum(rs, axis=1)
+    csq = np.cumsum(rs ** 2, axis=1)
+
+    def decrease_at(row, at):
+        left_n = (at + 1).astype(float)
+        left_sum = csum[row, at]
+        left_sq = csq[row, at]
+        right_n = m - left_n
+        right_sum = sum_all - left_sum
+        right_sq = csq[row, -1] - left_sq
+        sse_children = (left_sq - left_sum ** 2 / left_n
+                        + right_sq - right_sum ** 2 / right_n)
+        return (sse_parent - sse_children) / n_root
+    return decrease_at
+
+
+def _grow_classification_tree(XT, y, rows, depth_left, rng, max_features, n_root):
     n1 = int(y[rows].sum())
     n0 = rows.size - n1
     leaf = TreeNode(class_counts=(n0, n1), probability=n1 / rows.size,
                     sample_fraction=rows.size / n_root)
     if depth_left == 0 or n0 == 0 or n1 == 0 or rows.size < 2:
         return leaf
-    d = X.shape[1]
+    d = XT.shape[0]
     candidates = rng.choice(d, size=min(d, max_features), replace=False)
-    best = _best_gini_split(X, y, rows, candidates, n_root)
+    block = XT[candidates[:, None], rows]
+    order = np.argsort(block, axis=1, kind="stable")
+    xs = np.take_along_axis(block, order, axis=1)
+    best = _best_split(xs, _gini_decrease(y[rows][order], n_root))
     if best is None:
         return leaf
-    decrease, f, thr = best
-    go_left = X[rows, f] <= thr
+    decrease, j, thr = best
+    f = int(candidates[j])
+    go_left = XT[f, rows] <= thr
     node = TreeNode(feature_index=f, threshold=thr, impurity_decrease=decrease,
                     sample_fraction=rows.size / n_root, class_counts=(n0, n1))
-    node.left = _grow_classification_tree(X, y, rows[go_left], depth_left - 1,
+    node.left = _grow_classification_tree(XT, y, rows[go_left], depth_left - 1,
                                           rng, max_features, n_root)
-    node.right = _grow_classification_tree(X, y, rows[~go_left], depth_left - 1,
+    node.right = _grow_classification_tree(XT, y, rows[~go_left], depth_left - 1,
                                            rng, max_features, n_root)
     return node
 
@@ -215,68 +265,41 @@ def train_random_forest(X, y, depth, n_trees: int = DEFAULT_N_TREES,
     if len(np.unique(y)) < 2:
         return _degenerate_model("random_forest", y, names, hp, seed)
     max_features = math.ceil(math.sqrt(d))
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         rows = rng.integers(0, n, size=n)
-        trees.append(_grow_classification_tree(X, y, rows, depth, rng,
+        trees.append(_grow_classification_tree(XT, y, rows, depth, rng,
                                                max_features, n_root=n))
     return TreeEnsembleModel(kind="random_forest", trees=trees,
                              tree_weights=[1.0 / n_trees] * n_trees,
                              feature_names=names, hyperparameters=hp, seed=seed)
 
 
-def _best_sse_split(X, r, rows, n_root):
-    """Best squared-error split over all features, weighted by rows/n_root."""
-    m = rows.size
-    rr = r[rows]
-    sum_all = rr.sum()
-    sse_parent = float((rr ** 2).sum() - sum_all ** 2 / m)
-    best = None
-    for f in range(X.shape[1]):
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        rs = rr[order]
-        cut = np.flatnonzero(xs_sorted[:-1] != xs_sorted[1:])
-        if cut.size == 0:
-            continue
-        thrs = 0.5 * (xs_sorted[cut] + xs_sorted[cut + 1])
-        separating = thrs < xs_sorted[cut + 1]
-        cut, thrs = cut[separating], thrs[separating]
-        if cut.size == 0:
-            continue
-        csum = np.cumsum(rs)
-        csq = np.cumsum(rs ** 2)
-        left_n = (cut + 1).astype(float)
-        left_sum = csum[cut]
-        left_sq = csq[cut]
-        right_n = m - left_n
-        right_sum = sum_all - left_sum
-        right_sq = csq[-1] - left_sq
-        sse_children = (left_sq - left_sum ** 2 / left_n
-                        + right_sq - right_sum ** 2 / right_n)
-        decreases = (sse_parent - sse_children) / n_root
-        i = int(np.argmax(decreases))
-        if decreases[i] <= MIN_IMPURITY_DECREASE:
-            continue
-        if best is None or decreases[i] > best[0]:
-            best = (float(decreases[i]), int(f), float(thrs[i]))
-    return best
-
-
-def _grow_regression_tree(X, r, h, rows, depth_left, n_root):
+def _grow_regression_tree(XT, r, h, rows, order, depth_left, n_root):
+    """``rows`` ascending; ``order`` is the (d, rows.size) block of those
+    rows sorted by each feature, partitioned down from the ensemble's sort."""
     if depth_left == 0 or rows.size < 2:
         return _newton_leaf(r, h, rows, n_root)
-    best = _best_sse_split(X, r, rows, n_root)
+    xs = np.take_along_axis(XT, order, axis=1)
+    best = _best_split(xs, _sse_decrease(r[order], r[rows], n_root))
     if best is None:
         return _newton_leaf(r, h, rows, n_root)
     decrease, f, thr = best
-    go_left = X[rows, f] <= thr
+    go_left = XT[f, rows] <= thr
+    is_left = np.zeros(XT.shape[1], dtype=bool)
+    is_left[rows[go_left]] = True
+    to_left = is_left[order]
+    d = order.shape[0]
     node = TreeNode(feature_index=f, threshold=thr, impurity_decrease=decrease,
                     sample_fraction=rows.size / n_root)
-    node.left = _grow_regression_tree(X, r, h, rows[go_left], depth_left - 1, n_root)
-    node.right = _grow_regression_tree(X, r, h, rows[~go_left], depth_left - 1, n_root)
+    node.left = _grow_regression_tree(XT, r, h, rows[go_left],
+                                      order[to_left].reshape(d, -1),
+                                      depth_left - 1, n_root)
+    node.right = _grow_regression_tree(XT, r, h, rows[~go_left],
+                                       order[~to_left].reshape(d, -1),
+                                       depth_left - 1, n_root)
     return node
 
 
@@ -304,6 +327,8 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
           "learning_rate": float(learning_rate)}
     if len(np.unique(y)) < 2:
         return _degenerate_model("boosted", y, names, hp, seed)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
     score = np.zeros(n)
     rows = np.arange(n)
     trees = []
@@ -311,7 +336,8 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
         p = 1.0 / (1.0 + np.exp(-score))
         residual = y - p
         hessian = p * (1.0 - p)
-        tree = _grow_regression_tree(X, residual, hessian, rows, depth, n_root=n)
+        tree = _grow_regression_tree(XT, residual, hessian, rows, order, depth,
+                                     n_root=n)
         trees.append(tree)
         score += learning_rate * _tree_leaf_outputs(tree, X)
     return TreeEnsembleModel(kind="boosted", trees=trees,

@@ -75,9 +75,6 @@ class SensorBurst:
     def end_time_ms(self) -> int:
         return self.start_time_ms + int(round(self.duration_s * 1000))
 
-    def sample_times_ms(self) -> np.ndarray:
-        return self.start_time_ms + np.arange(len(self.samples)) * (1000.0 / self.rate_hz)
-
 
 @dataclass(frozen=True)
 class FilterDesign:

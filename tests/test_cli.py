@@ -1,10 +1,14 @@
 """CLI commands: exit codes, artifacts, manifests, idempotence."""
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressmon import cli
 from stressmon.dataset import read_matrix_csv, write_matrix_csv
@@ -106,6 +110,61 @@ class TestFeaturize:
         assert ":1:" in capsys.readouterr().err
 
 
+def _rejected_by_float(value):
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return True
+    return False
+
+
+_VALID_CONTEXT = [
+    {"sensor": "speed", "payload": 1.5},
+    {"sensor": "battery_level", "payload": None},
+    {"sensor": "screen_status", "payload": 2},
+    {"sensor": "weather", "payload": "rain"},
+    {"sensor": "weather", "payload": 7},
+    {"sensor": "location", "payload": [33.64, -117.84, 12.0]},
+]
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=8).filter(_rejected_by_float),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.just(10 ** 400))
+_BAD_PAYLOADS = st.one_of(
+    st.tuples(st.sampled_from(["speed", "battery_level", "device_off", "wind_speed",
+                               "battery_adaptor", "screen_status"]),
+              _NOT_A_NUMBER),
+    st.tuples(st.just("location"), st.one_of(
+        st.none(), st.floats(allow_nan=False), st.text(max_size=8),
+        st.lists(st.floats(allow_nan=False), max_size=1),
+        st.lists(_NOT_A_NUMBER, min_size=2, max_size=3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid=st.lists(st.sampled_from(_VALID_CONTEXT), max_size=4),
+       bad=_BAD_PAYLOADS)
+def test_malformed_context_payload_exits_3_with_line(valid, bad):
+    sensor, payload = bad
+    records = [dict(rec, user_id="u01", timestamp_ms=60_000 * i)
+               for i, rec in enumerate(valid)]
+    records.append({"user_id": "u01", "timestamp_ms": 0, "sensor": sensor,
+                    "payload": payload})
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "context.jsonl"), "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["featurize", "--data", tmp,
+                               "--out", os.path.join(tmp, "m.csv")])
+        except Exception as exc:  # a traceback instead of an exit code
+            rc = repr(exc)
+    assert rc == cli.EXIT_DATA
+    assert f":{len(records)}:" in err.getvalue()
+
+
 class TestTrainEval:
     def test_report_written(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
@@ -133,6 +192,25 @@ class TestTrainEval:
         report = json.loads((out / "report.json").read_text())
         for fold in report["folds"]:
             assert set(fold["selected_features"]) <= set(HRV_FEATURE_NAMES)
+
+    def test_auto_selection_reaches_model(self, matrix_path, tmp_path):
+        # the final model keeps the features auto-selection picks on all rows
+        from stressmon.dataset import knn_impute
+        from stressmon.learn import ModelSpec
+        from stressmon.learn.evaluate import _auto_select
+        out = tmp_path / "auto"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path),
+                         "--model", "rf", "--depth", "3", "--n-trees", "10",
+                         "--select-top", "auto", "--folds", "3", "--seed", "5",
+                         "--out", str(out)]) == 0
+        matrix = cli._restrict_features(read_matrix_csv(matrix_path), "all")
+        labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+        completed = knn_impute(labeled)
+        spec = ModelSpec(kind="rf", depth=3, n_trees=10, select_top="auto")
+        cols = _auto_select(completed.values, completed.labels.astype(int),
+                            completed.groups, spec, 5)
+        model = json.loads((out / "model.json").read_text())
+        assert model["feature_names"] == [completed.columns[i] for i in cols]
 
     def test_knn_model_runs(self, matrix_path, tmp_path):
         out = tmp_path / "knn"

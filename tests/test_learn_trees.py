@@ -176,3 +176,43 @@ class TestSerialization:
         text = json.dumps(model_to_dict(model))
         clone = model_from_dict(json.loads(text))
         assert np.array_equal(model.predict(X), clone.predict(X))
+
+
+class TestGoldenModels:
+    """Fits whose JSON must not change while the split search is reworked.
+
+    The digests were recorded with the per-feature scanners; a slip in the
+    tie order of a sort or partition changes a threshold or a leaf and so
+    the digest.
+    """
+
+    RF_SHA256 = "1f3baefa25102d56943bec0e4fc5553602caea4e479a6605f07c917393d06973"
+    BOOSTED_SHA256 = "76df137c3f80447f10cfb5b55fb9417fcb382e208cbb5a75bddc51bdc305292c"
+
+    @staticmethod
+    def golden_matrix():
+        rng = np.random.default_rng(20240110)
+        n, d = 300, 24
+        X = rng.normal(size=(n, d))
+        X[:, 0::3] = np.round(X[:, 0::3] * 2) / 2      # coarse grid: many ties
+        X[:, 1::4] = rng.integers(0, 4, size=(n, 6))     # small integer codes
+        X[:, 23] = 1.0                                   # constant column
+        y = ((X[:, 0] + X[:, 5] + 0.5 * rng.normal(size=n)) > 0).astype(int)
+        return X, y
+
+    @staticmethod
+    def digest(model):
+        import hashlib
+        import json
+        text = json.dumps(model_to_dict(model), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_random_forest(self):
+        X, y = self.golden_matrix()
+        model = train_random_forest(X, y, depth=6, n_trees=20, seed=3)
+        assert self.digest(model) == self.RF_SHA256
+
+    def test_boosted(self):
+        X, y = self.golden_matrix()
+        model = train_boosted(X, y, rounds=20, depth=4, seed=3)
+        assert self.digest(model) == self.BOOSTED_SHA256
