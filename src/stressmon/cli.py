@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
 from .context import ContextSchema, load_zones
-from .errors import StressmonError
+from .errors import DataFormatError, StressmonError
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, grouped_cv, fit_model, knn, model_from_dict,
                     model_to_dict, personalization_eval)
@@ -77,6 +77,8 @@ def cmd_simulate(args) -> int:
 def featurize_directory(data_dir, zones_path=None):
     """data dir (bursts/context/ema files) -> labeled FeatureMatrix."""
     join = lambda name: os.path.join(str(data_dir), name)
+    # Parse what exists first, so a malformed line is reported by its
+    # location even when another input is missing.
     bursts = signals.read_bursts_jsonl(join("bursts.jsonl")) \
         if os.path.exists(join("bursts.jsonl")) else []
     snapshots = []
@@ -84,6 +86,10 @@ def featurize_directory(data_dir, zones_path=None):
         from .context import read_context_jsonl
         snapshots = read_context_jsonl(join("context.jsonl"))
     emas = dataset.read_ema_csv(join("ema.csv")) if os.path.exists(join("ema.csv")) else []
+    missing = [join(name) for name in ("bursts.jsonl", "ema.csv")
+               if not os.path.exists(join(name))]
+    if missing:
+        raise DataFormatError(f"missing required input: {', '.join(missing)}")
 
     zones = []
     zone_file = zones_path or (join("zones.json") if os.path.exists(join("zones.json")) else None)
@@ -210,15 +216,18 @@ def cmd_explain(args) -> int:
     completed = dataset.knn_impute(labeled)
     view = completed.select_columns(list(model.feature_names))
 
-    rng = np.random.default_rng([args.seed, 11])
     n = view.n_rows
+    if n == 0:
+        raise StressmonError(f"{args.matrix}: no labeled rows to explain")
+    rng = np.random.default_rng([args.seed, 11])
     bg_rows = rng.choice(n, size=min(args.background, n), replace=False)
     background = view.values[np.sort(bg_rows)]
     explain_rows = rng.choice(n, size=min(args.max_rows, n), replace=False)
     rows = view.values[np.sort(explain_rows)]
 
-    ranking = explain_mod.mean_abs_shap(model, rows, background)
-    records = explain_mod.beeswarm_export(model, rows, background)
+    explanations = [explain_mod.shap_values(model, row, background) for row in rows]
+    ranking = explain_mod.mean_abs_ranking(explanations)
+    records = explain_mod.beeswarm_records(explanations)
 
     os.makedirs(args.out, exist_ok=True)
     ranking_path = os.path.join(args.out, "shap_ranking.json")
@@ -267,6 +276,16 @@ def _add_model_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stressmon",
                                      description=__doc__.splitlines()[0])
@@ -294,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="SHAP ranking and beeswarm export")
     p.add_argument("--model", required=True, help="model.json from train-eval")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--background", type=int, default=128)
-    p.add_argument("--max-rows", type=int, default=100)
+    p.add_argument("--background", type=_positive_int, default=128)
+    p.add_argument("--max-rows", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)

@@ -87,6 +87,10 @@ class EmptyBackground(StressmonError):
     """Shapley computation needs at least one background row."""
 
 
+class NotATreeModel(StressmonError, ValueError):
+    """Exact Shapley explanation was asked of a model without trees."""
+
+
 # -- EMA triggering ----------------------------------------------------------
 
 class InsufficientData(StressmonError):

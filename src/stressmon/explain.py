@@ -5,6 +5,12 @@ coalition take the explained row's values, the rest come from each
 background row, and the model's positive-class probability is averaged
 over the background.  With at most 16 features the full 2^d enumeration
 is tractable and serves as its own ground truth.
+
+Coalitions are scored in chunks: the synthetic rows of a run of coalitions
+(each coalition's row laid over every background row) go through one
+``predict_proba`` call of at most ``_CHUNK_ROWS`` rows, so the model walks
+its trees once per chunk rather than once per coalition, and memory stays
+bounded at any width and background size.
 """
 from __future__ import annotations
 
@@ -14,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBackground, TooManyFeatures
+from .errors import EmptyBackground, NotATreeModel, TooManyFeatures
 
 MAX_EXACT_FEATURES = 16
+# Synthetic rows per predict_proba call: enough that an 8-feature row over 64
+# background rows takes one call, few enough that a 16-feature block is 2 MB.
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -35,20 +44,26 @@ class Explanation:
 
 def _require_tree_model(model):
     if getattr(model, "kind", None) not in ("random_forest", "boosted"):
-        raise ValueError("exact Shapley explanation needs a tree-based model")
+        raise NotATreeModel("exact Shapley explanation needs a tree-based model")
 
 
 def coalition_value_table(model, row: np.ndarray, background: np.ndarray) -> np.ndarray:
     """Mean model output for every coalition bitmask (length 2^d)."""
     d = row.size
+    n_masks = 1 << d
     n_bg = background.shape[0]
-    values = np.empty(1 << d)
-    bits = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
-    synth = np.empty_like(background)
-    for mask in range(1 << d):
-        np.copyto(synth, background)
-        synth[:, bits[mask]] = row[bits[mask]]
-        values[mask] = float(model.predict_proba(synth).mean())
+    values = np.empty(n_masks)
+    bits = ((np.arange(n_masks)[:, None] >> np.arange(d)) & 1).astype(bool)
+    per_chunk = max(1, _CHUNK_ROWS // n_bg)
+    for start in range(0, n_masks, per_chunk):
+        stop = min(start + per_chunk, n_masks)
+        synth = np.where(bits[start:stop, None, :], row, background[None])
+        synth = synth.reshape(-1, d)
+        # A background larger than the cap is scored in slices of it; each
+        # row's probability does not depend on the rows scored beside it.
+        p = np.concatenate([model.predict_proba(synth[i:i + _CHUNK_ROWS])
+                            for i in range(0, len(synth), _CHUNK_ROWS)])
+        values[start:stop] = p.reshape(stop - start, n_bg).mean(axis=1)
     return values
 
 
@@ -84,6 +99,22 @@ def shap_values(model, row, background_rows) -> Explanation:
                        feature_values=row, feature_names=names)
 
 
+def mean_abs_ranking(explanations):
+    """Mean |shap| per feature over the explanations, ranked descending.
+
+    Returns (feature_name, mean_abs_value) pairs; ties keep feature order.
+    """
+    if not explanations:
+        raise ValueError("need at least one row to explain")
+    totals = np.zeros(explanations[0].shap_values.size)
+    for exp in explanations:
+        totals += np.abs(exp.shap_values)
+    means = totals / len(explanations)
+    names = explanations[0].feature_names
+    order = np.lexsort((np.arange(len(means)), -means))
+    return [(names[i], float(means[i])) for i in order]
+
+
 def mean_abs_shap(model, rows, background):
     """Mean |shap| per feature over the rows, ranked descending.
 
@@ -92,27 +123,17 @@ def mean_abs_shap(model, rows, background):
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("need at least one row to explain")
-    totals = np.zeros(rows.shape[1])
-    names = None
-    for row in rows:
-        exp = shap_values(model, row, background)
-        totals += np.abs(exp.shap_values)
-        names = exp.feature_names
-    means = totals / rows.shape[0]
-    order = np.lexsort((np.arange(len(means)), -means))
-    return [(names[i], float(means[i])) for i in order]
+    return mean_abs_ranking([shap_values(model, row, background) for row in rows])
 
 
-def beeswarm_export(model, rows, background):
+def beeswarm_records(explanations):
     """Long-format (row, feature, shap, feature_value) records.
 
     Features are ordered by total |shap| over all rows, descending, which
     is the usual beeswarm panel order.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.size == 0:
+    if not explanations:
         return []
-    explanations = [shap_values(model, row, background) for row in rows]
     names = explanations[0].feature_names
     totals = np.abs(np.stack([e.shap_values for e in explanations])).sum(axis=0)
     order = np.lexsort((np.arange(len(totals)), -totals))
@@ -123,6 +144,14 @@ def beeswarm_export(model, rows, background):
                             "shap": float(exp.shap_values[j]),
                             "feature_value": float(exp.feature_values[j])})
     return records
+
+
+def beeswarm_export(model, rows, background):
+    """beeswarm_records of the rows' explanations; no rows give no records."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.size == 0:
+        return []
+    return beeswarm_records([shap_values(model, row, background) for row in rows])
 
 
 def write_beeswarm_csv(path, records):

@@ -27,26 +27,22 @@ class KnnModel:
     feature_names: list
     hyperparameters: dict
 
-    def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        z = (X - self.mean) / self.std
-        out = np.empty(X.shape[0], dtype=int)
+    def _neighbours(self, X) -> np.ndarray:
+        """Indices of the k nearest training rows of each row of X, (n, k)."""
+        z = (np.asarray(X, dtype=float) - self.mean) / self.std
+        index = np.arange(len(self.z_train))
+        out = np.empty((z.shape[0], self.k), dtype=int)
         for i, row in enumerate(z):
             d = np.sqrt(((self.z_train - row) ** 2).sum(axis=1))
-            nbrs = np.lexsort((np.arange(len(d)), d))[:self.k]
-            ones = int(self.y_train[nbrs].sum())
-            out[i] = 1 if 2 * ones > self.k else 0
+            out[i] = np.lexsort((index, d))[:self.k]
         return out
 
+    def predict(self, X) -> np.ndarray:
+        ones = self.y_train[self._neighbours(X)].sum(axis=1)
+        return (2 * ones > self.k).astype(int)
+
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        z = (X - self.mean) / self.std
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(z):
-            d = np.sqrt(((self.z_train - row) ** 2).sum(axis=1))
-            nbrs = np.lexsort((np.arange(len(d)), d))[:self.k]
-            out[i] = self.y_train[nbrs].mean()
-        return out
+        return self.y_train[self._neighbours(X)].mean(axis=1)
 
     @property
     def n_features(self) -> int:

@@ -96,11 +96,29 @@ class TestFeaturize:
                           open(str(matrix_path) + ".meta.json").read())
 
     def test_empty_dir_header_only(self, tmp_path, capsys):
+        # an empty (or misspelled) directory is an error naming each missing file
         out = tmp_path / "matrix.csv"
         rc = cli.main(["featurize", "--data", str(tmp_path), "--out", str(out)])
-        assert rc == 0
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bursts.jsonl" in err and "ema.csv" in err
+        assert not out.exists()
+
+    def test_context_optional(self, tmp_path, capsys):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        out = tmp_path / "matrix.csv"
+        assert cli.main(["featurize", "--data", str(tmp_path), "--out", str(out)]) == 0
         matrix = read_matrix_csv(out)
         assert matrix.n_rows == 0 and len(matrix.columns) == 24
+
+    def test_missing_ema_named(self, tmp_path, capsys):
+        (tmp_path / "bursts.jsonl").write_text("")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "ema.csv" in err and "bursts.jsonl" not in err
 
     def test_corrupt_line_fails_with_location(self, tmp_path, capsys):
         (tmp_path / "bursts.jsonl").write_text("{broken\n")
@@ -269,6 +287,57 @@ class TestExplain:
         ranking = {r["feature"]: r["mean_abs_shap"]
                    for r in json.loads((out / "shap_ranking.json").read_text())}
         assert ranking["ibi"] == 0.0
+
+    def test_no_labeled_rows_exit(self, tmp_path, capsys):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        matrix = tmp_path / "m.csv"
+        assert cli.main(["featurize", "--data", str(tmp_path), "--out", str(matrix)]) == 0
+        from stressmon.learn import TreeEnsembleModel, TreeNode
+        leaf = TreeNode(class_counts=(1, 1), probability=0.5, sample_fraction=1.0)
+        model = TreeEnsembleModel(kind="random_forest", trees=[leaf], tree_weights=[1.0],
+                                  feature_names=["bpm"], hyperparameters={}, seed=0)
+        cli.save_model_json(tmp_path / "leaf.json", model)
+        rc = cli.main(["explain", "--model", str(tmp_path / "leaf.json"),
+                       "--matrix", str(matrix), "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert "no labeled rows" in capsys.readouterr().err
+
+    def test_each_row_explained_once(self, eval_dir, matrix_path, tmp_path,
+                                     monkeypatch):
+        from stressmon import explain
+        rows = []
+        shap_values = explain.shap_values
+
+        def counting(model, row, background):
+            rows.append(np.asarray(row).tobytes())
+            return shap_values(model, row, background)
+
+        monkeypatch.setattr(explain, "shap_values", counting)
+        assert cli.main(["explain", "--model", str(eval_dir / "model.json"),
+                         "--matrix", str(matrix_path), "--max-rows", "6",
+                         "--background", "24", "--out", str(tmp_path / "e")]) == 0
+        assert len(rows) == 6 and len(set(rows)) == 6
+
+    @pytest.mark.parametrize("flag,value", [("--max-rows", "0"), ("--max-rows", "-1"),
+                                            ("--background", "0")])
+    def test_count_below_one_is_usage_error(self, eval_dir, matrix_path, tmp_path,
+                                            flag, value):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["explain", "--model", str(eval_dir / "model.json"),
+                      "--matrix", str(matrix_path), flag, value,
+                      "--out", str(tmp_path / "e")])
+        assert err.value.code == cli.EXIT_USAGE
+
+    def test_knn_model_exit(self, matrix_path, tmp_path, capsys):
+        out = tmp_path / "knn"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path),
+                         "--model", "knn", "--folds", "3", "--out", str(out)]) == 0
+        rc = cli.main(["explain", "--model", str(out / "model.json"),
+                       "--matrix", str(matrix_path), "--max-rows", "2",
+                       "--background", "4", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert "tree" in capsys.readouterr().err
 
 
 class TestPersonalize:

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stressmon.errors import EmptyBackground, TooManyFeatures
-from stressmon.explain import (Explanation, beeswarm_export, mean_abs_shap,
-                               shap_values, write_beeswarm_csv)
-from stressmon.learn import TreeEnsembleModel, TreeNode, train_random_forest
+from stressmon import explain
+from stressmon.errors import EmptyBackground, StressmonError, TooManyFeatures
+from stressmon.explain import (Explanation, beeswarm_export, coalition_value_table,
+                               mean_abs_shap, shap_values, write_beeswarm_csv)
+from stressmon.learn import (TreeEnsembleModel, TreeNode, train_boosted,
+                             train_random_forest)
 
 
 def leaf(p):
@@ -143,6 +146,8 @@ class TestValidation:
             kind = "knn"
         with pytest.raises(ValueError):
             shap_values(NotATree(), np.zeros(2), np.zeros((1, 2)))
+        with pytest.raises(StressmonError):
+            shap_values(NotATree(), np.zeros(2), np.zeros((1, 2)))
 
 
 class TestAggregates:
@@ -187,3 +192,77 @@ class TestAggregates:
         records = beeswarm_export(model, rows, bg)
         seen = list(dict.fromkeys(r["feature"] for r in records))
         assert seen == ranked
+
+
+def loop_value_table(model, row, background):
+    """The per-coalition reference: one predict_proba call per bitmask."""
+    d = row.size
+    values = np.empty(1 << d)
+    bits = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    synth = np.empty_like(background)
+    for mask in range(1 << d):
+        np.copyto(synth, background)
+        synth[:, bits[mask]] = row[bits[mask]]
+        values[mask] = float(model.predict_proba(synth).mean())
+    return values
+
+
+def fitted_model(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    # one decimal, so thresholds fall on values the rows repeat
+    X = np.round(rng.normal(size=(40, d)), 1)
+    y = (X[:, 0] + rng.normal(0, 0.5, 40) > 0).astype(int)
+    y[:2] = (0, 1)
+    if kind == "boosted":
+        return train_boosted(X, y, rounds=4, depth=3, seed=seed)
+    return train_random_forest(X, y, depth=3, n_trees=4, seed=seed)
+
+
+class CountingModel:
+    """Forwards to a model and records the rows of every predict_proba call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.kind = model.kind
+        self.feature_names = model.feature_names
+        self.calls = []
+
+    def predict_proba(self, X):
+        self.calls.append(len(X))
+        return self.model.predict_proba(X)
+
+
+class TestBatchedTable:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["random_forest", "boosted"]),
+           d=st.integers(1, 8), n_bg=st.integers(1, 40),
+           cap=st.sampled_from([1, 5, 24, 300, None]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_per_coalition_loop(self, kind, d, n_bg, cap, seed):
+        model = fitted_model(kind, d, seed)
+        rng = np.random.default_rng(seed + 1)
+        background = np.round(rng.normal(size=(n_bg, d)), 1)
+        row = np.round(rng.normal(size=d), 1)
+        expected = loop_value_table(model, row, background)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(explain, "_CHUNK_ROWS", cap)
+            table = coalition_value_table(model, row, background)
+        assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("d,n_bg,cap", [(8, 24, None), (8, 128, None),
+                                            (4, 3, 10), (4, 10, 10), (3, 25, 10),
+                                            (2, 7, 1)])
+    def test_no_call_exceeds_cap(self, monkeypatch, d, n_bg, cap):
+        if cap is not None:
+            monkeypatch.setattr(explain, "_CHUNK_ROWS", cap)
+        cap = explain._CHUNK_ROWS
+        model = CountingModel(fitted_model("random_forest", d, seed=d))
+        rng = np.random.default_rng(n_bg)
+        coalition_value_table(model, rng.normal(size=d), rng.normal(size=(n_bg, d)))
+        assert max(model.calls) <= cap
+        assert sum(model.calls) == (1 << d) * n_bg
+        # whole coalitions fill each call up to the cap
+        masks_per_call = max(1, cap // n_bg)
+        slices = -(-n_bg // cap)
+        assert len(model.calls) == -(-(1 << d) // masks_per_call) * slices
