@@ -181,8 +181,7 @@ def cmd_train_eval(args) -> int:
 
     # Final model on all labeled rows, for downstream explain/personalize.
     labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
-    completed = dataset.knn_impute(labeled, k=spec.impute_k,
-                                   weighting=spec.impute_weighting)
+    completed = dataset.knn_impute(labeled)
     X, y = completed.values, completed.labels.astype(int)
     if spec.select_top is None:
         cols = list(range(len(completed.columns)))
@@ -213,17 +212,22 @@ def cmd_explain(args) -> int:
         raise StressmonError("matrix lacks columns the model was trained on")
     if set(model.feature_names) & set(HRV_FEATURE_NAMES):
         labeled = dataset.drop_rows_missing_block(labeled, HRV_FEATURE_NAMES)
-    completed = dataset.knn_impute(labeled)
-    view = completed.select_columns(list(model.feature_names))
 
-    n = view.n_rows
+    n = labeled.n_rows
     if n == 0:
         raise StressmonError(f"{args.matrix}: no labeled rows to explain")
     rng = np.random.default_rng([args.seed, 11])
-    bg_rows = rng.choice(n, size=min(args.background, n), replace=False)
-    background = view.values[np.sort(bg_rows)]
-    explain_rows = rng.choice(n, size=min(args.max_rows, n), replace=False)
-    rows = view.values[np.sort(explain_rows)]
+    bg_rows = np.sort(rng.choice(n, size=min(args.background, n), replace=False))
+    explain_rows = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
+    # Distances use every column of every labeled row, so the imputer is fit
+    # on all of them; only the sampled rows are read, so only they are filled.
+    imputer = dataset.KnnImputer().fit(labeled.values, labeled.missing)
+    sampled = np.union1d(bg_rows, explain_rows)
+    completed = imputer.transform(labeled.values[sampled], labeled.missing[sampled],
+                                  exclude=sampled)
+    cols = [labeled.columns.index(c) for c in model.feature_names]
+    background = completed[np.searchsorted(sampled, bg_rows)][:, cols]
+    rows = completed[np.searchsorted(sampled, explain_rows)][:, cols]
 
     explanations = [explain_mod.shap_values(model, row, background) for row in rows]
     ranking = explain_mod.mean_abs_ranking(explanations)

@@ -218,30 +218,45 @@ def read_context_jsonl(path):
     return snapshots
 
 
+def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:
+    """One context-log line (without the newline)."""
+    rec = {
+        "user_id": snap.user_id,
+        "timestamp_ms": snap.timestamp_ms,
+        "sensor": snap.sensor,
+        "payload": snap.payload,
+    }
+    if arrival_ms is not None:
+        rec["arrival_ms"] = arrival_ms
+    return json.dumps(rec, separators=(",", ":"))
+
+
 def write_context_jsonl(path, snapshots, arrivals=None):
     with open(path, "w", encoding="utf-8") as fh:
         for i, snap in enumerate(snapshots):
-            rec = {
-                "user_id": snap.user_id,
-                "timestamp_ms": snap.timestamp_ms,
-                "sensor": snap.sensor,
-                "payload": snap.payload,
-            }
-            if arrivals is not None:
-                rec["arrival_ms"] = arrivals[i]
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(context_record(snap, None if arrivals is None else arrivals[i]) + "\n")
+
+
+def parse_zones(raw) -> list:
+    """GeoZones from a decoded JSON list of {code, lat, lon, radius_m}.
+
+    Raises KeyError, TypeError, ValueError or OverflowError for a malformed
+    list; each caller reports it as an error of its own input.
+    """
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(f"zones must be a list, got {type(raw).__name__}")
+    return [GeoZone(code=int(z["code"]), lat=float(z["lat"]),
+                    lon=float(z["lon"]), radius_m=float(z["radius_m"]))
+            for z in raw]
 
 
 def load_zones(path):
-    """Read a zone-config JSON list of {code, lat, lon, radius_m}."""
+    """Read a zone-config JSON file; raises DataFormatError naming it."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return [GeoZone(code=int(z["code"]), lat=float(z["lat"]),
-                        lon=float(z["lon"]), radius_m=float(z["radius_m"]))
-                for z in raw]
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataFormatError(f"{path}: bad zone config: {err}") from err
+        try:
+            return parse_zones(json.load(fh))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise DataFormatError(f"{path}: bad zone config: {err}") from err
 
 
 def dump_zones(path, zones):

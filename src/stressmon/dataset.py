@@ -3,7 +3,9 @@
 Windows are labeled by the closest subsequent self-report of the same user
 (within an 8-hour horizon), the 5-point Likert answer is binarized
 (1 -> 0, 2..5 -> 1), and missing contextual cells are filled with a
-k-d-tree k-nearest-neighbor weighted average over standardized rows.
+k-nearest-neighbor weighted average over standardized rows.  One exact
+neighbour search, :func:`nearest_rows`, serves the imputer and the k-NN
+classifier.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import hrv as hrv_mod
 from . import signals
@@ -24,6 +25,9 @@ from .errors import (DataFormatError, EmptyColumn, InsufficientSpan,
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
 DEFAULT_IMPUTE_WEIGHTING = "inverse_distance"
+# Cells (query rows x training rows x features) of one distance block: 2 MB
+# of float64, so memory stays bounded whatever the number of query rows.
+_BLOCK_CELLS = 1 << 18
 
 #: Fixed matrix column order: the 12 HRV features then the 12 context features.
 FEATURE_COLUMNS = tuple(hrv_mod.HRV_FEATURE_NAMES) + tuple(CONTEXT_FEATURE_NAMES)
@@ -176,15 +180,48 @@ def drop_rows_missing_block(matrix: FeatureMatrix, columns) -> FeatureMatrix:
     return matrix.select_rows(np.flatnonzero(keep))
 
 
+def nearest_rows(z_train: np.ndarray, z_query: np.ndarray, k: int, exclude=None):
+    """Exact k nearest training rows of each query row by Euclidean distance.
+
+    Returns ``(idx, dist)``, both (m, k), nearest first; distance ties go to
+    the lower training row.  ``exclude[i]``, when given, is a training row
+    that query row ``i`` must not pick (its own row when the queries are the
+    training rows); it is given an infinite distance.
+    """
+    n, d = z_train.shape
+    m = z_query.shape[0]
+    idx = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    step = max(1, _BLOCK_CELLS // max(1, n * d))
+    for start in range(0, m, step):
+        block = z_query[start:start + step]
+        b = block.shape[0]
+        dd = np.sqrt(((z_train[None] - block[:, None]) ** 2).sum(axis=2))
+        if exclude is not None:
+            dd[np.arange(b), exclude[start:start + step]] = np.inf
+        # Every cell at or below a row's k-th smallest distance is a
+        # candidate; sorting them by (row, distance, column) puts each row's
+        # k nearest first, ties to the lower training row.
+        kth = np.partition(dd, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(dd <= kth)
+        cand = dd[rows, cols]
+        order = np.lexsort((cols, cand, rows))
+        first = np.searchsorted(rows, np.arange(b))  # nonzero lists rows in order
+        take = order[first[:, None] + np.arange(k)]
+        idx[start:start + b] = cols[take]
+        dist[start:start + b] = cand[take]
+    return idx, dist
+
+
 class KnnImputer:
     """Mean-impute, then refine missing cells from k nearest rows.
 
     Fitting builds a complete working copy (column means in the holes) and
-    a k-d tree over rows standardized by the observed per-column mean/std.
-    Each missing cell is then replaced by the weighted average of its k
-    nearest neighbors' values in that column, preferring originally
-    observed donor values and falling back to the donors' mean-imputed
-    values when none were observed.
+    standardizes its rows by the observed per-column mean/std.  Each missing
+    cell is then replaced by the weighted average of its k nearest rows'
+    values in that column (found by :func:`nearest_rows`), preferring
+    originally observed donor values and falling back to the donors'
+    mean-imputed values when none were observed.
     """
 
     def __init__(self, k: int = DEFAULT_IMPUTE_K,
@@ -210,18 +247,26 @@ class KnnImputer:
         self.working_ = np.where(missing, self.col_means_, values)
         self.train_missing_ = missing.copy()
         self.z_ = (self.working_ - self.col_means_) / self.col_stds_
-        self.tree_ = cKDTree(self.z_)
         return self
 
     def transform(self, values: np.ndarray, missing: np.ndarray,
-                  exclude_self: bool = False) -> np.ndarray:
-        """Return a complete copy; `exclude_self` when rows are the fit rows."""
+                  exclude=None) -> np.ndarray:
+        """Return a complete copy of ``values``.
+
+        ``exclude``, when the rows are fit rows, holds each row's index among
+        the fit rows, so that no row is its own neighbour.
+        """
         out = np.array(values, dtype=float)
         if not missing.any():
             return out
+        n = self.z_.shape[0]
+        k_eff = max(1, min(self.k, n - (1 if exclude is not None else 0)))
         z = (np.where(missing, self.col_means_, values) - self.col_means_) / self.col_stds_
-        for i in np.flatnonzero(missing.any(axis=1)):
-            nbrs, dists = self._neighbors(z[i], i if exclude_self else None)
+        todo = np.flatnonzero(missing.any(axis=1))
+        neighbours, distances = nearest_rows(
+            self.z_, z[todo], k_eff,
+            exclude=None if exclude is None else np.asarray(exclude)[todo])
+        for i, nbrs, dists in zip(todo, neighbours, distances):
             for j in np.flatnonzero(missing[i]):
                 donors = ~self.train_missing_[nbrs, j]
                 use = np.flatnonzero(donors) if donors.any() else np.arange(len(nbrs))
@@ -233,26 +278,6 @@ class KnnImputer:
                 out[i, j] = float(np.dot(w, vals) / w.sum())
         return out
 
-    def _neighbors(self, z_row: np.ndarray, self_index):
-        """k nearest training rows; distance ties broken by lower row index."""
-        n = self.z_.shape[0]
-        k_eff = min(self.k, n - (1 if self_index is not None else 0))
-        k_eff = max(k_eff, 1)
-        k_query = min(n, k_eff + (1 if self_index is not None else 0))
-        dists, _ = self.tree_.query(z_row, k=k_query)
-        dists = np.atleast_1d(dists)
-        radius = float(dists[-1]) * (1.0 + 1e-9) + 1e-12
-        cand = np.array(self.tree_.query_ball_point(z_row, radius), dtype=int)
-        if self_index is not None:
-            cand = cand[cand != self_index]
-        if cand.size < k_eff:  # radius fell short (exotic float edge); widen fully
-            cand = np.arange(n)
-            if self_index is not None:
-                cand = cand[cand != self_index]
-        d = np.sqrt(((self.z_[cand] - z_row) ** 2).sum(axis=1))
-        order = np.lexsort((cand, d))[:k_eff]
-        return cand[order], d[order]
-
 
 def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
                weighting: str = DEFAULT_IMPUTE_WEIGHTING) -> FeatureMatrix:
@@ -261,7 +286,8 @@ def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
         return replace(matrix, values=matrix.values.copy(),
                        missing=matrix.missing.copy())
     imputer = KnnImputer(k=k, weighting=weighting).fit(matrix.values, matrix.missing)
-    completed = imputer.transform(matrix.values, matrix.missing, exclude_self=True)
+    completed = imputer.transform(matrix.values, matrix.missing,
+                                  exclude=np.arange(matrix.n_rows))
     return replace(matrix, values=completed,
                    missing=np.zeros_like(matrix.missing))
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientSpan, NoPlausiblePeaks, TooFewIntervals
-from .signals import SensorBurst, _centered_mean
+from .signals import SensorBurst
 
 HRV_FEATURE_NAMES = ("bpm", "ibi", "sdnn", "sdsd", "rmssd", "pnn20", "pnn50",
                      "hr_mad", "sd1", "sd2", "s", "br")
@@ -116,6 +116,17 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
         raise NoPlausiblePeaks("no raise level gave a heart rate in 40..180 BPM")
     times = ppg.start_time_ms + best_idx * (1000.0 / fs)
     return PeakTrain(peak_times_ms=times)
+
+
+def _centered_mean(x: np.ndarray, w: int) -> np.ndarray:
+    """Centered moving mean over w samples; edges use shrunken windows."""
+    n = len(x)
+    left, right = (w - 1) // 2, w // 2
+    idx = np.arange(n)
+    lo = np.maximum(0, idx - left)
+    hi = np.minimum(n, idx + right + 1)
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def _region_maxima(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:

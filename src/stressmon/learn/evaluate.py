@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import FeatureMatrix, KnnImputer
+from ..dataset import (DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix,
+                       KnnImputer)
 from ..errors import (InsufficientTargetData, LengthMismatch, TooFewGroups)
 from .knn import train_knn
 from .trees import select_top_features, train_boosted, train_random_forest
@@ -33,8 +34,6 @@ class ModelSpec:
     rounds: int = 100
     learning_rate: float = 0.3
     select_top: object = None        # None, int, or "auto"
-    impute_k: int = 5
-    impute_weighting: str = "inverse_distance"
 
     def __post_init__(self):
         if self.kind not in ("rf", "knn", "boosted"):
@@ -45,8 +44,8 @@ class ModelSpec:
                 "n_trees": self.n_trees, "rounds": self.rounds,
                 "learning_rate": self.learning_rate,
                 "select_top": self.select_top,
-                "impute_k": self.impute_k,
-                "impute_weighting": self.impute_weighting}
+                "impute_k": DEFAULT_IMPUTE_K,
+                "impute_weighting": DEFAULT_IMPUTE_WEIGHTING}
 
 
 @dataclass
@@ -152,10 +151,10 @@ def _labeled_view(matrix: FeatureMatrix):
 
 def _prepare_fold(matrix, train_rows, test_rows, spec, seed):
     """Fresh-start preprocessing: impute and select on training rows only."""
-    imputer = KnnImputer(k=spec.impute_k, weighting=spec.impute_weighting)
+    imputer = KnnImputer()
     imputer.fit(matrix.values[train_rows], matrix.missing[train_rows])
-    X_train = imputer.transform(matrix.values[train_rows],
-                                matrix.missing[train_rows], exclude_self=True)
+    X_train = imputer.transform(matrix.values[train_rows], matrix.missing[train_rows],
+                                exclude=np.arange(len(train_rows)))
     X_test = imputer.transform(matrix.values[test_rows], matrix.missing[test_rows])
     y_train = matrix.labels[train_rows].astype(int)
     y_test = matrix.labels[test_rows].astype(int)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dataset import nearest_rows
 from ..errors import KTooLarge
 
 
@@ -30,12 +31,7 @@ class KnnModel:
     def _neighbours(self, X) -> np.ndarray:
         """Indices of the k nearest training rows of each row of X, (n, k)."""
         z = (np.asarray(X, dtype=float) - self.mean) / self.std
-        index = np.arange(len(self.z_train))
-        out = np.empty((z.shape[0], self.k), dtype=int)
-        for i, row in enumerate(z):
-            d = np.sqrt(((self.z_train - row) ** 2).sum(axis=1))
-            out[i] = np.lexsort((index, d))[:self.k]
-        return out
+        return nearest_rows(self.z_train, z, self.k)[0]
 
     def predict(self, X) -> np.ndarray:
         ones = self.y_train[self._neighbours(X)].sum(axis=1)

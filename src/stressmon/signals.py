@@ -1,10 +1,9 @@
 """PPG cleaning and 15-minute windowing of the multi-stream recording.
 
 The raw optical signal is band-passed (order-3 Butterworth, 0.7-3.5 Hz,
-applied forward and backward so peak timing is preserved) and optionally
-smoothed with a centered moving average.  Bursts and context snapshots are
-then cut into wall-clock 15-minute windows, each expected to hold one
-complete 2-minute PPG burst.
+applied forward and backward so peak timing is preserved).  Bursts and
+context snapshots are cut into wall-clock 15-minute windows, each expected
+to hold one complete 2-minute PPG burst.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ WINDOW_MINUTES = 15.0
 FILTER_ORDER = 3
 FILTER_LOW_HZ = 0.7
 FILTER_HIGH_HZ = 3.5
-SMOOTH_SECONDS = 1.0
 
 CHANNELS = frozenset({"ppg", "accel_x", "accel_y", "accel_z", "gyro"})
 
@@ -147,25 +145,6 @@ def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:
         raise TooShort(f"burst has {len(burst.samples)} samples, need >= {min_len}")
     filtered = filtfilt(design.numerator, design.denominator, burst.samples)
     return replace(burst, samples=filtered)
-
-
-def moving_average(burst: SensorBurst, window_seconds: float) -> SensorBurst:
-    """Centered moving mean; edges use shrunken windows, no invented padding."""
-    w = int(round(window_seconds * burst.rate_hz))
-    if w < 1:
-        raise ValueError("window must cover at least one sample")
-    smoothed = _centered_mean(burst.samples, w)
-    return replace(burst, samples=smoothed)
-
-
-def _centered_mean(x: np.ndarray, w: int) -> np.ndarray:
-    n = len(x)
-    left, right = (w - 1) // 2, w // 2
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - left)
-    hi = np.minimum(n, idx + right + 1)
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 @dataclass

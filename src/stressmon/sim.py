@@ -23,15 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sema as sema_mod
-from .context import CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone
+from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_record,
+                      parse_zones)
 from .errors import ConfigError
-from .signals import SensorBurst, burst_record
+from .sema import DAY_MS
+from .signals import BURST_SECONDS, PPG_RATE_HZ, SamplingSpec, SensorBurst, burst_record
 
-SLOT_MS = 15 * 60_000
-DAY_MS = 86_400_000
+SLOT_MS = SamplingSpec().window_ms
 SLOTS_PER_DAY = DAY_MS // SLOT_MS
-PPG_RATE_HZ = 20.0
-BURST_SECONDS = 120.0
 ACCEL_RATE_HZ = 4.0
 ACCEL_SECONDS = 60.0
 
@@ -135,16 +134,14 @@ class SimConfig:
                 if key in part_raw:
                     part_raw[key] = tuple(part_raw[key])
             part = ParticipantParams(**part_raw)
-            zones = tuple(GeoZone(code=int(z["code"]), lat=float(z["lat"]),
-                                  lon=float(z["lon"]), radius_m=float(z["radius_m"]))
-                          for z in raw["zones"]) if "zones" in raw else DEFAULT_ZONES
+            zones = tuple(parse_zones(raw["zones"])) if "zones" in raw else DEFAULT_ZONES
             cfg = cls(n_users=int(raw.get("n_users", 2)), days=int(raw.get("days", 1)),
                       seed=int(raw.get("seed", 0)),
                       tz_offset_ms=int(raw.get("tz_offset_ms", 0)),
                       sema_eval_minutes=int(raw.get("sema_eval_minutes", 5)),
                       network=net, participants=part,
                       per_user=dict(raw.get("per_user", {})), zones=zones)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad simulation config: {err}") from err
         return cfg.validate()
 
@@ -495,9 +492,7 @@ class _Simulation:
                   (user_idx, s_idx))
 
     def _on_arrive_context(self, t, snap):
-        rec = {"user_id": snap.user_id, "timestamp_ms": snap.timestamp_ms,
-               "sensor": snap.sensor, "payload": snap.payload, "arrival_ms": t}
-        self._fh["context"].write(json.dumps(rec, separators=(",", ":")) + "\n")
+        self._fh["context"].write(context_record(snap, arrival_ms=t) + "\n")
         self.counts["snapshots"] += 1
 
     def _on_sema_eval(self, t, user_idx):

@@ -127,6 +127,21 @@ class TestFeaturize:
         assert rc == cli.EXIT_DATA
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "", "{}", "[1]", '[{"code": 0, "lat": 1.0}]',
+        '[{"code": 5, "lat": 0, "lon": 0, "radius_m": 1}]',
+        '[{"code": 0, "lat": 1%s, "lon": 0, "radius_m": 1}]' % ("0" * 400),
+    ], ids=["bad_json", "empty", "object", "not_objects", "missing_key",
+            "bad_code", "float_overflow"])
+    def test_malformed_zones_exits_3_naming_file(self, tmp_path, capsys, text):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        (tmp_path / "zones.json").write_text(text)
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert "zones.json" in capsys.readouterr().err
+
 
 def _rejected_by_float(value):
     try:
@@ -318,6 +333,45 @@ class TestExplain:
                          "--matrix", str(matrix_path), "--max-rows", "6",
                          "--background", "24", "--out", str(tmp_path / "e")]) == 0
         assert len(rows) == 6 and len(set(rows)) == 6
+
+    def test_imputes_only_sampled_rows(self, eval_dir, matrix_path, tmp_path,
+                                       monkeypatch):
+        # the sampled rows get the values a full imputation of every labeled
+        # row gives them, but no other row is imputed
+        from stressmon import dataset, explain
+        seen, transformed = [], []
+        shap_values = explain.shap_values
+        transform = dataset.KnnImputer.transform
+
+        def recording_shap(model, row, background):
+            seen.append((np.array(row), np.array(background)))
+            return shap_values(model, row, background)
+
+        def recording_transform(self, values, missing, exclude=None):
+            transformed.append(len(values))
+            return transform(self, values, missing, exclude)
+
+        monkeypatch.setattr(explain, "shap_values", recording_shap)
+        monkeypatch.setattr(dataset.KnnImputer, "transform", recording_transform)
+        assert cli.main(["explain", "--model", str(eval_dir / "model.json"),
+                         "--matrix", str(matrix_path), "--max-rows", "6",
+                         "--background", "24", "--seed", "3",
+                         "--out", str(tmp_path / "e")]) == 0
+        assert transformed and max(transformed) <= 30
+
+        monkeypatch.setattr(dataset.KnnImputer, "transform", transform)
+        names = json.loads((eval_dir / "model.json").read_text())["feature_names"]
+        matrix = read_matrix_csv(matrix_path)
+        labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+        labeled = dataset.drop_rows_missing_block(labeled, HRV_FEATURE_NAMES)
+        view = dataset.knn_impute(labeled).select_columns(names)
+        rng = np.random.default_rng([3, 11])
+        n = view.n_rows
+        background = view.values[np.sort(rng.choice(n, size=min(24, n), replace=False))]
+        rows = view.values[np.sort(rng.choice(n, size=min(6, n), replace=False))]
+        assert len(seen) == len(rows)
+        for (row, bg), expect in zip(seen, rows):
+            assert np.array_equal(row, expect) and np.array_equal(bg, background)
 
     @pytest.mark.parametrize("flag,value", [("--max-rows", "0"), ("--max-rows", "-1"),
                                             ("--background", "0")])

@@ -1,12 +1,15 @@
-"""Labeling, binarization, assembly and k-NN imputation."""
+"""Labeling, binarization, assembly, the k-NN search and k-NN imputation."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressmon import dataset
 from stressmon.context import CONTEXT_FEATURE_NAMES
 from stressmon.dataset import (EmaResponse, FeatureMatrix, FeatureWindow,
                                KnnImputer, assemble, binarize, knn_impute,
-                               label_windows, read_ema_csv, read_matrix_csv,
+                               label_windows, nearest_rows, read_ema_csv, read_matrix_csv,
                                write_ema_csv, write_matrix_csv)
 from stressmon.errors import DataFormatError, EmptyColumn, OutOfRange
 from stressmon.hrv import HRV_FEATURE_NAMES
@@ -134,6 +137,67 @@ class TestAssemble:
     def test_empty(self):
         m = assemble([])
         assert m.n_rows == 0 and len(m.columns) == 24
+
+
+def nearest_oracle(z_train, z_query, k, exclude=None):
+    """Per-row search: full distance vector, stable order by (distance, row)."""
+    idx, dist = [], []
+    for i, row in enumerate(z_query):
+        d = np.sqrt(((z_train - row) ** 2).sum(axis=1))
+        if exclude is not None:
+            d[exclude[i]] = np.inf
+        order = np.lexsort((np.arange(len(d)), d))[:k]
+        idx.append(order)
+        dist.append(d[order])
+    return np.array(idx).reshape(-1, k), np.array(dist).reshape(-1, k)
+
+
+@st.composite
+def neighbour_cases(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["integer", "duplicate", "float"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "integer":      # few distinct values: many distances tie
+        z_train = rng.integers(-1, 2, size=(n, d)).astype(float)
+    elif kind == "duplicate":  # repeated rows: exact zero-distance ties
+        z_train = rng.normal(size=(max(1, n // 3), d))[rng.integers(0, max(1, n // 3), n)]
+    else:
+        z_train = rng.normal(size=(n, d))
+    self_query = draw(st.booleans())
+    if self_query:             # the queries are the training rows themselves
+        z_query, exclude = z_train.copy(), np.arange(n)
+    else:
+        m = draw(st.integers(1, 15))
+        z_query = z_train[rng.integers(0, n, m)] if kind != "float" else rng.normal(size=(m, d))
+        exclude = rng.integers(0, n, m)
+    if not draw(st.booleans()):
+        exclude = None
+    k = draw(st.sampled_from([1, max(1, n - 1), n]))
+    # Block sizes: one query row per block, a size that is no multiple of
+    # n * d (so the last block is partial), and the default.
+    cells = draw(st.sampled_from([1, n * d * draw(st.integers(1, 4)) + draw(
+        st.integers(1, max(1, n * d - 1))), dataset._BLOCK_CELLS]))
+    return z_train, z_query, k, exclude, cells
+
+
+class TestNearestRows:
+    @settings(max_examples=300, deadline=None)
+    @given(neighbour_cases())
+    def test_matches_per_row_oracle(self, case):
+        z_train, z_query, k, exclude, cells = case
+        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+            idx, dist = nearest_rows(z_train, z_query, k, exclude=exclude)
+        want_idx, want_dist = nearest_oracle(z_train, z_query, k, exclude)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    def test_ties_to_lower_row(self):
+        z_train = np.array([[1.0], [-1.0], [1.0], [0.0]])
+        idx, dist = nearest_rows(z_train, np.array([[0.0], [0.0]]), 3,
+                                 exclude=np.array([3, 0]))
+        assert idx.tolist() == [[0, 1, 2], [3, 1, 2]]
+        assert dist.tolist() == [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
 
 
 class TestKnnImpute:

@@ -1,4 +1,4 @@
-"""Band-pass design/application, moving average and windowizing."""
+"""Band-pass design/application, the peak detector's moving average and windowizing."""
 import math
 
 import numpy as np
@@ -7,8 +7,9 @@ import pytest
 from stressmon import signals
 from stressmon.context import ContextSnapshot
 from stressmon.errors import DataFormatError, InvalidBand, TooShort
+from stressmon.hrv import _centered_mean
 from stressmon.signals import (SamplingSpec, SensorBurst, bandpass_filter,
-                               design_bandpass, default_design, moving_average,
+                               design_bandpass, default_design,
                                read_bursts_jsonl, windowize, write_bursts_jsonl)
 
 FS = 20.0
@@ -118,25 +119,21 @@ class TestBandpassFilter:
 
 
 class TestMovingAverage:
+    """`hrv._centered_mean`, the peak detector's baseline."""
+
     def test_constant(self):
-        burst = SensorBurst("u", "ppg", 0, FS, np.full(100, 3.25))
-        assert np.allclose(moving_average(burst, 1.0).samples, 3.25)
+        assert np.allclose(_centered_mean(np.full(100, 3.25), int(FS)), 3.25)
 
     def test_alternating_zero(self):
-        x = np.tile([1.0, -1.0], 100)
-        out = moving_average(SensorBurst("u", "ppg", 0, FS, x), 1.0).samples
+        out = _centered_mean(np.tile([1.0, -1.0], 100), int(FS))
         assert np.allclose(out[20:-20], 0.0)
 
     def test_impulse_plateau(self):
         x = np.zeros(51)
         x[25] = 1.0
-        out = moving_average(SensorBurst("u", "ppg", 0, FS, x), 5 / FS).samples
+        out = _centered_mean(x, 5)
         assert np.allclose(out[23:28], 0.2)
         assert np.allclose(out[:23], 0.0) and np.allclose(out[28:], 0.0)
-
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            moving_average(SensorBurst("u", "ppg", 0, FS, np.ones(10)), 0.01)
 
 
 def _burst(user, start_ms, seconds=120.0, channel="ppg", rate=FS):

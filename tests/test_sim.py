@@ -59,6 +59,12 @@ class TestConfig:
             SimConfig.from_dict({"network": {"wifi_outages_ms": [[5, 2]]}})
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"participants": {"stress_location_probs": [1.0]}})
+        with pytest.raises(ConfigError):  # zone code outside 0..2
+            SimConfig.from_dict({"zones": [{"code": 7, "lat": 0, "lon": 0, "radius_m": 1}]})
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict({"zones": [{"code": 0, "lat": 1.0}]})
+        with pytest.raises(ConfigError):  # int(inf) overflows
+            SimConfig.from_dict({"days": float("inf")})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
