@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StressmonError, FileNotFoundError) as err:
+    except (StressmonError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -28,6 +28,9 @@ MIN_NN_COUNT = 5
 BR_GRID_HZ = 4.0
 BR_BAND_HZ = (0.1, 0.4)
 BR_MIN_SPAN_S = 30.0
+# Relative slack of detect_peaks' level screen, whose own rounding error is
+# near 1e-15.
+_SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class PeakTrain:
     """Detected systolic peak times (epoch ms, strictly increasing)."""
 
     peak_times_ms: np.ndarray
-    quality: float = 1.0
 
     def __post_init__(self):
         times = np.asarray(self.peak_times_ms, dtype=float)
@@ -83,9 +85,24 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
 
     A 0.75-s moving-average baseline is raised by r permille of itself plus
     r permille of the signal amplitude, for r in 5..300.  Contiguous
-    regions above the raised baseline each contribute their maximum as a
-    candidate peak.  The level whose implied heart rate lands in
-    [40, 180] BPM with the lowest NN standard deviation wins.
+    regions above the raised baseline each contribute their first maximum
+    as a candidate peak.  The level whose implied heart rate lands in
+    [40, 180] BPM with the lowest NN standard deviation wins; of equal
+    deviations the lowest level wins.
+
+    The levels are screened, then re-checked.  The screen takes each
+    level's mean NN interval from the span between its first and last peak
+    and its SD from one weighted ``bincount`` over all levels.  A level is
+    re-checked when its screened rate lies within a relative
+    ``_SCREEN_TOL`` of a BPM bound, or when its rate is clearly in bounds
+    and its screened SD exceeds the smallest such SD by at most
+    ``_SCREEN_TOL`` times that SD plus the 1500-ms longest plausible mean
+    interval (the absolute part covers SDs near zero).  The re-check runs
+    in level order with the per-level arithmetic of a plain search
+    (``np.diff``, ``mean``, ``std``, strict ``<``) and skips a level whose
+    peaks equal those of the level re-checked before it.  The screen's
+    rounding error is far below the tolerance, so the winner is the plain
+    search's, ties and near-ties included.
 
     Raises NoPlausiblePeaks when no level yields a plausible rate.
     """
@@ -98,24 +115,92 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
         raise NoPlausiblePeaks("signal is flat")
     baseline = _centered_mean(x, max(1, int(round(BASELINE_SECONDS * fs))))
 
+    peaks, level = _level_peaks(x, baseline, amp)
+    n_levels = len(RAISE_LEVELS_PERMILLE)
+    bounds = np.searchsorted(level, np.arange(n_levels + 1))
+    m = np.diff(bounds) - 1                       # NN intervals per level
+    has_nn = m >= 1
+    inner = level[1:] == level[:-1]
+    gap_level = level[1:][inner]
+    gaps = np.diff(peaks)[inner]
+    span = np.bincount(gap_level, gaps, minlength=n_levels)
+    mean = np.divide(span * (1000.0 / fs), m, out=np.zeros(n_levels), where=has_nn)
+    bpm = np.divide(60_000.0, mean, out=np.zeros(n_levels), where=has_nn)
+    dev = gaps * (1000.0 / fs) - mean[gap_level]
+    var = np.bincount(gap_level, dev * dev, minlength=n_levels)
+    sd = np.sqrt(np.divide(var, m, out=np.zeros(n_levels), where=has_nn))
+
+    tol = _SCREEN_TOL
+    inside = has_nn & (bpm >= BPM_MIN * (1.0 - tol)) & (bpm <= BPM_MAX * (1.0 + tol))
+    clear = inside & (bpm > BPM_MIN * (1.0 + tol)) & (bpm < BPM_MAX * (1.0 - tol))
+    low = sd.min(initial=np.inf, where=clear)
+    recheck = inside & (~clear | (sd <= low + tol * (low + 60_000.0 / BPM_MIN)))
+
     best_sd = np.inf
-    best_idx = None
-    for r in RAISE_LEVELS_PERMILLE:
-        scale = r / 1000.0
-        idx = _region_maxima(x, baseline * (1.0 + scale) + scale * amp)
-        if len(idx) < 2:
+    best_idx = prev = None
+    for k in np.flatnonzero(recheck):
+        idx = peaks[bounds[k]:bounds[k + 1]]
+        key = idx.tobytes()
+        if key == prev:
             continue
+        prev = key
         nn = np.diff(idx) * (1000.0 / fs)
-        bpm = 60_000.0 / nn.mean()
-        if not (BPM_MIN <= bpm <= BPM_MAX):
+        bpm_k = 60_000.0 / nn.mean()
+        if not (BPM_MIN <= bpm_k <= BPM_MAX):
             continue
-        sd = float(nn.std())
-        if sd < best_sd:
-            best_sd, best_idx = sd, idx
+        sd_k = float(nn.std())
+        if sd_k < best_sd:
+            best_sd, best_idx = sd_k, idx
     if best_idx is None:
         raise NoPlausiblePeaks("no raise level gave a heart rate in 40..180 BPM")
     times = ppg.start_time_ms + best_idx * (1000.0 / fs)
     return PeakTrain(peak_times_ms=times)
+
+
+def _level_peaks(x: np.ndarray, baseline: np.ndarray, amp: float):
+    """First maximum of each region above each raised baseline.
+
+    Returns the peaks' sample indices and the level number of each, ordered
+    by level, then by time.  Row k of a boolean mask is ``x > baseline * (1
+    + s) + s * amp`` for the k-th scale s, computed in that order so its
+    bits are those of the plain expression; a False column on each side
+    keeps a run from crossing rows, so one comparison of the flat mask with
+    itself shifted gives every run's start and end.
+
+    The first maximum of every run comes from a sparse table over x: row p
+    holds the first maximum of each window of 2**p samples.  A run of
+    length L is the union of two such windows with 2**p <= L, one at each
+    end; the right one's maximum wins only when it is strictly greater, so
+    the first of equal values is kept.  Building the table costs
+    log2(longest run) passes over x, whatever the number of runs.
+    """
+    n = len(x)
+    width = n + 2
+    mask = np.zeros((len(RAISE_LEVELS_PERMILLE), width), dtype=bool)
+    buf = np.empty(n)
+    for row, r in zip(mask, RAISE_LEVELS_PERMILLE):
+        scale = r / 1000.0
+        np.multiply(baseline, 1.0 + scale, out=buf)
+        np.add(buf, scale * amp, out=buf)
+        np.greater(x, buf, out=row[1:-1])
+    flat = mask.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    level = starts // width
+    begin = starts - level * width - 1
+    length = ends - starts
+
+    table = np.zeros((int(length.max(initial=1)).bit_length(), n), dtype=np.intp)
+    table[0] = np.arange(n)
+    for p in range(1, len(table)):
+        half = 1 << (p - 1)
+        windows = n - 2 * half + 1
+        left, right = table[p - 1, :windows], table[p - 1, half:half + windows]
+        table[p, :windows] = np.where(x[right] > x[left], right, left)
+    p = np.frexp(length)[1] - 1                   # floor(log2(length))
+    left = table[p, begin]
+    right = table[p, begin + length - (1 << p)]
+    return np.where(x[right] > x[left], right, left), level
 
 
 def _centered_mean(x: np.ndarray, w: int) -> np.ndarray:
@@ -127,21 +212,6 @@ def _centered_mean(x: np.ndarray, w: int) -> np.ndarray:
     hi = np.minimum(n, idx + right + 1)
     csum = np.concatenate(([0.0], np.cumsum(x)))
     return (csum[hi] - csum[lo]) / (hi - lo)
-
-
-def _region_maxima(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """Index of the first maximum inside each contiguous region where x > threshold."""
-    p = np.flatnonzero(x > threshold)
-    if p.size == 0:
-        return np.empty(0, dtype=int)
-    offsets = np.concatenate(([0], np.flatnonzero(np.diff(p) > 1) + 1))
-    vals = x[p]
-    counts = np.diff(np.concatenate((offsets, [p.size])))
-    rep_max = np.repeat(np.maximum.reduceat(vals, offsets), counts)
-    seg_of = np.repeat(np.arange(offsets.size), counts)
-    hits = np.flatnonzero(vals == rep_max)
-    _, first = np.unique(seg_of[hits], return_index=True)
-    return p[hits[first]]
 
 
 def clean_nn(peaks: PeakTrain) -> NnSeries:

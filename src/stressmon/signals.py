@@ -207,7 +207,10 @@ def windowize(bursts, snapshots, spec: SamplingSpec | None = None):
 # -- file formats -------------------------------------------------------------
 
 def read_bursts_jsonl(path):
-    """Read burst records; raises DataFormatError naming the bad line."""
+    """Read burst records; raises DataFormatError naming the bad line.
+
+    A PPG burst must be sampled at PPG_RATE_HZ, the band-pass design rate.
+    """
     bursts = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -215,15 +218,19 @@ def read_bursts_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
-                bursts.append(SensorBurst(
+                burst = SensorBurst(
                     user_id=str(rec["user_id"]),
                     channel=str(rec["channel"]),
                     start_time_ms=int(rec["start_time_ms"]),
                     rate_hz=float(rec["rate_hz"]),
                     samples=rec["samples"],
-                ))
+                )
             except (ValueError, KeyError, TypeError) as err:
                 raise DataFormatError(f"{path}:{lineno}: bad burst record: {err}") from err
+            if burst.channel == "ppg" and burst.rate_hz != PPG_RATE_HZ:
+                raise DataFormatError(f"{path}:{lineno}: ppg rate_hz {burst.rate_hz} is not "
+                                      f"the filter design rate {PPG_RATE_HZ}")
+            bursts.append(burst)
     return bursts
 
 
@@ -233,7 +240,7 @@ def burst_record(burst: SensorBurst, arrival_ms=None) -> str:
         "channel": burst.channel,
         "start_time_ms": burst.start_time_ms,
         "rate_hz": burst.rate_hz,
-        "samples": [float(v) for v in burst.samples],
+        "samples": burst.samples.tolist(),
     }
     if arrival_ms is not None:
         rec["arrival_ms"] = arrival_ms

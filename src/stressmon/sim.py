@@ -175,13 +175,16 @@ def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
     beat_times = np.interp(np.arange(n_beats), phase, t_grid)
     beat_times = beat_times[beat_times < duration_s - 1e-12]
 
-    t = np.arange(n) * dt
-    x = np.zeros(n)
     half = max(1, int(round(5 * pulse_width_s * rate_hz)))
-    for bt in beat_times:
-        c = int(round(bt * rate_hz))
-        lo, hi = max(0, c - half), min(n, c + half + 1)
-        x[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - bt) / pulse_width_s) ** 2)
+    # One row of sample indices per beat around its nearest sample (np.round
+    # rounds half to even, as round does); cols * dt is bit-equal to
+    # np.arange(n) * dt at those samples.  np.add.at adds the rows in order,
+    # so every sample sums its pulses in beat order.
+    cols = np.round(beat_times * rate_hz).astype(int)[:, None] + np.arange(-half, half + 1)
+    pulses = np.exp(-0.5 * ((cols * dt - beat_times[:, None]) / pulse_width_s) ** 2)
+    inside = (cols >= 0) & (cols < n)
+    x = np.zeros(n)
+    np.add.at(x, cols[inside], pulses[inside])
     if noise_level > 0:
         x = x + np.random.default_rng(seed).normal(0.0, noise_level, n)
     burst = SensorBurst(user_id=user_id, channel="ppg", start_time_ms=start_time_ms,

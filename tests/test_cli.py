@@ -143,6 +143,38 @@ class TestFeaturize:
         assert "zones.json" in capsys.readouterr().err
 
 
+    def test_zones_directory_exits_3_naming_it(self, tmp_path, capsys):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        zones = tmp_path / "zones_dir"
+        zones.mkdir()
+        rc = cli.main(["featurize", "--data", str(tmp_path), "--zones", str(zones),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert "zones_dir" in capsys.readouterr().err
+
+    def test_bursts_directory_exits_3_naming_it(self, tmp_path, capsys):
+        (tmp_path / "bursts.jsonl").mkdir()
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert "bursts.jsonl" in capsys.readouterr().err
+
+    def test_ppg_rate_off_design_exits_3_with_line(self, tmp_path, capsys):
+        accel = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
+                 "rate_hz": 4.0, "samples": [0.0] * 240}
+        ppg = {"user_id": "u01", "channel": "ppg", "start_time_ms": 0,
+               "rate_hz": 25.0, "samples": [0.0] * 3000}
+        (tmp_path / "bursts.jsonl").write_text(
+            json.dumps(accel) + "\n" + json.dumps(ppg) + "\n")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert "bursts.jsonl:2:" in capsys.readouterr().err
+
+
 def _rejected_by_float(value):
     try:
         float(value)

@@ -4,6 +4,7 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressmon import hrv, signals
 from stressmon.errors import (InsufficientSpan, NoPlausiblePeaks,
@@ -73,6 +74,128 @@ class TestDetectPeaks:
     def test_short_burst_rejected(self):
         with pytest.raises(ValueError):
             hrv.detect_peaks(signals.SensorBurst("u", "ppg", 0, FS, np.ones(40)))
+
+
+def _oracle_region_maxima(x, threshold):
+    """The per-level region search the level-matrix pass replaced."""
+    p = np.flatnonzero(x > threshold)
+    if p.size == 0:
+        return np.empty(0, dtype=int)
+    offsets = np.concatenate(([0], np.flatnonzero(np.diff(p) > 1) + 1))
+    vals = x[p]
+    counts = np.diff(np.concatenate((offsets, [p.size])))
+    rep_max = np.repeat(np.maximum.reduceat(vals, offsets), counts)
+    seg_of = np.repeat(np.arange(offsets.size), counts)
+    hits = np.flatnonzero(vals == rep_max)
+    _, first = np.unique(seg_of[hits], return_index=True)
+    return p[hits[first]]
+
+
+def _oracle_detect_peaks(ppg):
+    """Level-by-level raised-baseline search: one region pass per level."""
+    if ppg.duration_s < hrv.MIN_DETECT_SECONDS:
+        raise ValueError("too short")
+    x = ppg.samples
+    fs = ppg.rate_hz
+    amp = float(x.max() - x.min())
+    if amp <= 1e-9:
+        raise NoPlausiblePeaks("signal is flat")
+    baseline = hrv._centered_mean(x, max(1, int(round(hrv.BASELINE_SECONDS * fs))))
+    best_sd = np.inf
+    best_idx = None
+    for r in hrv.RAISE_LEVELS_PERMILLE:
+        scale = r / 1000.0
+        idx = _oracle_region_maxima(x, baseline * (1.0 + scale) + scale * amp)
+        if len(idx) < 2:
+            continue
+        nn = np.diff(idx) * (1000.0 / fs)
+        bpm = 60_000.0 / nn.mean()
+        if not (hrv.BPM_MIN <= bpm <= hrv.BPM_MAX):
+            continue
+        sd = float(nn.std())
+        if sd < best_sd:
+            best_sd, best_idx = sd, idx
+    if best_idx is None:
+        raise NoPlausiblePeaks("no plausible level")
+    return hrv.PeakTrain(peak_times_ms=ppg.start_time_ms + best_idx * (1000.0 / fs))
+
+
+@st.composite
+def peak_bursts(draw):
+    """Bursts that stress the detector's ties, bounds and odd samples.
+
+    Kinds: Gaussian pulse trains at 40-180 BPM (constant or ramped, with
+    noise, at 20 Hz also band-passed); impulse trains whose period sits on
+    or next to the 40 and 180 BPM bounds, with alternating heights so that
+    several levels have equal or nearly equal NN deviations; sines outside
+    the plausible band; white noise.  Then optionally: values rounded to a
+    coarse grid (plateaus of equal maxima), a flat stretch, NaN samples and
+    a constant offset.
+    """
+    fs = draw(st.sampled_from([20.0, 30.0]))
+    seconds = draw(st.sampled_from([8.0, 10.0, 12.5, 30.0, 61.0, 120.0]))
+    n = int(round(seconds * fs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pulses", "impulses", "sine", "noise"]))
+    if kind == "pulses":
+        lo, hi = sorted(draw(st.tuples(st.floats(40.0, 180.0), st.floats(40.0, 180.0))))
+        bpm = np.linspace(lo, hi, n) if draw(st.booleans()) else lo
+        width = draw(st.sampled_from([0.05, 0.08, 0.2]))
+        burst, _ = synth_ppg(bpm, seconds, fs, draw(st.sampled_from([0.0, 0.02, 0.3])),
+                             seed=rng.integers(1 << 30), pulse_width_s=width)
+        x = burst.samples
+        if fs == signals.PPG_RATE_HZ and draw(st.booleans()):
+            x = signals.bandpass_filter(burst, signals.default_design()).samples
+    elif kind == "impulses":
+        # 60 / 40 BPM and 60 / 180 BPM in samples, and their neighbours
+        edge = [int(round(1.5 * fs)), int(round(fs / 3))]
+        period = draw(st.sampled_from(edge + [edge[0] - 1, edge[0] + 1, edge[1] + 1,
+                                              edge[1] - 1, edge[0] // 2]))
+        offset = draw(st.integers(0, period - 1))
+        x = np.zeros(n)
+        x[offset::period] = 1.0
+        x[offset::2 * period] = draw(st.sampled_from([1.0, 0.5, 2.0]))
+        jitter = draw(st.sampled_from([0.0, 1e-12, 0.01]))
+        x = x + jitter * rng.standard_normal(n)
+    elif kind == "sine":
+        f_hz = draw(st.sampled_from([0.2, 0.5, 3.5, 5.0]))
+        x = np.sin(2 * np.pi * f_hz * np.arange(n) / fs)
+    else:
+        x = rng.standard_normal(n)
+    x = np.array(x, dtype=float)
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.05, 0.25, 1.0]))
+        x = np.round(x / step) * step
+    if draw(st.booleans()):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(a, n))
+        x[a:b] = draw(st.sampled_from([0.0, float(np.min(x)), float(np.max(x)), -5.0]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):
+        x[draw(st.integers(0, n - 1))] = np.nan
+    x = x + draw(st.sampled_from([0.0, 0.0, 3.0, -3.0]))
+    start = draw(st.sampled_from([0, 1_700_000_000_123]))
+    return signals.SensorBurst("u", "ppg", start, fs, x)
+
+
+def _outcome(detect, burst):
+    try:
+        return detect(burst).peak_times_ms.tobytes()
+    except (ValueError, NoPlausiblePeaks) as err:
+        return type(err)
+
+
+class TestDetectPeaksOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(peak_bursts())
+    def test_matches_level_by_level_search(self, burst):
+        assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
+
+    def test_matches_on_band_passed_pulses(self):
+        design = signals.default_design()
+        for i, bpm in enumerate(np.linspace(40.0, 180.0, 15)):
+            burst, _ = synth_ppg(bpm, 120, FS, 0.05 * (i % 4), seed=i)
+            burst = signals.bandpass_filter(burst, design)
+            assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
 
 
 class TestCleanNn:

@@ -1,10 +1,16 @@
 """Simulator: cadence, routing, conservation, causality, determinism."""
 import collections
+import contextlib
+import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stressmon import cli
 from stressmon.cli import featurize_directory
 from stressmon.errors import ConfigError
 from stressmon.sim import (DEFAULT_ZONES, ParticipantParams, SimConfig,
@@ -40,6 +46,105 @@ class TestSynthPpg:
     def test_bpm_bounds(self):
         with pytest.raises(ValueError):
             synth_ppg(30.0, 60, 20.0, 0.0, seed=0)
+
+
+def _oracle_synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
+                      start_time_ms=0, pulse_width_s=0.08):
+    """The per-beat pulse loop that the index-block synthesis replaced."""
+    n = int(round(duration_s * rate_hz))
+    bpm = np.broadcast_to(np.asarray(bpm_trace, dtype=float), (n,))
+    dt = 1.0 / rate_hz
+    phase = np.concatenate(([0.0], np.cumsum(bpm / 60.0) * dt))
+    t_grid = np.arange(n + 1) * dt
+    n_beats = int(math.floor(phase[-1] - 1e-12)) + 1
+    beat_times = np.interp(np.arange(n_beats), phase, t_grid)
+    beat_times = beat_times[beat_times < duration_s - 1e-12]
+    t = np.arange(n) * dt
+    x = np.zeros(n)
+    half = max(1, int(round(5 * pulse_width_s * rate_hz)))
+    for bt in beat_times:
+        c = int(round(bt * rate_hz))
+        lo, hi = max(0, c - half), min(n, c + half + 1)
+        x[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - bt) / pulse_width_s) ** 2)
+    if noise_level > 0:
+        x = x + np.random.default_rng(seed).normal(0.0, noise_level, n)
+    return x, start_time_ms + beat_times * 1000.0
+
+
+class TestSynthPpgOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(rate_hz=st.sampled_from([4.0, 20.0, 25.0, 30.0, 7.3]),
+           duration_s=st.floats(1.0, 130.0),
+           bpm=st.one_of(st.floats(40.0, 180.0), st.tuples(st.integers(0, 2**31),
+                                                           st.floats(40.0, 180.0))),
+           pulse_width_s=st.floats(0.01, 0.3),
+           noise=st.sampled_from([0.0, 0.08]),
+           start=st.sampled_from([0, 1_700_000_000_000]))
+    def test_matches_per_beat_loop(self, rate_hz, duration_s, bpm, pulse_width_s,
+                                   noise, start):
+        n = int(round(duration_s * rate_hz))
+        if isinstance(bpm, tuple):   # a per-sample trace: random walk in 40..180
+            rng = np.random.default_rng(bpm[0])
+            bpm = np.clip(bpm[1] + np.cumsum(rng.normal(0.0, 2.0, n)), 40.0, 180.0)
+        burst, truth = synth_ppg(bpm, duration_s, rate_hz, noise, seed=3,
+                                 start_time_ms=start, pulse_width_s=pulse_width_s)
+        x, expect = _oracle_synth_ppg(bpm, duration_s, rate_hz, noise, seed=3,
+                                      start_time_ms=start, pulse_width_s=pulse_width_s)
+        assert burst.samples.tobytes() == x.tobytes()
+        assert truth.tobytes() == expect.tobytes()
+
+    def test_clipped_pulses_and_half_sample_centres(self):
+        # 150 BPM at 20 Hz over 11.95 s: the last beat's pulse runs past the
+        # 239th sample; 120 BPM at 25 Hz puts every other beat on an exact
+        # half sample, where the centre rounds half to even.
+        for bpm, rate_hz, seconds in ((150.0, 20.0, 11.95), (120.0, 25.0, 12.0)):
+            for width in (0.08, 0.3):
+                burst, truth = synth_ppg(bpm, seconds, rate_hz, 0.0, seed=0,
+                                         pulse_width_s=width)
+                x, expect = _oracle_synth_ppg(bpm, seconds, rate_hz, 0.0, seed=0,
+                                              pulse_width_s=width)
+                assert burst.samples.tobytes() == x.tobytes()
+                assert truth.tobytes() == expect.tobytes()
+
+
+class TestGoldenOutputs:
+    """Bytes that must not change while the simulator and detector are reworked.
+
+    The config is test_c10_pipeline_determinism's; the digests were recorded
+    with the per-beat pulse loop and the level-by-level peak search.
+    """
+
+    CONFIG = {"n_users": 3, "days": 1, "seed": 77,
+              "participants": {"stress_bpm_delta": 9.0,
+                               "baseline_bpm_range": [60.0, 84.0]}}
+    SHA256 = {
+        "sim/bursts.jsonl": "4b9f282eac4fdeec285f54382b4eba04af2e10d8b3430b0de79d0fa5ff7ef3be",
+        "sim/context.jsonl": "bc7c42b12b1b6e8cc8702245f945e1f9ef9909dfebc47470ada0a6a467d13f07",
+        "sim/ema.csv": "c9a2b007f213b7eb6b8227ac0ba064b60a93ddeca99cfdbd7a1f4a222bc057af",
+        "sim/triggers.jsonl": "0971fd7e1e3e53f402520507032df1073d3cfff0ff21d7c731271fa95711a97a",
+        "sim/latent.csv": "c06404c0c7195f78d2ad2b1f060b66eaadf5e77c47f4e00660f9208b54fa74ad",
+        "sim/zones.json": "b477949946e407119af97983846cf219b32b8a784640347afa1e601d265e44b9",
+        "matrix.csv": "89e06245af59eb9c4c3cb1e3c5d45609d21daf81e1e0994c9e65b17012addafb",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        (root / "config.json").write_text(json.dumps(self.CONFIG))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--config", str(root / "config.json"),
+                             "--out", str(root / "sim")]) == 0
+            assert cli.main(["featurize", "--data", str(root / "sim"),
+                             "--out", str(root / "matrix.csv")]) == 0
+        return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                for name in self.SHA256}
+
+    @pytest.mark.parametrize("name", [n for n in SHA256 if n.startswith("sim/")])
+    def test_simulate_file(self, outputs, name):
+        assert outputs[name] == self.SHA256[name]
+
+    def test_matrix(self, outputs):
+        assert outputs["matrix.csv"] == self.SHA256["matrix.csv"]
 
 
 class TestConfig:
