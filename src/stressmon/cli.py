@@ -20,10 +20,10 @@ from . import __version__, dataset, explain as explain_mod, signals
 from .context import ContextSchema, load_zones
 from .errors import DataFormatError, StressmonError
 from .hrv import HRV_FEATURE_NAMES
-from .learn import (ModelSpec, grouped_cv, fit_model, knn, model_from_dict,
+from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
                     model_to_dict, personalization_eval)
-from .learn.evaluate import _auto_select
-from .learn.trees import TreeEnsembleModel, select_top_features
+from .learn.evaluate import DEFAULT_FOLDS
+from .learn.trees import TreeEnsembleModel
 from .sim import SimConfig, run_simulation
 
 EXIT_OK = 0
@@ -118,12 +118,9 @@ def cmd_featurize(args) -> int:
 
 
 def _model_spec(args) -> ModelSpec:
-    select_top = args.select_top
-    if select_top is not None and select_top != "auto":
-        select_top = int(select_top)
     return ModelSpec(kind=args.model, depth=args.depth, k=args.k,
                      n_trees=args.n_trees, rounds=args.rounds,
-                     learning_rate=args.learning_rate, select_top=select_top)
+                     learning_rate=args.learning_rate, select_top=args.select_top)
 
 
 def _restrict_features(matrix, which):
@@ -153,18 +150,25 @@ def save_model_json(path, model):
 
 
 def load_model_json(path):
+    """Read a model written by save_model_json; raises DataFormatError naming it."""
     with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if rec["kind"] == "knn":
-        params = rec["knn"]
-        return knn.KnnModel(kind="knn", k=rec["hyperparameters"]["k"],
-                            z_train=np.asarray(params["z_train"]),
-                            y_train=np.asarray(params["y_train"], dtype=int),
-                            mean=np.asarray(params["mean"]),
-                            std=np.asarray(params["std"]),
-                            feature_names=list(rec["feature_names"]),
-                            hyperparameters=dict(rec["hyperparameters"]))
-    return model_from_dict(rec)
+        try:
+            rec = json.load(fh)
+            kind = rec["kind"]
+            if kind == "knn":
+                params = rec["knn"]
+                return knn.KnnModel(kind="knn", k=rec["hyperparameters"]["k"],
+                                    z_train=np.asarray(params["z_train"]),
+                                    y_train=np.asarray(params["y_train"], dtype=int),
+                                    mean=np.asarray(params["mean"]),
+                                    std=np.asarray(params["std"]),
+                                    feature_names=list(rec["feature_names"]),
+                                    hyperparameters=dict(rec["hyperparameters"]))
+            if kind not in ("random_forest", "boosted"):
+                raise ValueError(f"unknown model kind {kind!r}")
+            return model_from_dict(rec)
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise DataFormatError(f"{path}: bad model file: {err}") from err
 
 
 def cmd_train_eval(args) -> int:
@@ -181,16 +185,7 @@ def cmd_train_eval(args) -> int:
 
     # Final model on all labeled rows, for downstream explain/personalize.
     labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
-    completed = dataset.knn_impute(labeled)
-    X, y = completed.values, completed.labels.astype(int)
-    if spec.select_top is None:
-        cols = list(range(len(completed.columns)))
-    elif spec.select_top == "auto":
-        cols = _auto_select(X, y, completed.groups, spec, args.seed)
-    else:
-        cols = select_top_features(X, y, int(spec.select_top), seed=args.seed)
-    model = fit_model(spec, X[:, cols], y, args.seed,
-                      feature_names=[completed.columns[i] for i in cols])
+    model, _, _ = fit_on_rows(labeled, np.arange(labeled.n_rows), spec, args.seed)
     model_path = os.path.join(args.out, "model.json")
     save_model_json(model_path, model)
 
@@ -267,27 +262,55 @@ def cmd_personalize(args) -> int:
     return EXIT_OK
 
 
-def _add_model_flags(parser):
-    parser.add_argument("--model", choices=["rf", "knn", "boosted"], default="rf")
-    parser.add_argument("--depth", type=int, default=5)
-    parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--n-trees", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=100)
-    parser.add_argument("--learning-rate", type=float, default=0.3)
-    parser.add_argument("--features", choices=["all", "ppg", "context"], default="all")
-    parser.add_argument("--select-top", default=None,
-                        help="number of features to keep, or 'auto'")
-    parser.add_argument("--seed", type=int, default=0)
+def _int_at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
-def _positive_int(text) -> int:
+_positive_int = _int_at_least(1)
+
+
+def _positive_float(text) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
+
+
+def _select_top(text):
+    return text if text == "auto" else _positive_int(text)
+
+
+def _add_model_flags(parser):
+    spec = ModelSpec()
+    parser.add_argument("--model", choices=["rf", "knn", "boosted"], default=spec.kind,
+                        help="classifier (default: %(default)s)")
+    parser.add_argument("--depth", type=_positive_int, default=spec.depth,
+                        help="tree depth (default: %(default)s)")
+    parser.add_argument("--k", type=_positive_int, default=spec.k,
+                        help="neighbours of the k-NN classifier (default: %(default)s)")
+    parser.add_argument("--n-trees", type=_positive_int, default=spec.n_trees,
+                        help="forest size (default: %(default)s)")
+    parser.add_argument("--rounds", type=_positive_int, default=spec.rounds,
+                        help="boosting rounds (default: %(default)s)")
+    parser.add_argument("--learning-rate", type=_positive_float,
+                        default=spec.learning_rate,
+                        help="boosting step size (default: %(default)s)")
+    parser.add_argument("--features", choices=["all", "ppg", "context"], default="all")
+    parser.add_argument("--select-top", type=_select_top, default=spec.select_top,
+                        help="number of features to keep, or 'auto'")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-eval", help="grouped cross-validated evaluation")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=DEFAULT_FOLDS,
+                   help="user-grouped folds (default: %(default)s)")
     _add_model_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_eval)
@@ -319,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--background", type=_positive_int, default=128)
     p.add_argument("--max-rows", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 

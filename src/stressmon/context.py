@@ -87,19 +87,9 @@ class GeoZone:
 
 @dataclass
 class ContextSchema:
-    """Cut-offs, weather map and geofence zones used for feature extraction."""
+    """Geofence zones used for feature extraction; binning uses CUTOFFS."""
 
-    cutoffs: dict = field(default_factory=lambda: dict(CUTOFFS))
-    weather_codes: dict = field(default_factory=lambda: dict(WEATHER_CODES))
     zones: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for name, cuts in self.cutoffs.items():
-            if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise ValueError(f"cut-offs for {name} must be strictly increasing")
-        codes = list(self.weather_codes.values())
-        if len(set(codes)) != len(codes):
-            raise ValueError("weather map must be injective")
 
 
 def discretize(value, cutoffs):
@@ -167,8 +157,8 @@ def extract_context_features(snapshots, schema):
         snap = latest.get(name)
         if snap is None:
             features[name] = None
-        elif name in schema.cutoffs:
-            features[name] = discretize(snap.payload, schema.cutoffs[name])
+        elif name in CUTOFFS:
+            features[name] = discretize(snap.payload, CUTOFFS[name])
         elif name == "weather":
             features[name] = map_weather(snap.payload)
         elif name == "location":

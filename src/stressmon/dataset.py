@@ -91,14 +91,13 @@ class FeatureMatrix:
                              self.labels, list(self.groups), self.window_starts)
 
 
-def featurize_windows(raw_windows, schema: ContextSchema,
-                      design: signals.FilterDesign | None = None):
+def featurize_windows(raw_windows, schema: ContextSchema):
     """Band-pass + HRV + context extraction for each raw window.
 
     Windows whose PPG burst yields no plausible beat train keep ``hrv=None``
     rather than failing the batch.
     """
-    design = design or signals.default_design()
+    design = signals.default_design()
     out = []
     for raw in raw_windows:
         features = None
@@ -121,10 +120,10 @@ def binarize(label5: int) -> int:
     return 0 if label5 == 1 else 1
 
 
-def label_windows(windows, emas, horizon_ms: int = LABEL_HORIZON_MS):
+def label_windows(windows, emas):
     """Attach each window the earliest same-user EMA at or after its start.
 
-    Windows with no subsequent EMA within ``horizon_ms`` stay unlabeled.
+    Windows with no subsequent EMA within LABEL_HORIZON_MS stay unlabeled.
     Returns new FeatureWindow objects; the inputs are not mutated.
     """
     by_user = {}
@@ -140,7 +139,7 @@ def label_windows(windows, emas, horizon_ms: int = LABEL_HORIZON_MS):
         seq = by_user.get(win.user_id)
         if seq:
             i = bisect.bisect_left(times[win.user_id], win.window_start_ms)
-            if i < len(seq) and seq[i].timestamp_ms - win.window_start_ms <= horizon_ms:
+            if i < len(seq) and seq[i].timestamp_ms - win.window_start_ms <= LABEL_HORIZON_MS:
                 label5 = seq[i].stress_level
         labeled.append(replace(win, label5=label5,
                                label2=None if label5 is None else binarize(label5)))
@@ -294,7 +293,7 @@ def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
 
 # -- file formats -------------------------------------------------------------
 
-def write_matrix_csv(matrix: FeatureMatrix, path, imputation=None):
+def write_matrix_csv(matrix: FeatureMatrix, path):
     """Write the matrix as CSV (missing cells empty) plus a JSON sidecar."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -307,8 +306,7 @@ def write_matrix_csv(matrix: FeatureMatrix, path, imputation=None):
     meta = {
         "label_column": "label",
         "group_column": "user_id",
-        "imputation": imputation or {"k": DEFAULT_IMPUTE_K,
-                                     "weighting": DEFAULT_IMPUTE_WEIGHTING},
+        "imputation": {"k": DEFAULT_IMPUTE_K, "weighting": DEFAULT_IMPUTE_WEIGHTING},
     }
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
@@ -320,6 +318,11 @@ def sidecar_path(csv_path):
 
 
 def read_matrix_csv(path) -> FeatureMatrix:
+    """Read a matrix CSV; raises DataFormatError naming the bad line.
+
+    Every row has the header's cell count, and its label is empty
+    (unlabeled), ``0`` or ``1``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -331,12 +334,18 @@ def read_matrix_csv(path) -> FeatureMatrix:
         columns = tuple(header[3:])
         groups, starts, labels, rows = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}:{lineno}: {len(row)} cells, "
+                                      f"the header has {len(header)}")
+            if row[2] not in ("", "0", "1"):
+                raise DataFormatError(f"{path}:{lineno}: label must be empty, 0 or 1, "
+                                      f"got {row[2]!r}")
             try:
                 groups.append(row[0])
                 starts.append(int(row[1]))
                 labels.append(float(row[2]) if row[2] != "" else np.nan)
                 rows.append([float(c) if c != "" else np.nan for c in row[3:]])
-            except (ValueError, IndexError) as err:
+            except ValueError as err:
                 raise DataFormatError(f"{path}:{lineno}: bad matrix row: {err}") from err
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
     return FeatureMatrix(columns=columns, values=values, missing=np.isnan(values),

@@ -77,6 +77,10 @@ class EmptySelection(StressmonError):
     """Feature selection asked for zero features."""
 
 
+class SelectionTooLarge(StressmonError, ValueError):
+    """Feature selection asked for more features than the matrix has."""
+
+
 # -- explanation -------------------------------------------------------------
 
 class TooManyFeatures(StressmonError):

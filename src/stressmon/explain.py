@@ -115,17 +115,6 @@ def mean_abs_ranking(explanations):
     return [(names[i], float(means[i])) for i in order]
 
 
-def mean_abs_shap(model, rows, background):
-    """Mean |shap| per feature over the rows, ranked descending.
-
-    Returns (feature_name, mean_abs_value) pairs; ties keep feature order.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("need at least one row to explain")
-    return mean_abs_ranking([shap_values(model, row, background) for row in rows])
-
-
 def beeswarm_records(explanations):
     """Long-format (row, feature, shap, feature_value) records.
 
@@ -144,14 +133,6 @@ def beeswarm_records(explanations):
                             "shap": float(exp.shap_values[j]),
                             "feature_value": float(exp.feature_values[j])})
     return records
-
-
-def beeswarm_export(model, rows, background):
-    """beeswarm_records of the rows' explanations; no rows give no records."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.size == 0:
-        return []
-    return beeswarm_records([shap_values(model, row, background) for row in rows])
 
 
 def write_beeswarm_csv(path, records):

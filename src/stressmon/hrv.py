@@ -76,9 +76,6 @@ class HrvFeatures:
     br: float
     br_low_confidence: bool = False
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in HRV_FEATURE_NAMES}
-
 
 def detect_peaks(ppg: SensorBurst) -> PeakTrain:
     """Find systolic peaks with an adaptive raised-baseline threshold.

@@ -83,19 +83,18 @@ class EvalReport:
                        "confusion": f.confusion} for f in self.folds],
         }
 
-    def write(self, json_path, csv_path=None):
+    def write(self, json_path, csv_path):
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if csv_path is not None:
-            with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["fold", "f1", "tp", "fp", "fn", "tn", "test_users"])
-                for f in self.folds:
-                    c = f.confusion
-                    writer.writerow([f.fold, repr(f.f1), c["tp"], c["fp"],
-                                     c["fn"], c["tn"], " ".join(f.test_users)])
-                writer.writerow(["mean", repr(self.mean_f1), "", "", "", "", ""])
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["fold", "f1", "tp", "fp", "fn", "tn", "test_users"])
+            for f in self.folds:
+                c = f.confusion
+                writer.writerow([f.fold, repr(f.f1), c["tp"], c["fp"],
+                                 c["fn"], c["tn"], " ".join(f.test_users)])
+            writer.writerow(["mean", repr(self.mean_f1), "", "", "", "", ""])
 
 
 def f1_score(y_true, y_pred) -> float:
@@ -149,25 +148,26 @@ def _labeled_view(matrix: FeatureMatrix):
     return matrix.select_rows(keep)
 
 
-def _prepare_fold(matrix, train_rows, test_rows, spec, seed):
-    """Fresh-start preprocessing: impute and select on training rows only."""
-    imputer = KnnImputer()
-    imputer.fit(matrix.values[train_rows], matrix.missing[train_rows])
-    X_train = imputer.transform(matrix.values[train_rows], matrix.missing[train_rows],
-                                exclude=np.arange(len(train_rows)))
-    X_test = imputer.transform(matrix.values[test_rows], matrix.missing[test_rows])
-    y_train = matrix.labels[train_rows].astype(int)
-    y_test = matrix.labels[test_rows].astype(int)
+def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
+    """Fresh-start fit on ``rows`` alone: impute, select features, fit.
 
+    Returns ``(model, imputer, selected)``.  The imputer is fit on ``rows``
+    and completes any other rows for prediction; ``selected`` lists the
+    column indices the model reads.
+    """
+    imputer = KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
+    X = imputer.transform(matrix.values[rows], matrix.missing[rows],
+                          exclude=np.arange(len(rows)))
+    y = matrix.labels[rows].astype(int)
     if spec.select_top is None:
         selected = list(range(len(matrix.columns)))
     elif spec.select_top == "auto":
-        selected = _auto_select(X_train, y_train,
-                                [matrix.groups[i] for i in train_rows], spec, seed)
+        selected = _auto_select(X, y, [matrix.groups[i] for i in rows], spec, seed)
     else:
-        selected = select_top_features(X_train, y_train, int(spec.select_top),
-                                       seed=seed)
-    return X_train[:, selected], y_train, X_test[:, selected], y_test, selected
+        selected = select_top_features(X, y, int(spec.select_top), seed=seed)
+    model = fit_model(spec, X[:, selected], y, seed,
+                      feature_names=[matrix.columns[i] for i in selected])
+    return model, imputer, selected
 
 
 def _auto_select(X, y, groups, spec, seed):
@@ -208,11 +208,10 @@ def grouped_cv(matrix: FeatureMatrix, spec: ModelSpec,
         test_rows = np.flatnonzero(np.isin(groups, list(test_set)))
         train_rows = np.flatnonzero(~np.isin(groups, list(test_set)))
         fold_seed = 1009 * seed + f
-        X_tr, y_tr, X_te, y_te, selected = _prepare_fold(
-            labeled, train_rows, test_rows, spec, fold_seed)
-        model = fit_model(spec, X_tr, y_tr, fold_seed,
-                          feature_names=[labeled.columns[i] for i in selected])
-        y_pred = model.predict(X_te)
+        model, imputer, selected = fit_on_rows(labeled, train_rows, spec, fold_seed)
+        X_te = imputer.transform(labeled.values[test_rows], labeled.missing[test_rows])
+        y_te = labeled.labels[test_rows].astype(int)
+        y_pred = model.predict(X_te[:, selected])
         report.folds.append(FoldResult(
             fold=f, f1=f1_score(y_te, y_pred), test_users=sorted(test_users),
             selected_features=[labeled.columns[i] for i in selected],
@@ -248,12 +247,11 @@ def personalization_eval(matrix: FeatureMatrix, target_user: str,
     extra_rows = target_rows[n_test:]
     other_rows = np.flatnonzero(groups != target_user)
 
+    y_te = labeled.labels[test_rows].astype(int)
     scores = []
     for train_rows in (other_rows, np.sort(np.concatenate([other_rows, extra_rows]))):
-        X_tr, y_tr, X_te, y_te, selected = _prepare_fold(
-            labeled, train_rows, test_rows, spec, seed)
-        model = fit_model(spec, X_tr, y_tr, seed,
-                          feature_names=[labeled.columns[i] for i in selected])
-        scores.append(f1_score(y_te, model.predict(X_te)))
+        model, imputer, selected = fit_on_rows(labeled, train_rows, spec, seed)
+        X_te = imputer.transform(labeled.values[test_rows], labeled.missing[test_rows])
+        scores.append(f1_score(y_te, model.predict(X_te[:, selected])))
     return PersonalizationResult(user=target_user, f1_before=scores[0],
                                  f1_after=scores[1])

@@ -40,10 +40,6 @@ class KnnModel:
     def predict_proba(self, X) -> np.ndarray:
         return self.y_train[self._neighbours(X)].mean(axis=1)
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
 
 def train_knn(X, y, k: int, feature_names=None) -> KnnModel:
     """Store standardized training data for majority-vote prediction."""

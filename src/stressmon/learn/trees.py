@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateLabels, EmptySelection
+from ..errors import DegenerateLabels, EmptySelection, SelectionTooLarge
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
@@ -376,7 +376,7 @@ def select_top_features(X, y, m: int, seed: int = 0,
         raise EmptySelection("cannot select zero features")
     d = np.asarray(X).shape[1]
     if m > d:
-        raise ValueError(f"m={m} exceeds {d} available features")
+        raise SelectionTooLarge(f"cannot select {m} features from {d} columns")
     forest = train_random_forest(X, y, depth=depth, n_trees=n_trees, seed=seed)
     ranked = gini_importance(forest)
     return sorted(idx for idx, _ in ranked[:m])

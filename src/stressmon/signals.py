@@ -18,31 +18,15 @@ from .errors import DataFormatError, InvalidBand, TooShort, Unstable
 
 PPG_RATE_HZ = 20.0
 BURST_SECONDS = 120.0
-WINDOW_MINUTES = 15.0
+#: Samples of one complete PPG burst: 2 minutes at 20 Hz.
+BURST_SAMPLES = int(round(BURST_SECONDS * PPG_RATE_HZ))
+#: Length of one wall-clock window, and of the simulator's slot.
+WINDOW_MS = 15 * 60_000
 FILTER_ORDER = 3
 FILTER_LOW_HZ = 0.7
 FILTER_HIGH_HZ = 3.5
 
 CHANNELS = frozenset({"ppg", "accel_x", "accel_y", "accel_z", "gyro"})
-
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    """Cadence of the collection protocol: 2-minute bursts every 15 minutes."""
-
-    ppg_rate_hz: float = PPG_RATE_HZ
-    burst_seconds: float = BURST_SECONDS
-    window_minutes: float = WINDOW_MINUTES
-
-    def __post_init__(self):
-        if self.ppg_rate_hz <= 2.0 * FILTER_HIGH_HZ:
-            raise ValueError("ppg rate must exceed twice the 3.5 Hz cut-off")
-        if self.burst_seconds > self.window_minutes * 60.0:
-            raise ValueError("burst cannot be longer than the window")
-
-    @property
-    def window_ms(self) -> int:
-        return int(round(self.window_minutes * 60_000))
 
 
 @dataclass(frozen=True)
@@ -149,30 +133,25 @@ def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:
 
 @dataclass
 class RawWindow:
-    """One 15-minute slot: its PPG burst (if complete), other bursts, context."""
+    """One 15-minute slot: its PPG burst (if complete) and context."""
 
     user_id: str
     start_ms: int
     end_ms: int
     ppg: SensorBurst | None = None
-    extra_bursts: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
 
 
-def windowize(bursts, snapshots, spec: SamplingSpec | None = None):
+def windowize(bursts, snapshots):
     """Cut bursts and context snapshots into 15-minute wall-clock windows.
 
     The slot grid is aligned to wall-clock multiples of the window length,
     starting at the slot containing each user's first record.  A burst
     belongs to the slot containing its start time; the first complete PPG
-    burst of a slot (full 2-minute sample count) becomes the window's
-    ``ppg``, everything else lands in ``extra_bursts``.  Slots without a
-    complete burst are still emitted, with ``ppg`` left as None.
+    burst of a slot (BURST_SAMPLES samples or more) becomes the window's
+    ``ppg``, and every other burst is dropped.  Slots without a complete
+    burst are still emitted, with ``ppg`` left as None.
     """
-    spec = spec or SamplingSpec()
-    window_ms = spec.window_ms
-    need = int(round(spec.burst_seconds * spec.ppg_rate_hz))
-
     per_user = {}
     for burst in bursts:
         per_user.setdefault(burst.user_id, ([], []))[0].append(burst)
@@ -185,21 +164,19 @@ def windowize(bursts, snapshots, spec: SamplingSpec | None = None):
         times = [b.start_time_ms for b in user_bursts] + [s.timestamp_ms for s in user_snaps]
         if not times:
             continue
-        first_slot = (min(times) // window_ms) * window_ms
-        last_slot = (max(times) // window_ms) * window_ms
+        first_slot = (min(times) // WINDOW_MS) * WINDOW_MS
+        last_slot = (max(times) // WINDOW_MS) * WINDOW_MS
         slots = {}
-        for start in range(int(first_slot), int(last_slot) + window_ms, window_ms):
+        for start in range(int(first_slot), int(last_slot) + WINDOW_MS, WINDOW_MS):
             slots[start] = RawWindow(user_id=user_id, start_ms=start,
-                                     end_ms=start + window_ms)
+                                     end_ms=start + WINDOW_MS)
         for burst in user_bursts:
-            win = slots[(burst.start_time_ms // window_ms) * window_ms]
-            complete = burst.channel == "ppg" and len(burst.samples) >= need
+            win = slots[(burst.start_time_ms // WINDOW_MS) * WINDOW_MS]
+            complete = burst.channel == "ppg" and len(burst.samples) >= BURST_SAMPLES
             if complete and win.ppg is None:
                 win.ppg = burst
-            else:
-                win.extra_bursts.append(burst)
         for snap in user_snaps:
-            slots[(snap.timestamp_ms // window_ms) * window_ms].snapshots.append(snap)
+            slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS].snapshots.append(snap)
         windows.extend(slots[k] for k in sorted(slots))
     return windows
 

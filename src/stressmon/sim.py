@@ -27,9 +27,10 @@ from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_r
                       parse_zones)
 from .errors import ConfigError
 from .sema import DAY_MS
-from .signals import BURST_SECONDS, PPG_RATE_HZ, SamplingSpec, SensorBurst, burst_record
+from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
+                      burst_record)
 
-SLOT_MS = SamplingSpec().window_ms
+SLOT_MS = WINDOW_MS
 SLOTS_PER_DAY = DAY_MS // SLOT_MS
 ACCEL_RATE_HZ = 4.0
 ACCEL_SECONDS = 60.0
@@ -350,7 +351,7 @@ class _Simulation:
             # LED gated off-wrist: idle channel reads a constant zero
             ppg = SensorBurst(user_id=user.user_id, channel="ppg",
                               start_time_ms=slot_ms, rate_hz=PPG_RATE_HZ,
-                              samples=np.zeros(int(BURST_SECONDS * PPG_RATE_HZ)))
+                              samples=np.zeros(BURST_SAMPLES))
         arng = np.random.default_rng([cfg.seed, user.index, 3, slot_index])
         n = int(ACCEL_SECONDS * ACCEL_RATE_HZ)
         if worn:

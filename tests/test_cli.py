@@ -277,6 +277,46 @@ class TestTrainEval:
         model = json.loads((out / "model.json").read_text())
         assert model["feature_names"] == [completed.columns[i] for i in cols]
 
+    @pytest.mark.parametrize("edit", ["short_row", "label_2", "label_half"])
+    def test_bad_matrix_row_exits_3_with_line(self, matrix_path, tmp_path, capsys,
+                                              edit):
+        lines = matrix_path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines[1:], start=2)
+                      if line.split(",")[2] != "" and line.split(",")[3] != "")
+        cells = lines[lineno - 1].split(",")
+        if edit == "short_row":
+            cells = cells[:-2]
+        else:
+            cells[2] = "2" if edit == "label_2" else "0.5"
+        lines[lineno - 1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train-eval", "--matrix", str(bad), "--folds", "3",
+                       "--n-trees", "5", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert f"bad.csv:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--depth", "0"], 2), (["--k", "0"], 2), (["--n-trees", "0"], 2),
+        (["--rounds", "-3"], 2), (["--folds", "0"], 2), (["--folds", "1"], 2),
+        (["--model", "boosted", "--learning-rate", "0"], 2),
+        (["--model", "boosted", "--learning-rate", "nan"], 2),
+        (["--select-top", "abc"], 2), (["--select-top", "0"], 2),
+        (["--seed", "-1"], 2), (["--select-top", "99"], 3),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_invalid_model_flag(self, matrix_path, tmp_path, capsys, flags, code):
+        argv = ["train-eval", "--matrix", str(matrix_path), "--folds", "3",
+                *flags, "--out", str(tmp_path / "e")]
+        try:
+            rc = cli.main(argv)
+        except SystemExit as err:
+            rc = err.code
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == cli.EXIT_DATA:
+            assert "99" in err and "24" in err
+
     def test_knn_model_runs(self, matrix_path, tmp_path):
         out = tmp_path / "knn"
         assert cli.main(["train-eval", "--matrix", str(matrix_path),
@@ -406,7 +446,7 @@ class TestExplain:
             assert np.array_equal(row, expect) and np.array_equal(bg, background)
 
     @pytest.mark.parametrize("flag,value", [("--max-rows", "0"), ("--max-rows", "-1"),
-                                            ("--background", "0")])
+                                            ("--background", "0"), ("--seed", "-1")])
     def test_count_below_one_is_usage_error(self, eval_dir, matrix_path, tmp_path,
                                             flag, value):
         with pytest.raises(SystemExit) as err:
@@ -414,6 +454,19 @@ class TestExplain:
                       "--matrix", str(matrix_path), flag, value,
                       "--out", str(tmp_path / "e")])
         assert err.value.code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["notjson", "{}", "[]", '{"kind": "svm"}',
+                                      '{"kind": "random_forest"}'],
+                             ids=["not_json", "no_kind", "not_object", "unknown_kind",
+                                  "missing_trees"])
+    def test_bad_model_file_exits_3_naming_it(self, matrix_path, tmp_path, capsys,
+                                              text):
+        model = tmp_path / "bad_model.json"
+        model.write_text(text)
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert "bad_model.json" in capsys.readouterr().err
 
     def test_knn_model_exit(self, matrix_path, tmp_path, capsys):
         out = tmp_path / "knn"

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stressmon.context import (CONTEXT_FEATURE_NAMES, ContextSchema,
-                               ContextSnapshot, GeoZone, assign_location,
+from stressmon.context import (CONTEXT_FEATURE_NAMES, CUTOFFS, WEATHER_CODES,
+                               ContextSchema, ContextSnapshot, GeoZone, assign_location,
                                discretize, dump_zones, extract_context_features,
                                haversine_m, load_zones, map_weather,
                                read_context_jsonl, write_context_jsonl)
@@ -114,12 +114,12 @@ class TestExtract:
 
 class TestSchemaAndIo:
     def test_cutoffs_must_increase(self):
-        with pytest.raises(ValueError):
-            ContextSchema(cutoffs={"battery_level": (50, 25, 10)})
+        for name, cuts in CUTOFFS.items():
+            assert cuts and all(a < b for a, b in zip(cuts, cuts[1:])), name
 
     def test_weather_map_injective(self):
-        with pytest.raises(ValueError):
-            ContextSchema(weather_codes={"clear": 0, "mist": 0})
+        codes = list(WEATHER_CODES.values())
+        assert len(set(codes)) == len(codes)
 
     def test_snapshot_unknown_sensor(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from stressmon import explain
 from stressmon.errors import EmptyBackground, StressmonError, TooManyFeatures
-from stressmon.explain import (Explanation, beeswarm_export, coalition_value_table,
-                               mean_abs_shap, shap_values, write_beeswarm_csv)
+from stressmon.explain import (Explanation, beeswarm_records, coalition_value_table,
+                               mean_abs_ranking, shap_values, write_beeswarm_csv)
 from stressmon.learn import (TreeEnsembleModel, TreeNode, train_boosted,
                              train_random_forest)
 
@@ -150,6 +150,11 @@ class TestValidation:
             shap_values(NotATree(), np.zeros(2), np.zeros((1, 2)))
 
 
+def explain_rows(model, rows, background):
+    """One explanation per row, as `cli explain` builds them."""
+    return [shap_values(model, row, background) for row in rows]
+
+
 class TestAggregates:
     def _setup(self, seed=4):
         rng = np.random.default_rng(seed)
@@ -161,26 +166,26 @@ class TestAggregates:
     def test_single_row_ranking(self):
         model, rows, bg = self._setup()
         exp = shap_values(model, rows[0], bg)
-        ranked = mean_abs_shap(model, rows[:1], bg)
+        ranked = mean_abs_ranking([exp])
         expected = sorted(zip(exp.feature_names, np.abs(exp.shap_values)),
                           key=lambda t: -t[1])
         assert [name for name, _ in ranked] == [name for name, _ in expected]
 
     def test_duplicated_rows_same_result(self):
         model, rows, bg = self._setup(5)
-        one = mean_abs_shap(model, rows[:1], bg)
-        dup = mean_abs_shap(model, np.repeat(rows[:1], 4, axis=0), bg)
+        one = mean_abs_ranking(explain_rows(model, rows[:1], bg))
+        dup = mean_abs_ranking(explain_rows(model, np.repeat(rows[:1], 4, axis=0), bg))
         for (n1, v1), (n2, v2) in zip(one, dup):
             assert n1 == n2 and v1 == pytest.approx(v2, abs=1e-12)
 
     def test_beeswarm_record_count(self):
         model, rows, bg = self._setup(6)
-        records = beeswarm_export(model, rows, bg)
+        records = beeswarm_records(explain_rows(model, rows, bg))
         assert len(records) == rows.shape[0] * rows.shape[1]
 
     def test_beeswarm_empty(self, tmp_path):
-        records = beeswarm_export(forest([stump(0, 0, 0.1, 0.9)], 2),
-                                  np.zeros((0, 2)), np.zeros((2, 2)))
+        records = beeswarm_records(explain_rows(forest([stump(0, 0, 0.1, 0.9)], 2),
+                                                np.zeros((0, 2)), np.zeros((2, 2))))
         assert records == []
         path = tmp_path / "b.csv"
         write_beeswarm_csv(path, records)
@@ -188,8 +193,9 @@ class TestAggregates:
 
     def test_beeswarm_order_matches_mean_abs(self):
         model, rows, bg = self._setup(7)
-        ranked = [name for name, _ in mean_abs_shap(model, rows, bg)]
-        records = beeswarm_export(model, rows, bg)
+        explanations = explain_rows(model, rows, bg)
+        ranked = [name for name, _ in mean_abs_ranking(explanations)]
+        records = beeswarm_records(explanations)
         seen = list(dict.fromkeys(r["feature"] for r in records))
         assert seen == ranked
 

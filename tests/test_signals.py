@@ -8,7 +8,7 @@ from stressmon import signals
 from stressmon.context import ContextSnapshot
 from stressmon.errors import DataFormatError, InvalidBand, TooShort
 from stressmon.hrv import _centered_mean
-from stressmon.signals import (SamplingSpec, SensorBurst, bandpass_filter,
+from stressmon.signals import (SensorBurst, bandpass_filter,
                                design_bandpass, default_design,
                                read_bursts_jsonl, windowize, write_bursts_jsonl)
 
@@ -164,7 +164,7 @@ class TestWindowize:
 
     def test_incomplete_burst_marks_missing(self):
         wins = windowize([_burst("u", 0, seconds=30.0)], [])
-        assert wins[0].ppg is None and len(wins[0].extra_bursts) == 1
+        assert wins[0].ppg is None
 
     def test_context_attachment(self):
         wins = windowize([_burst("u", 0)], [_snap("u", 10_000), _snap("u", 900_001)])
@@ -181,11 +181,9 @@ class TestWindowize:
         starts = [w.start_ms for w in wins]
         assert starts == sorted(starts)
         assert all(b - a == 900_000 for a, b in zip(starts, starts[1:]))
-        placed_bursts = [b for w in wins for b in ([w.ppg] if w.ppg else []) + w.extra_bursts]
-        assert len(placed_bursts) == len(bursts)
         for w in wins:
-            for b in ([w.ppg] if w.ppg else []) + w.extra_bursts:
-                assert w.start_ms <= b.start_time_ms < w.end_ms
+            if w.ppg is not None:
+                assert w.start_ms <= w.ppg.start_time_ms < w.end_ms
             for s in w.snapshots:
                 assert w.start_ms <= s.timestamp_ms < w.end_ms
         assert len(snaps) == sum(len(w.snapshots) for w in wins)
@@ -196,12 +194,6 @@ class TestWindowize:
 
 
 class TestTypesAndIo:
-    def test_sampling_spec_invariants(self):
-        with pytest.raises(ValueError):
-            SamplingSpec(ppg_rate_hz=6.0)
-        with pytest.raises(ValueError):
-            SamplingSpec(burst_seconds=1000.0)
-
     def test_burst_validation(self):
         with pytest.raises(ValueError):
             SensorBurst("u", "nope", 0, FS, [1.0])
