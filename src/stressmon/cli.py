@@ -63,7 +63,6 @@ def cmd_simulate(args) -> int:
     config = SimConfig.from_json(args.config)
     if args.seed is not None:
         config.seed = args.seed
-        config.validate()
     result = run_simulation(config, args.out)
     write_manifest(args.out, "simulate", config.seed, [args.config],
                    list(result.paths.values()),
@@ -321,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the collection-stack simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("featurize", help="simulated files -> labeled feature matrix")

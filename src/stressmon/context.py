@@ -221,10 +221,10 @@ def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:
     return json.dumps(rec, separators=(",", ":"))
 
 
-def write_context_jsonl(path, snapshots, arrivals=None):
+def write_context_jsonl(path, snapshots):
     with open(path, "w", encoding="utf-8") as fh:
-        for i, snap in enumerate(snapshots):
-            fh.write(context_record(snap, None if arrivals is None else arrivals[i]) + "\n")
+        for snap in snapshots:
+            fh.write(context_record(snap) + "\n")
 
 
 def parse_zones(raw) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from ..errors import DegenerateLabels, EmptySelection, SelectionTooLarge
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
+#: Depth of the forest whose Gini importances rank features for selection.
+SELECTION_DEPTH = 10
 DEFAULT_BOOST_ROUNDS = 100
 DEFAULT_BOOST_DEPTH = 6
 DEFAULT_BOOST_RATE = 0.3
@@ -209,7 +211,7 @@ def _grow_classification_tree(XT, y, rows, depth_left, rng, max_features, n_root
     f = int(candidates[j])
     go_left = XT[f, rows] <= thr
     node = TreeNode(feature_index=f, threshold=thr, impurity_decrease=decrease,
-                    sample_fraction=rows.size / n_root, class_counts=(n0, n1))
+                    sample_fraction=rows.size / n_root)
     node.left = _grow_classification_tree(XT, y, rows[go_left], depth_left - 1,
                                           rng, max_features, n_root)
     node.right = _grow_classification_tree(XT, y, rows[~go_left], depth_left - 1,
@@ -369,15 +371,18 @@ def gini_importance(model: TreeEnsembleModel):
     return [(int(i), float(totals[i])) for i in order]
 
 
-def select_top_features(X, y, m: int, seed: int = 0,
-                        depth: int = 10, n_trees: int = DEFAULT_N_TREES):
-    """Indices of the m most important features per a forest fit on (X, y)."""
+def select_top_features(X, y, m: int, seed: int = 0):
+    """Indices of the m most important features per a forest fit on (X, y).
+
+    The forest has DEFAULT_N_TREES trees of depth SELECTION_DEPTH.
+    """
     if m < 1:
         raise EmptySelection("cannot select zero features")
     d = np.asarray(X).shape[1]
     if m > d:
         raise SelectionTooLarge(f"cannot select {m} features from {d} columns")
-    forest = train_random_forest(X, y, depth=depth, n_trees=n_trees, seed=seed)
+    forest = train_random_forest(X, y, depth=SELECTION_DEPTH, n_trees=DEFAULT_N_TREES,
+                                 seed=seed)
     ranked = gini_importance(forest)
     return sorted(idx for idx, _ in ranked[:m])
 

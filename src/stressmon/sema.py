@@ -43,7 +43,6 @@ class SemaState:
     first_wear_time_ms: int | None = None
     prompts_sent_today: int = 0
     last_prompt_time_ms: int | None = None
-    target_per_day: int = TARGET_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,9 @@ def is_wearing(sample: WearSample) -> bool:
     return float(mags.std()) > WEAR_STD_THRESHOLD
 
 
-def is_recent(newest_data_time_ms: int, now_ms: int,
-              max_age_ms: int = RECENCY_MAX_AGE_MS) -> bool:
-    """True when the newest data is at most max_age old (inclusive)."""
-    return now_ms - newest_data_time_ms <= max_age_ms
+def is_recent(newest_data_time_ms: int, now_ms: int) -> bool:
+    """True when the newest data is at most RECENCY_MAX_AGE_MS old (inclusive)."""
+    return now_ms - newest_data_time_ms <= RECENCY_MAX_AGE_MS
 
 
 def next_wait(state: SemaState, now_ms: int) -> int:
@@ -82,7 +80,7 @@ def next_wait(state: SemaState, now_ms: int) -> int:
     """
     if state.first_wear_time_ms is None:
         raise NoWearYet("no wear observed today")
-    remaining = max(0, state.target_per_day - state.prompts_sent_today)
+    remaining = max(0, TARGET_PER_DAY - state.prompts_sent_today)
     window_end = local_day_start(now_ms, state.tz_offset_ms) + DAY_MS
     wait = (window_end - max(now_ms, state.first_wear_time_ms)) / max(1, remaining)
     return max(MIN_WAIT_MS, int(wait))
@@ -118,7 +116,7 @@ def should_trigger(state: SemaState, now_ms: int, wear: WearSample) -> Decision:
         return Decision(False, "not_wearing")
     if not is_recent(wear.newest_data_time_ms, now_ms):
         return Decision(False, "not_recent")
-    if state.prompts_sent_today >= state.target_per_day:
+    if state.prompts_sent_today >= TARGET_PER_DAY:
         return Decision(False, "daily_cap")
     if (state.last_prompt_time_ms is not None
             and now_ms - state.last_prompt_time_ms < next_wait(state, now_ms)):

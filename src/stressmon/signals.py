@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .context import ContextSnapshot
 from .errors import DataFormatError, InvalidBand, TooShort, Unstable
 
 PPG_RATE_HZ = 20.0
@@ -26,7 +25,7 @@ FILTER_ORDER = 3
 FILTER_LOW_HZ = 0.7
 FILTER_HIGH_HZ = 3.5
 
-CHANNELS = frozenset({"ppg", "accel_x", "accel_y", "accel_z", "gyro"})
+CHANNELS = frozenset({"ppg", "accel_x", "accel_y", "accel_z"})
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,12 @@ def design_bandpass(order, low_hz, high_hz, rate_hz) -> FilterDesign:
                         rate_hz=rate_hz, numerator=b, denominator=a)
 
 
-def analog_bandpass_gain(design: FilterDesign, freq_hz, passes: int = 2) -> float:
-    """Analytic magnitude of the designed filter at a probe frequency.
+def analog_bandpass_gain(design: FilterDesign, freq_hz) -> float:
+    """Analytic forward-backward (zero-phase) gain at a probe frequency.
 
     Evaluates the analog Butterworth band-pass prototype at the pre-warped
-    frequency, which is exactly what the bilinear design realizes.  With
-    ``passes=2`` this is the forward-backward (zero-phase) gain.
+    frequency, which is exactly what the bilinear design realizes, and
+    squares it for the two passes of :func:`bandpass_filter`.
     """
     fs = design.rate_hz
     warp = lambda f: 2.0 * fs * np.tan(np.pi * f / fs)
@@ -111,7 +110,7 @@ def analog_bandpass_gain(design: FilterDesign, freq_hz, passes: int = 2) -> floa
         return 0.0
     omega = abs(w * w - wl * wh) / ((wh - wl) * w)
     single = 1.0 / np.sqrt(1.0 + omega ** (2 * design.order))
-    return float(single ** passes)
+    return float(single ** 2)
 
 
 def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:

@@ -9,6 +9,13 @@ participant's latent two-state stress process drives heart rate, context
 patterns and EMA answers; the latent trace is exported only so tests can
 check against ground truth.
 
+The study protocol and the participant model are module constants: the
+network latencies, the sEMA evaluation period, the wear hours, the
+stress-state dwell times and every distribution a participant draws from
+(see the block after the imports).  A config file sets only the cohort
+(``SimConfig``); burst timing comes from ``signals`` and the trigger rules
+from ``sema``.
+
 Everything is driven by seeded generator streams and a single-threaded
 event queue ordered by (time, sequence), so a given config and seed
 produce byte-identical output files.
@@ -18,7 +25,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,13 +51,45 @@ DEFAULT_ZONES = (
 _WEATHER_CHOICES = ("Clear", "Clouds", "Mist", "Rain", "Snow", "Drizzle")
 _WEATHER_WEIGHTS = (0.35, 0.30, 0.10, 0.14, 0.05, 0.06)
 
+# -- protocol constants ----------------------------------------------------------
+
+#: Delivery latency of watch data over Wi-Fi, and over the Bluetooth relay
+#: to the phone while Wi-Fi is out.
+WIFI_LATENCY_MS = 1000
+BLUETOOTH_LATENCY_MS = 45 * 60_000
+#: Delivery latency of a context snapshot once Wi-Fi is up.
+CONTEXT_LATENCY_MS = 5000
+#: Period of the cloud's sEMA rule evaluation.
+SEMA_EVAL_MINUTES = 5
+#: Local hours between which the watch is worn, each end jittered per day.
+WEAR_START_HOUR = 7.0
+WEAR_END_HOUR = 23.0
+WEAR_JITTER_MINUTES = 20.0
+#: Mean dwell time of the latent stressed and calm states while worn.
+STRESS_DWELL_MINUTES = 240.0
+CALM_DWELL_MINUTES = 300.0
+#: Weights of the EMA levels 2..5 answered while stressed (calm answers 1).
+STRESSED_LEVEL_WEIGHTS = (0.47, 0.40, 0.065, 0.065)
+#: Standard deviation of the additive PPG noise.
+PPG_NOISE = 0.08
+#: Location-zone probabilities (zones 0..3) while stressed and while calm.
+STRESS_LOCATION_PROBS = (0.04, 0.84, 0.05, 0.07)
+CALM_LOCATION_PROBS = (0.18, 0.08, 0.42, 0.32)
+#: Range (minutes) of the device-off reading while stressed and while calm.
+STRESS_DEVICE_OFF_RANGE = (0.5, 12.0)
+CALM_DEVICE_OFF_RANGE = (45.0, 600.0)
+#: Chance that a context sensor has a 2-5 h blackout on a given day.
+CONTEXT_BLACKOUT_PROB = 0.25
+
+#: ``per_user`` override keys: numbers, then flags.
+_OVERRIDE_NUMBERS = ("baseline_bpm", "stress_bpm_delta")
+_OVERRIDE_FLAGS = ("invert_context", "neutral_context", "screen_coupled",
+                   "device_on_coupled")
+
 
 @dataclass
 class NetworkParams:
     wifi_outages_ms: tuple = ()          # absolute (start, end) pairs
-    wifi_latency_ms: int = 1000
-    bluetooth_latency_ms: int = 45 * 60_000
-    context_latency_ms: int = 5000
 
     def wifi_up(self, t_ms: int) -> bool:
         return not any(s <= t_ms < e for s, e in self.wifi_outages_ms)
@@ -66,28 +105,33 @@ class NetworkParams:
 class ParticipantParams:
     baseline_bpm_range: tuple = (62.0, 80.0)
     stress_bpm_delta: float = 10.0
-    stress_dwell_minutes: float = 240.0
-    calm_dwell_minutes: float = 300.0
     ema_compliance: float = 0.9
-    stressed_level_weights: tuple = (0.47, 0.40, 0.065, 0.065)   # levels 2..5
-    wear_start_hour: float = 7.0
-    wear_end_hour: float = 23.0
-    wear_jitter_minutes: float = 20.0
-    ppg_noise: float = 0.08
-    stress_location_probs: tuple = (0.04, 0.84, 0.05, 0.07)      # zones 0..3
-    calm_location_probs: tuple = (0.18, 0.08, 0.42, 0.32)
-    stress_device_off_range: tuple = (0.5, 12.0)                 # minutes
-    calm_device_off_range: tuple = (45.0, 600.0)
-    context_blackout_prob: float = 0.25
 
 
 @dataclass
 class SimConfig:
+    """One simulated cohort, as read from a JSON config file.
+
+    The file is an object whose keys are all optional:
+
+    * ``n_users``, ``days``, ``seed``: the cohort's size, length and seed;
+    * ``tz_offset_ms``: the local-time offset the sEMA rules run on;
+    * ``network``: ``wifi_outages_ms``, a list of ``[start, end]`` epoch ms;
+    * ``participants``: ``baseline_bpm_range`` (``[low, high]``),
+      ``stress_bpm_delta`` and ``ema_compliance``;
+    * ``per_user``: user id (``u01``, ``u02``, ...) -> an object of
+      overrides: the numbers ``baseline_bpm`` and ``stress_bpm_delta``, and
+      the booleans ``invert_context``, ``neutral_context``,
+      ``screen_coupled`` and ``device_on_coupled``;
+    * ``zones``: the study geofences, a list of ``{code, lat, lon, radius_m}``.
+
+    Any other key, at any level, is a ConfigError.
+    """
+
     n_users: int = 2
     days: int = 1
     seed: int = 0
     tz_offset_ms: int = 0
-    sema_eval_minutes: int = 5
     network: NetworkParams = field(default_factory=NetworkParams)
     participants: ParticipantParams = field(default_factory=ParticipantParams)
     per_user: dict = field(default_factory=dict)   # user_id -> overrides
@@ -99,23 +143,35 @@ class SimConfig:
             raise ConfigError("n_users and days must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        for name, prob in (("ema_compliance", p.ema_compliance),
-                           ("context_blackout_prob", p.context_blackout_prob)):
-            if not 0.0 <= prob <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        for probs in (p.stress_location_probs, p.calm_location_probs):
-            if len(probs) != 4 or abs(sum(probs) - 1.0) > 1e-9:
-                raise ConfigError("location probabilities must be 4 values summing to 1")
-        if len(p.stressed_level_weights) != 4 or min(p.stressed_level_weights) < 0:
-            raise ConfigError("stressed_level_weights must be 4 non-negative values")
-        if not (0 < p.baseline_bpm_range[0] <= p.baseline_bpm_range[1]):
-            raise ConfigError("baseline_bpm_range must be increasing and positive")
-        if p.stress_dwell_minutes <= 0 or p.calm_dwell_minutes <= 0:
-            raise ConfigError("dwell times must be positive")
-        for s, e in self.network.wifi_outages_ms:
-            if e <= s:
-                raise ConfigError("wifi outage intervals must have end > start")
+        if not (_is_number(p.ema_compliance) and 0.0 <= p.ema_compliance <= 1.0):
+            raise ConfigError("ema_compliance must be a number in [0, 1]")
+        if not _is_number(p.stress_bpm_delta):
+            raise ConfigError("stress_bpm_delta must be a finite number")
+        bpm_range = p.baseline_bpm_range
+        if not (len(bpm_range) == 2 and all(map(_is_number, bpm_range))
+                and 0 < bpm_range[0] <= bpm_range[1]):
+            raise ConfigError("baseline_bpm_range must be two increasing positive numbers")
+        for window in self.network.wifi_outages_ms:
+            if not (len(window) == 2 and all(map(_is_number, window))
+                    and window[0] < window[1]):
+                raise ConfigError("wifi outage intervals must be [start, end] with end > start")
+        self._validate_per_user()
         return self
+
+    def _validate_per_user(self):
+        if not isinstance(self.per_user, dict):
+            raise ConfigError(f"per_user must be an object, got {type(self.per_user).__name__}")
+        users = self.user_ids
+        for user_id, over in self.per_user.items():
+            where = f"per_user {user_id!r}"
+            if user_id not in users:
+                raise ConfigError(f"{where}: no such user in {users[0]}..{users[-1]}")
+            _check_keys(over, _OVERRIDE_NUMBERS + _OVERRIDE_FLAGS, where)
+            for key, value in over.items():
+                if key in _OVERRIDE_NUMBERS and not _is_number(value):
+                    raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+                if key in _OVERRIDE_FLAGS and not isinstance(value, bool):
+                    raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
 
     @property
     def user_ids(self):
@@ -123,25 +179,23 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
+        _check_keys(raw, _field_names(cls), "config")
+        net_raw = raw.get("network", {})
+        part_raw = raw.get("participants", {})
+        _check_keys(net_raw, _field_names(NetworkParams), "network")
+        _check_keys(part_raw, _field_names(ParticipantParams), "participants")
         try:
-            net = NetworkParams(**{**raw.get("network", {}),
-                                   "wifi_outages_ms": tuple(
-                                       tuple(w) for w in raw.get("network", {}).get(
-                                           "wifi_outages_ms", ()))})
-            part_raw = dict(raw.get("participants", {}))
-            for key in ("baseline_bpm_range", "stressed_level_weights",
-                        "stress_location_probs", "calm_location_probs",
-                        "stress_device_off_range", "calm_device_off_range"):
-                if key in part_raw:
-                    part_raw[key] = tuple(part_raw[key])
-            part = ParticipantParams(**part_raw)
-            zones = tuple(parse_zones(raw["zones"])) if "zones" in raw else DEFAULT_ZONES
-            cfg = cls(n_users=int(raw.get("n_users", 2)), days=int(raw.get("days", 1)),
-                      seed=int(raw.get("seed", 0)),
-                      tz_offset_ms=int(raw.get("tz_offset_ms", 0)),
-                      sema_eval_minutes=int(raw.get("sema_eval_minutes", 5)),
-                      network=net, participants=part,
-                      per_user=dict(raw.get("per_user", {})), zones=zones)
+            kwargs = {key: int(raw[key]) for key in ("n_users", "days", "seed", "tz_offset_ms")
+                      if key in raw}
+            if "zones" in raw:
+                kwargs["zones"] = tuple(parse_zones(raw["zones"]))
+            net = NetworkParams(wifi_outages_ms=tuple(
+                tuple(w) for w in net_raw.get("wifi_outages_ms", ())))
+            part_raw = dict(part_raw)
+            if "baseline_bpm_range" in part_raw:
+                part_raw["baseline_bpm_range"] = tuple(part_raw["baseline_bpm_range"])
+            cfg = cls(**kwargs, network=net, participants=ParticipantParams(**part_raw),
+                      per_user=raw.get("per_user", {}))
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad simulation config: {err}") from err
         return cfg.validate()
@@ -154,6 +208,25 @@ class SimConfig:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         return cls.from_dict(raw)
+
+
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _check_keys(raw, known, where):
+    """Raise ConfigError unless ``raw`` is an object with only ``known`` keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
+
+
+def _is_number(value) -> bool:
+    """A finite int or float; JSON true and false are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
@@ -213,13 +286,11 @@ class _Participant:
         self.baseline_bpm = float(over.get("baseline_bpm", rng.uniform(lo, hi)))
         self.bpm_phase = float(rng.uniform(0, 2 * math.pi))
         self.invert_context = bool(over.get("invert_context", False))
-        self.stress_dwell = float(over.get("stress_dwell_minutes", p.stress_dwell_minutes))
-        self.calm_dwell = float(over.get("calm_dwell_minutes", p.calm_dwell_minutes))
-        jit = p.wear_jitter_minutes * 60_000
+        jit = WEAR_JITTER_MINUTES * 60_000
         self.wear_windows = []
         for day in range(cfg.days):
-            start = day * DAY_MS + int(p.wear_start_hour * 3_600_000 + rng.uniform(-jit, jit))
-            end = day * DAY_MS + int(p.wear_end_hour * 3_600_000 + rng.uniform(-jit, jit))
+            start = day * DAY_MS + int(WEAR_START_HOUR * 3_600_000 + rng.uniform(-jit, jit))
+            end = day * DAY_MS + int(WEAR_END_HOUR * 3_600_000 + rng.uniform(-jit, jit))
             self.wear_windows.append((start, end))
         self._build_stress(cfg, np.random.default_rng([cfg.seed, index, 1]))
         self._build_blackouts(cfg, rng)
@@ -230,25 +301,25 @@ class _Participant:
         if self.neutral_context:
             # context does not track this user's stress at all
             blend = tuple(0.5 * (a + b) for a, b in
-                          zip(p.stress_location_probs, p.calm_location_probs))
-            span = (min(p.stress_device_off_range[0], p.calm_device_off_range[0]),
-                    max(p.stress_device_off_range[1], p.calm_device_off_range[1]))
+                          zip(STRESS_LOCATION_PROBS, CALM_LOCATION_PROBS))
+            span = (min(STRESS_DEVICE_OFF_RANGE[0], CALM_DEVICE_OFF_RANGE[0]),
+                    max(STRESS_DEVICE_OFF_RANGE[1], CALM_DEVICE_OFF_RANGE[1]))
             self.stressed_location_probs = self.calm_location_probs = blend
             self.stressed_device_off = self.calm_device_off = span
         elif self.invert_context:
-            self.stressed_location_probs = p.calm_location_probs
-            self.calm_location_probs = p.stress_location_probs
-            self.stressed_device_off = p.calm_device_off_range
-            self.calm_device_off = p.stress_device_off_range
+            self.stressed_location_probs = CALM_LOCATION_PROBS
+            self.calm_location_probs = STRESS_LOCATION_PROBS
+            self.stressed_device_off = CALM_DEVICE_OFF_RANGE
+            self.calm_device_off = STRESS_DEVICE_OFF_RANGE
         else:
-            self.stressed_location_probs = p.stress_location_probs
-            self.calm_location_probs = p.calm_location_probs
-            self.stressed_device_off = p.stress_device_off_range
-            self.calm_device_off = p.calm_device_off_range
+            self.stressed_location_probs = STRESS_LOCATION_PROBS
+            self.calm_location_probs = CALM_LOCATION_PROBS
+            self.stressed_device_off = STRESS_DEVICE_OFF_RANGE
+            self.calm_device_off = CALM_DEVICE_OFF_RANGE
 
     def _build_stress(self, cfg, rng):
-        leave_stress = min(1.0, SLOT_MS / 60_000 / self.stress_dwell)
-        leave_calm = min(1.0, SLOT_MS / 60_000 / self.calm_dwell)
+        leave_stress = min(1.0, SLOT_MS / 60_000 / STRESS_DWELL_MINUTES)
+        leave_calm = min(1.0, SLOT_MS / 60_000 / CALM_DWELL_MINUTES)
         stationary = leave_calm / (leave_calm + leave_stress)
         n_slots = cfg.days * SLOTS_PER_DAY
         states = np.zeros(n_slots, dtype=np.int8)
@@ -274,11 +345,10 @@ class _Participant:
 
     def _build_blackouts(self, cfg, rng):
         """Per sensor/day context blackouts so some windows miss features."""
-        p = cfg.participants
         self.blackouts = {name: [] for name in CONTEXT_FEATURE_NAMES}
         for name in CONTEXT_FEATURE_NAMES:
             for day in range(cfg.days):
-                if rng.random() < p.context_blackout_prob:
+                if rng.random() < CONTEXT_BLACKOUT_PROB:
                     start = day * DAY_MS + int(rng.uniform(6, 18) * 3_600_000)
                     self.blackouts[name].append(
                         (start, start + int(rng.uniform(2, 5) * 3_600_000)))
@@ -292,7 +362,7 @@ class _Participant:
         slot = min(len(self.stress_slots) - 1, max(0, t_ms // SLOT_MS))
         return bool(self.stress_slots[slot])
 
-    def bpm_at(self, t_ms: int, jitter: float = 0.0) -> float:
+    def bpm_at(self, t_ms: int, jitter: float) -> float:
         wander = 2.5 * math.sin(2 * math.pi * t_ms / 2_400_000 + self.bpm_phase)
         bpm = self.baseline_bpm + self.delta * self.stressed(t_ms) + wander + jitter
         return min(175.0, max(45.0, bpm))
@@ -341,7 +411,7 @@ class _Simulation:
             jitter = float(np.random.default_rng(
                 [cfg.seed, user.index, 2, slot_index, 0]).normal(0.0, 1.2))
             ppg, _ = synth_ppg(user.bpm_at(slot_ms, jitter), BURST_SECONDS,
-                               PPG_RATE_HZ, cfg.participants.ppg_noise,
+                               PPG_RATE_HZ, PPG_NOISE,
                                seed=[cfg.seed, user.index, 2, slot_index, 1],
                                start_time_ms=slot_ms, user_id=user.user_id)
             ppg = SensorBurst(user_id=user.user_id, channel="ppg",
@@ -370,9 +440,10 @@ class _Simulation:
         hour = ((t_ms + self.cfg.tz_offset_ms) % DAY_MS) / 3_600_000.0
         stressed = user.stressed(t_ms)
         if sensor == "battery_adaptor":
-            return 1 if (hour < 7.0 or hour >= 23.0) else 0
+            return 1 if (hour < WEAR_START_HOUR or hour >= WEAR_END_HOUR) else 0
         if sensor == "battery_level":
-            level = 95.0 - 70.0 * max(0.0, hour - 7.0) / 17.0 if hour >= 7.0 else 90.0
+            level = (95.0 - 70.0 * max(0.0, hour - WEAR_START_HOUR) / (24.0 - WEAR_START_HOUR)
+                     if hour >= WEAR_START_HOUR else 90.0)
             return round(float(np.clip(level + rng.normal(0, 3), 1, 100)), 1)
         if sensor == "speed":
             return 0.0 if rng.random() < 0.5 else round(float(min(8.0, abs(rng.normal(1.2, 1.0)))), 2)
@@ -432,7 +503,7 @@ class _Simulation:
             for slot in range(cfg.days * SLOTS_PER_DAY):
                 self.push(slot * SLOT_MS + int(BURST_SECONDS * 1000), "emit_bursts",
                           (user.index, slot * SLOT_MS))
-            for k in range(0, self.end_ms + 1, cfg.sema_eval_minutes * 60_000):
+            for k in range(0, self.end_ms + 1, SEMA_EVAL_MINUTES * 60_000):
                 self.push(k, "sema_eval", user.index)
             for s_idx in range(len(CONTEXT_FEATURE_NAMES)):
                 first = int(self.ctx_rngs[user.index][s_idx].uniform(0, 300_000))
@@ -453,8 +524,7 @@ class _Simulation:
     def _on_emit_bursts(self, t, data):
         user_idx, slot_ms = data
         records = self.make_bursts(self.users[user_idx], slot_ms)
-        net = self.cfg.network
-        latency = net.wifi_latency_ms if net.wifi_up(t) else net.bluetooth_latency_ms
+        latency = WIFI_LATENCY_MS if self.cfg.network.wifi_up(t) else BLUETOOTH_LATENCY_MS
         self.push(t + latency, "arrive_bursts", (user_idx, records))
 
     def _on_arrive_bursts(self, t, data):
@@ -488,9 +558,9 @@ class _Simulation:
                                    payload=self.context_value(user, sensor, t, rng))
             net = self.cfg.network
             if net.wifi_up(t):
-                arrive = t + net.context_latency_ms
+                arrive = t + CONTEXT_LATENCY_MS
             else:
-                arrive = net.outage_end_after(t) + net.context_latency_ms
+                arrive = net.outage_end_after(t) + CONTEXT_LATENCY_MS
             self.push(arrive, "arrive_context", snap)
         self.push(t + int(rng.uniform(60_000, 300_000)), "emit_context",
                   (user_idx, s_idx))
@@ -526,8 +596,7 @@ class _Simulation:
                 answer_time = t + delay
                 user = self.users[user_idx]
                 if user.stressed(answer_time):
-                    weights = np.asarray(self.cfg.participants.stressed_level_weights,
-                                         dtype=float)
+                    weights = np.asarray(STRESSED_LEVEL_WEIGHTS, dtype=float)
                     level = 2 + int(rng.choice(4, p=weights / weights.sum()))
                 else:
                     level = 1

@@ -84,6 +84,20 @@ class TestSimulate:
         with pytest.raises(SystemExit) as err:
             cli.main(["simulate"])  # missing required flags
         assert err.value.code == cli.EXIT_USAGE
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--config", "config.json", "--out", "out",
+                      "--seed", "-1"])
+        assert err.value.code == cli.EXIT_USAGE
+
+    def test_bad_config_exits_3_naming_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_users": 2,
+                                      "per_user": {"u02": {"invert_contxt": True}}}))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'u02'" in err and "'invert_contxt'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFeaturize:
@@ -119,6 +133,18 @@ class TestFeaturize:
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert "ema.csv" in err and "bursts.jsonl" not in err
+
+    def test_gyro_record_fails_with_location(self, tmp_path, capsys):
+        # the watch records no gyroscope, so a gyro record is not a burst record
+        (tmp_path / "bursts.jsonl").write_text(json.dumps(
+            {"user_id": "u01", "channel": "gyro", "start_time_ms": 0, "rate_hz": 4.0,
+             "samples": [0.0] * 240}) + "\n")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bursts.jsonl:1:" in err and "gyro" in err
 
     def test_corrupt_line_fails_with_location(self, tmp_path, capsys):
         (tmp_path / "bursts.jsonl").write_text("{broken\n")

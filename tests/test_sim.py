@@ -170,6 +170,38 @@ class TestConfig:
             SimConfig.from_dict({"zones": [{"code": 0, "lat": 1.0}]})
         with pytest.raises(ConfigError):  # int(inf) overflows
             SimConfig.from_dict({"days": float("inf")})
+        with pytest.raises(ConfigError, match="'n_user'"):  # misspelt top-level key
+            SimConfig.from_dict({"n_users": 1, "n_user": 3})
+        with pytest.raises(ConfigError, match="config must be an object"):
+            SimConfig.from_dict([1])
+        with pytest.raises(ConfigError, match="ema_compliance"):
+            SimConfig.from_dict({"participants": {"ema_compliance": "x"}})
+        with pytest.raises(ConfigError, match="baseline_bpm_range"):
+            SimConfig.from_dict({"participants": {"baseline_bpm_range": [70.0]}})
+        with pytest.raises(ConfigError, match="wifi outage"):
+            SimConfig.from_dict({"network": {"wifi_outages_ms": [[5]]}})
+        for per_user, named in [
+                ({"u01": 5}, "'u01' must be an object"),
+                ({"u01": {"invert_contxt": True}}, "'u01' key 'invert_contxt'"),
+                ({"u01": {"baseline_bpm": "fast"}}, "'u01': baseline_bpm"),
+                ({"u01": {"stress_bpm_delta": float("nan")}}, "'u01': stress_bpm_delta"),
+                ({"u02": {"screen_coupled": 1}}, "'u02': screen_coupled"),
+                ({"u03": {"baseline_bpm": 90.0}}, "'u03'"),
+                ([["u01", {}]], "per_user must be an object")]:
+            with pytest.raises(ConfigError, match=named):
+                SimConfig.from_dict({"n_users": 2, "per_user": per_user})
+            with pytest.raises(ConfigError, match=named):
+                SimConfig(n_users=2, per_user=per_user).validate()
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"sema_eval_minutes": 10}, "sema_eval_minutes"),
+        ({"network": {"wifi_latency_ms": 10}}, "wifi_latency_ms"),
+        ({"participants": {"stress_dwell_minutes": 60.0}}, "stress_dwell_minutes"),
+        ({"per_user": {"u01": {"calm_dwell_minutes": 60.0}}}, "calm_dwell_minutes"),
+    ], ids=["top", "network", "participants", "per_user"])
+    def test_deleted_setting_is_unknown_key(self, raw, key):
+        with pytest.raises(ConfigError, match=f"unknown .*key '{key}'"):
+            SimConfig.from_dict(raw)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
