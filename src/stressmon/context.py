@@ -227,6 +227,18 @@ def write_context_jsonl(path, snapshots):
             fh.write(context_record(snap) + "\n")
 
 
+def strict_int(value, name) -> int:
+    """An integer setting read from JSON: an int, or a float with no fraction.
+
+    A bool, a string, a fractional or non-finite float and any other type
+    raise ValueError naming ``name``, instead of being truncated by ``int``.
+    """
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_zones(raw) -> list:
     """GeoZones from a decoded JSON list of {code, lat, lon, radius_m}.
 
@@ -235,7 +247,7 @@ def parse_zones(raw) -> list:
     """
     if not isinstance(raw, (list, tuple)):
         raise TypeError(f"zones must be a list, got {type(raw).__name__}")
-    return [GeoZone(code=int(z["code"]), lat=float(z["lat"]),
+    return [GeoZone(code=strict_int(z["code"], "zone code"), lat=float(z["lat"]),
                     lon=float(z["lon"]), radius_m=float(z["radius_m"]))
             for z in raw]
 

@@ -10,6 +10,7 @@ classifier.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import json
 from dataclasses import dataclass, replace
@@ -28,6 +29,9 @@ DEFAULT_IMPUTE_WEIGHTING = "inverse_distance"
 # Cells (query rows x training rows x features) of one distance block: 2 MB
 # of float64, so memory stays bounded whatever the number of query rows.
 _BLOCK_CELLS = 1 << 18
+# PPG bursts band-passed per call of the filter kernel: about 20 MB of
+# float64 per copy for two-minute bursts.
+_FILTER_BLOCK_ROWS = 1024
 
 #: Fixed matrix column order: the 12 HRV features then the 12 context features.
 FEATURE_COLUMNS = tuple(hrv_mod.HRV_FEATURE_NAMES) + tuple(CONTEXT_FEATURE_NAMES)
@@ -94,23 +98,35 @@ class FeatureMatrix:
 def featurize_windows(raw_windows, schema: ContextSchema):
     """Band-pass + HRV + context extraction for each raw window.
 
-    Windows whose PPG burst yields no plausible beat train keep ``hrv=None``
-    rather than failing the batch.
+    PPG bursts are band-passed in blocks of at most _FILTER_BLOCK_ROWS
+    bursts of one length, so the filter's working memory is one block's
+    whatever the cohort.  Windows whose PPG burst is too short to filter or
+    yields no plausible beat train keep ``hrv=None`` rather than failing the
+    batch.
     """
     design = signals.default_design()
-    out = []
-    for raw in raw_windows:
-        features = None
+    by_length = {}
+    for i, raw in enumerate(raw_windows):
         if raw.ppg is not None:
-            try:
-                filtered = signals.bandpass_filter(raw.ppg, design)
-                features = hrv_mod.burst_hrv(filtered)
-            except (TooShort, NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
-                features = None
-        context = extract_context_features(raw.snapshots, schema)
-        out.append(FeatureWindow(user_id=raw.user_id, window_start_ms=raw.start_ms,
-                                 hrv=features, context=context))
-    return out
+            by_length.setdefault(len(raw.ppg.samples), []).append(i)
+    hrv = [None] * len(raw_windows)
+    for length, rows in by_length.items():
+        if length < design.min_samples:
+            # Too short to filter: bandpass_filter raises TooShort for each
+            # burst, and its window keeps no HRV.
+            for i in rows:
+                with contextlib.suppress(TooShort):
+                    signals.bandpass_filter(raw_windows[i].ppg, design)
+            continue
+        for start in range(0, len(rows), _FILTER_BLOCK_ROWS):
+            block = rows[start:start + _FILTER_BLOCK_ROWS]
+            filtered = signals.bandpass_bursts([raw_windows[i].ppg for i in block], design)
+            for i, burst in zip(block, filtered):
+                with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
+                    hrv[i] = hrv_mod.burst_hrv(burst)
+    return [FeatureWindow(user_id=raw.user_id, window_start_ms=raw.start_ms, hrv=features,
+                          context=extract_context_features(raw.snapshots, schema))
+            for raw, features in zip(raw_windows, hrv)]
 
 
 def binarize(label5: int) -> int:

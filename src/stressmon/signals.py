@@ -1,9 +1,14 @@
 """PPG cleaning and 15-minute windowing of the multi-stream recording.
 
 The raw optical signal is band-passed (order-3 Butterworth, 0.7-3.5 Hz,
-applied forward and backward so peak timing is preserved).  Bursts and
-context snapshots are cut into wall-clock 15-minute windows, each expected
-to hold one complete 2-minute PPG burst.
+applied forward and backward so peak timing is preserved).  The design and
+the zero-phase filter are numpy ports of SciPy's ``signal.butter`` and
+``signal.filtfilt`` (default odd padding) that keep their operation order,
+so coefficients and filtered samples equal SciPy's bit for bit; only the
+tests that check this import SciPy.  The filter kernel runs many
+equal-length bursts at once, one lane per burst.  Bursts and context
+snapshots are cut into wall-clock 15-minute windows, each expected to hold
+one complete 2-minute PPG burst.
 """
 from __future__ import annotations
 
@@ -11,7 +16,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import DataFormatError, InvalidBand, TooShort, Unstable
 
@@ -26,6 +30,9 @@ FILTER_LOW_HZ = 0.7
 FILTER_HIGH_HZ = 3.5
 
 CHANNELS = frozenset({"ppg", "accel_x", "accel_y", "accel_z"})
+
+#: Time steps of the band-pass whose input products one numpy call forms.
+_CHUNK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,13 @@ class FilterDesign:
 
     @property
     def pad_samples(self) -> int:
-        # filtfilt's default edge padding; one filter transient.
+        """Samples of odd extension at each end: three filter lengths, one transient."""
         return 3 * max(len(self.numerator), len(self.denominator))
+
+    @property
+    def min_samples(self) -> int:
+        """Shortest burst the band-pass accepts: three transients."""
+        return 3 * self.pad_samples
 
 
 def design_bandpass(order, low_hz, high_hz, rate_hz) -> FilterDesign:
@@ -87,12 +99,59 @@ def design_bandpass(order, low_hz, high_hz, rate_hz) -> FilterDesign:
     if not (0.0 < low_hz < high_hz < rate_hz / 2.0):
         raise InvalidBand(
             f"need 0 < low ({low_hz}) < high ({high_hz}) < rate/2 ({rate_hz / 2})")
-    b, a = butter(order, [low_hz, high_hz], btype="bandpass", fs=rate_hz)
+    b, a = _butter_bandpass(order, low_hz, high_hz, rate_hz)
     roots = np.roots(a)
     if np.any(np.abs(roots) >= 1.0):
         raise Unstable(f"pole magnitude {np.abs(roots).max():.6f} >= 1")
     return FilterDesign(order=order, low_hz=low_hz, high_hz=high_hz,
                         rate_hz=rate_hz, numerator=b, denominator=a)
+
+
+# The design below follows SciPy's butter(order, [low, high], "bandpass",
+# fs=rate) expression by expression (iirfilter -> buttap -> lp2bp_zpk ->
+# bilinear_zpk -> zpk2tf), with the same numpy calls on arrays of the same
+# shapes and dtypes, so every rounding happens as it does there.
+
+def _butter_bandpass(order, low_hz, high_hz, rate_hz):
+    """Numerator and denominator of the digital Butterworth band-pass."""
+    # iirfilter: normalize to Nyquist, then pre-warp with fs = 2.
+    wn = np.asarray([low_hz, high_hz], dtype=np.float64) / (float(rate_hz) / 2)
+    fs = 2.0
+    warped = 2 * fs * np.tan(np.pi * wn / fs)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # buttap: analog low-pass prototype poles on the left unit half-circle.
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * order))
+    # lp2bp_zpk: the prototype has gain 1 and no zeros, so all `order`
+    # band-pass zeros sit at the origin.
+    p_lp = poles * bw / 2
+    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2),
+                           p_lp - np.sqrt(p_lp**2 - wo**2)))
+    z_bp = np.zeros(order, dtype=np.complex128)
+    k_bp = bw**order
+    # bilinear_zpk with fs = 2; the `order` zeros at infinity go to Nyquist.
+    fs2 = 2.0 * fs
+    z_z = np.concatenate(((fs2 + z_bp) / (fs2 - z_bp), -np.ones(order)))
+    p_z = (fs2 + p_bp) / (fs2 - p_bp)
+    k_z = k_bp * np.real(np.prod(fs2 - z_bp) / np.prod(fs2 - p_bp))
+    # zpk2tf
+    return k_z * _poly(z_z), _poly(p_z)
+
+
+def _poly(roots):
+    """Monic polynomial with the given complex roots, as SciPy's _polyutils.poly.
+
+    The coefficients are returned real when the roots' imaginary parts are
+    symmetric, i.e. the roots come in conjugate pairs.
+    """
+    a = np.ones((1,), dtype=roots.dtype)
+    one = np.ones_like(roots[0])
+    for root in roots:
+        a = np.convolve(a, np.stack((one, -root)), mode="full")
+    if np.all(np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))):
+        a = np.real(a).copy()
+    return a
 
 
 def analog_bandpass_gain(design: FilterDesign, freq_hz) -> float:
@@ -117,17 +176,112 @@ def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:
     """Apply the band-pass forward and backward (zero phase) to a PPG burst.
 
     Raises TooShort when the burst is under three filter transients
-    (3 x pad_samples, about 3 s at the 20 Hz defaults).
+    (``design.min_samples``, about 3 s at the 20 Hz defaults).
     """
-    if burst.channel != "ppg":
-        raise ValueError(f"band-pass expects a ppg burst, got {burst.channel}")
-    if abs(burst.rate_hz - design.rate_hz) > 1e-9:
-        raise ValueError("burst rate does not match the filter design rate")
-    min_len = 3 * design.pad_samples
-    if len(burst.samples) < min_len:
-        raise TooShort(f"burst has {len(burst.samples)} samples, need >= {min_len}")
-    filtered = filtfilt(design.numerator, design.denominator, burst.samples)
-    return replace(burst, samples=filtered)
+    return bandpass_bursts([burst], design)[0]
+
+
+def bandpass_bursts(bursts, design: FilterDesign) -> list:
+    """Band-pass PPG bursts of one length with one call of the filter kernel.
+
+    Each result equals ``bandpass_filter`` on that burst alone, bit for bit.
+    Raises ValueError for a burst that is not PPG, is off the design rate or
+    differs in length from the first, and TooShort as ``bandpass_filter``.
+    """
+    n = len(bursts[0].samples)
+    for burst in bursts:
+        if burst.channel != "ppg":
+            raise ValueError(f"band-pass expects a ppg burst, got {burst.channel}")
+        if abs(burst.rate_hz - design.rate_hz) > 1e-9:
+            raise ValueError("burst rate does not match the filter design rate")
+        if len(burst.samples) != n:
+            raise ValueError(f"bursts of one call must have one length: {len(burst.samples)} != {n}")
+    if n < design.min_samples:
+        raise TooShort(f"burst has {n} samples, need >= {design.min_samples}")
+    filtered = zero_phase_rows([burst.samples for burst in bursts], design)
+    return [replace(burst, samples=row) for burst, row in zip(bursts, filtered)]
+
+
+def zero_phase_rows(rows, design: FilterDesign) -> np.ndarray:
+    """Filter equal-length sample rows forward and backward (zero phase).
+
+    ``rows`` is a (rows, samples) array or a sequence of equal-length 1-d
+    arrays, each longer than ``design.pad_samples``; the result is a new
+    (rows, samples) float array.  Each row is bit-equal to
+    SciPy's ``signal.filtfilt(b, a, row)`` with its default odd padding: the
+    row is extended by an odd reflection of ``pad_samples`` at each end,
+    filtered forward from the steady state scaled by its first sample, then
+    backward from the steady state scaled by the last forward output.  A row
+    whose samples are all +0.0 (the off-wrist burst) is left as zeros
+    without filtering, which is exactly what filtfilt returns for it.
+    """
+    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    n = len(rows[0])
+    out = np.zeros((len(rows), n))
+    live = [i for i, row in enumerate(rows) if row.view(np.int64).any()]
+    if not live:
+        return out
+    a0 = design.denominator[0]
+    b, a = design.numerator / a0, design.denominator / a0
+    pad = design.pad_samples
+    # Sample-major: each time step of the filter loops is one contiguous row
+    # holding that sample of every live burst.
+    ext = np.empty((n + 2 * pad, len(live)))
+    ext[pad:pad + n] = np.stack([rows[i] for i in live]).T
+    ext[:pad] = 2 * ext[pad] - ext[2 * pad:pad:-1]
+    ext[pad + n:] = 2 * ext[pad + n - 1] - ext[pad + n - 2:n - 2:-1]
+    zi = _steady_state(b, a)[:, None]
+    _lfilter_lanes(b, a, ext, zi * ext[0])
+    _lfilter_lanes(b, a, ext[::-1], zi * ext[-1])
+    out[live] = ext[pad:pad + n].T
+    return out
+
+
+def _steady_state(b, a):
+    """State of the filter once a unit step has settled (SciPy's lfilter_zi).
+
+    Solves zi = A zi + B with A the transposed companion matrix of ``a``,
+    by the same matrix and right-hand side SciPy passes to the same solver.
+    """
+    n = len(a)
+    companion = np.zeros((n - 1, n - 1))
+    companion[0] = -a[1:] / (1.0 * a[0])
+    companion[np.arange(1, n - 1), np.arange(0, n - 2)] = 1
+    return np.linalg.solve(np.eye(n - 1) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def _lfilter_lanes(b, a, x, z):
+    """Direct-form II transposed filter down axis 0 of ``x``, in place.
+
+    Each column of ``x`` is one signal and the same column of ``z``
+    (len(a) - 1 rows) its initial state; ``a[0]`` is 1.  Every value is
+    formed as in SciPy's lfilter loop: y = z[0] + b[0]*x,
+    z[k] = (z[k+1] + x*b[k+1]) - y*a[k+1], and z[last] = x*b[last] - y*a[last].
+    The products x*b are formed for _CHUNK_STEPS steps per numpy call; only
+    the recursion through y runs one step at a time.
+    """
+    lanes = x.shape[1]
+    # Two state buffers, swapped each step.  Their extra last row holds -0.0,
+    # which added to any v gives v exactly, so z[last] takes the same
+    # (z[k+1] + x*b[k+1]) form as the others.
+    state = np.full((2, len(a), lanes), -0.0)
+    state[0, :-1] = z
+    views = [(buf[0], buf[1:], buf[:-1]) for buf in state]
+    b_rows = np.repeat(b[1:, None], lanes, axis=1)
+    a_rows = np.repeat(a[1:, None], lanes, axis=1)
+    bx = np.empty((_CHUNK_STEPS, len(b) - 1, lanes))
+    ay = np.empty((len(a) - 1, lanes))
+    for start in range(0, len(x), _CHUNK_STEPS):
+        xs = x[start:start + _CHUNK_STEPS]
+        np.multiply(xs[:, None, :], b_rows, out=bx[:len(xs)])
+        xs *= b[0]
+        for yn, bxn in zip(xs, bx):
+            (z0, z_tail, _), (_, _, z_next) = views
+            yn += z0                            # yn now holds y
+            np.add(z_tail, bxn, out=z_next)
+            np.multiply(a_rows, yn, out=ay)
+            z_next -= ay
+            views.reverse()
 
 
 @dataclass

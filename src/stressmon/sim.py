@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sema as sema_mod
 from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_record,
-                      parse_zones)
+                      parse_zones, strict_int)
 from .errors import ConfigError
 from .sema import DAY_MS
 from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
@@ -185,8 +185,8 @@ class SimConfig:
         _check_keys(net_raw, _field_names(NetworkParams), "network")
         _check_keys(part_raw, _field_names(ParticipantParams), "participants")
         try:
-            kwargs = {key: int(raw[key]) for key in ("n_users", "days", "seed", "tz_offset_ms")
-                      if key in raw}
+            kwargs = {key: strict_int(raw[key], key)
+                      for key in ("n_users", "days", "seed", "tz_offset_ms") if key in raw}
             if "zones" in raw:
                 kwargs["zones"] = tuple(parse_zones(raw["zones"]))
             net = NetworkParams(wifi_outages_ms=tuple(

@@ -99,6 +99,22 @@ class TestSimulate:
         assert "'u02'" in err and "'invert_contxt'" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("raw,named", [
+        ({"n_users": 2.7}, "n_users"), ({"days": True}, "days"), ({"seed": "5"}, "seed"),
+        ({"tz_offset_ms": 0.5}, "tz_offset_ms"), ({"n_users": [2]}, "n_users"),
+        ({"zones": [{"code": 0.9, "lat": 0, "lon": 0, "radius_m": 1}]}, "zone code"),
+        ({"zones": [{"code": True, "lat": 0, "lon": 0, "radius_m": 1}]}, "zone code"),
+    ])
+    def test_non_integer_config_value_exits_3_naming_key(self, tmp_path, capsys, raw, named):
+        # int() would truncate these to 2 users, 1 day, seed 5, offset 0 and zone 0 or 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{named} must be an integer" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFeaturize:
     def test_matrix_written(self, matrix_path):
@@ -167,6 +183,18 @@ class TestFeaturize:
                        "--out", str(tmp_path / "m.csv")])
         assert rc == cli.EXIT_DATA
         assert "zones.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", ["1.5", "true", '"1"'])
+    def test_non_integer_zone_code_exits_3(self, tmp_path, capsys, code):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        (tmp_path / "zones.json").write_text(
+            '[{"code": %s, "lat": 0, "lon": 0, "radius_m": 1}]' % code)
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "zones.json" in err and "zone code must be an integer" in err
 
 
     def test_zones_directory_exits_3_naming_it(self, tmp_path, capsys):

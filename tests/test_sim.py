@@ -155,6 +155,12 @@ class TestConfig:
         assert cfg.n_users == 3 and cfg.participants.ema_compliance == 0.5
         assert cfg.network.wifi_outages_ms == ((0, 1000),)
 
+    def test_integral_float_counts_as_integer(self):
+        cfg = SimConfig.from_dict({"n_users": 3.0, "days": 2, "seed": 9.0,
+                                   "zones": [{"code": 1.0, "lat": 0, "lon": 0, "radius_m": 1}]})
+        assert (cfg.n_users, cfg.seed, cfg.zones[0].code) == (3, 9, 1)
+        assert all(type(v) is int for v in (cfg.n_users, cfg.seed, cfg.zones[0].code))
+
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             SimConfig(n_users=0).validate()
