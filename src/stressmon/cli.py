@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
-from .context import ContextSchema, load_zones
-from .errors import DataFormatError, StressmonError
+from .context import ContextSchema, load_zones, read_context_jsonl
+from .errors import DataFormatError, StressmonError, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
                     model_to_dict, personalization_eval)
@@ -75,25 +75,20 @@ def cmd_simulate(args) -> int:
 
 def featurize_directory(data_dir, zones_path=None):
     """data dir (bursts/context/ema files) -> labeled FeatureMatrix."""
-    join = lambda name: os.path.join(str(data_dir), name)
+    def read(reader, name):
+        path = os.path.join(str(data_dir), name)
+        return reader(path) if os.path.exists(path) else None
+
     # Parse what exists first, so a malformed line is reported by its
     # location even when another input is missing.
-    bursts = signals.read_bursts_jsonl(join("bursts.jsonl")) \
-        if os.path.exists(join("bursts.jsonl")) else []
-    snapshots = []
-    if os.path.exists(join("context.jsonl")):
-        from .context import read_context_jsonl
-        snapshots = read_context_jsonl(join("context.jsonl"))
-    emas = dataset.read_ema_csv(join("ema.csv")) if os.path.exists(join("ema.csv")) else []
-    missing = [join(name) for name in ("bursts.jsonl", "ema.csv")
-               if not os.path.exists(join(name))]
+    bursts = read(signals.read_bursts_jsonl, "bursts.jsonl")
+    snapshots = read(read_context_jsonl, "context.jsonl") or []
+    emas = read(dataset.read_ema_csv, "ema.csv")
+    missing = [os.path.join(str(data_dir), name)
+               for name, got in (("bursts.jsonl", bursts), ("ema.csv", emas)) if got is None]
     if missing:
         raise DataFormatError(f"missing required input: {', '.join(missing)}")
-
-    zones = []
-    zone_file = zones_path or (join("zones.json") if os.path.exists(join("zones.json")) else None)
-    if zone_file:
-        zones = load_zones(zone_file)
+    zones = load_zones(zones_path) if zones_path else read(load_zones, "zones.json") or []
     schema = ContextSchema(zones=zones)
 
     raw_windows = signals.windowize(bursts, snapshots)
@@ -148,26 +143,25 @@ def save_model_json(path, model):
         fh.write("\n")
 
 
+def _model(rec):
+    kind = rec["kind"]
+    if kind == "knn":
+        params = rec["knn"]
+        return knn.KnnModel(kind="knn", k=rec["hyperparameters"]["k"],
+                            z_train=np.asarray(params["z_train"]),
+                            y_train=np.asarray(params["y_train"], dtype=int),
+                            mean=np.asarray(params["mean"]),
+                            std=np.asarray(params["std"]),
+                            feature_names=list(rec["feature_names"]),
+                            hyperparameters=dict(rec["hyperparameters"]))
+    if kind not in ("random_forest", "boosted"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    return model_from_dict(rec)
+
+
 def load_model_json(path):
     """Read a model written by save_model_json; raises DataFormatError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-            kind = rec["kind"]
-            if kind == "knn":
-                params = rec["knn"]
-                return knn.KnnModel(kind="knn", k=rec["hyperparameters"]["k"],
-                                    z_train=np.asarray(params["z_train"]),
-                                    y_train=np.asarray(params["y_train"], dtype=int),
-                                    mean=np.asarray(params["mean"]),
-                                    std=np.asarray(params["std"]),
-                                    feature_names=list(rec["feature_names"]),
-                                    hyperparameters=dict(rec["hyperparameters"]))
-            if kind not in ("random_forest", "boosted"):
-                raise ValueError(f"unknown model kind {kind!r}")
-            return model_from_dict(rec)
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            raise DataFormatError(f"{path}: bad model file: {err}") from err
+    return read_input(path, "model file", lambda lines: _model(json.loads("".join(lines))))
 
 
 def cmd_train_eval(args) -> int:

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataFormatError
+from .errors import read_input, read_jsonl, strict_float, strict_int, strict_str
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -171,41 +171,28 @@ def extract_context_features(snapshots, schema):
 
 # -- file formats -------------------------------------------------------------
 
-def _check_payload(sensor, payload):
-    """Apply the coercion :func:`extract_context_features` will apply.
+def _snapshot(rec) -> ContextSnapshot:
+    """One context.jsonl record.
 
-    Raises ValueError or TypeError for a payload it could not use: a binned
-    or passthrough value that ``float`` rejects, or a location that is not
-    a list of at least two numbers.  Weather text is never rejected.
+    A location payload lists a finite latitude and longitude; weather may be
+    anything (:func:`map_weather`); any other payload is a finite number or
+    null (missing).
     """
+    sensor, payload = rec["sensor"], rec["payload"]
+    snap = ContextSnapshot(strict_str(rec["user_id"], "user_id"),
+                           strict_int(rec["timestamp_ms"], "timestamp_ms"), sensor, payload)
     if sensor == "location":
-        if not isinstance(payload, (list, tuple)) or len(payload) < 2:
+        if type(payload) is not list or len(payload) < 2:
             raise TypeError(f"location payload must list lat and lon, got {payload!r}")
-        float(payload[0]), float(payload[1])
+        strict_float(payload[0], "latitude"), strict_float(payload[1], "longitude")
     elif sensor != "weather" and payload is not None:
-        float(payload)
+        strict_float(payload, f"{sensor} payload")
+    return snap
 
 
 def read_context_jsonl(path):
     """Read a context log; raises DataFormatError naming the bad line."""
-    snapshots = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                snap = ContextSnapshot(
-                    user_id=str(rec["user_id"]),
-                    timestamp_ms=int(rec["timestamp_ms"]),
-                    sensor=str(rec["sensor"]),
-                    payload=rec["payload"],
-                )
-                _check_payload(snap.sensor, snap.payload)
-                snapshots.append(snap)
-            except (ValueError, KeyError, TypeError, OverflowError) as err:
-                raise DataFormatError(f"{path}:{lineno}: bad context record: {err}") from err
-    return snapshots
+    return read_jsonl(path, "context record", _snapshot)
 
 
 def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:
@@ -227,18 +214,6 @@ def write_context_jsonl(path, snapshots):
             fh.write(context_record(snap) + "\n")
 
 
-def strict_int(value, name) -> int:
-    """An integer setting read from JSON: an int, or a float with no fraction.
-
-    A bool, a string, a fractional or non-finite float and any other type
-    raise ValueError naming ``name``, instead of being truncated by ``int``.
-    """
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def parse_zones(raw) -> list:
     """GeoZones from a decoded JSON list of {code, lat, lon, radius_m}.
 
@@ -254,11 +229,8 @@ def parse_zones(raw) -> list:
 
 def load_zones(path):
     """Read a zone-config JSON file; raises DataFormatError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_zones(json.load(fh))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise DataFormatError(f"{path}: bad zone config: {err}") from err
+    return read_input(path, "zone config",
+                      lambda lines: parse_zones(json.loads("".join(lines))))
 
 
 def dump_zones(path, zones):

@@ -13,6 +13,7 @@ import bisect
 import contextlib
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from . import hrv as hrv_mod
 from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
-from .errors import (DataFormatError, EmptyColumn, InsufficientSpan,
-                     NoPlausiblePeaks, OutOfRange, TooFewIntervals, TooShort)
+from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
+                     TooFewIntervals, TooShort, read_input, strict_str)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -333,54 +334,48 @@ def sidecar_path(csv_path):
     return str(csv_path) + ".meta.json"
 
 
-def read_matrix_csv(path) -> FeatureMatrix:
-    """Read a matrix CSV; raises DataFormatError naming the bad line.
+def _matrix(lines) -> FeatureMatrix:
+    """The FeatureMatrix of a matrix CSV's lines.
 
-    Every row has the header's cell count, and its label is empty
-    (unlabeled), ``0`` or ``1``.
+    Every row has the header's cell count, a non-empty user id and a label
+    that is empty (unlabeled), ``0`` or ``1``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header[:3] != ["user_id", "window_start_ms", "label"]:
-            raise DataFormatError(f"{path}: unexpected header {header[:3]}")
-        columns = tuple(header[3:])
-        groups, starts, labels, rows = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{lineno}: {len(row)} cells, "
-                                      f"the header has {len(header)}")
-            if row[2] not in ("", "0", "1"):
-                raise DataFormatError(f"{path}:{lineno}: label must be empty, 0 or 1, "
-                                      f"got {row[2]!r}")
-            try:
-                groups.append(row[0])
-                starts.append(int(row[1]))
-                labels.append(float(row[2]) if row[2] != "" else np.nan)
-                rows.append([float(c) if c != "" else np.nan for c in row[3:]])
-            except ValueError as err:
-                raise DataFormatError(f"{path}:{lineno}: bad matrix row: {err}") from err
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    if header[:3] != ["user_id", "window_start_ms", "label"]:
+        raise ValueError(f"unexpected header {header[:3]}")
+    columns = tuple(header[3:])
+    groups, starts, labels, rows = [], [], [], []
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+        if row[2] not in ("", "0", "1"):
+            raise ValueError(f"label must be empty, 0 or 1, got {row[2]!r}")
+        cells = [float(c) if c else None for c in row[3:]]  # None: missing, NaN in values
+        # filter(None) passes the observed cells, zeros aside, which are finite
+        if not all(map(math.isfinite, filter(None, cells))):
+            raise ValueError(f"cells must be finite numbers or empty, got {row[3:]}")
+        groups.append(strict_str(row[0], "user_id"))
+        starts.append(int(row[1]))
+        labels.append(float(row[2]) if row[2] else np.nan)
+        rows.append(cells)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
     return FeatureMatrix(columns=columns, values=values, missing=np.isnan(values),
                          labels=np.array(labels, dtype=float),
                          groups=groups, window_starts=np.array(starts, dtype=np.int64))
 
 
+def read_matrix_csv(path) -> FeatureMatrix:
+    """Read a matrix CSV; raises DataFormatError naming the bad line."""
+    return read_input(path, "matrix CSV", _matrix)
+
+
 def read_ema_csv(path):
-    emas = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                emas.append(EmaResponse(user_id=row["user_id"],
-                                        timestamp_ms=int(row["timestamp_ms"]),
-                                        stress_level=int(row["stress_level"])))
-            except (KeyError, TypeError, ValueError, OutOfRange) as err:
-                raise DataFormatError(f"{path}:{lineno}: bad EMA record: {err}") from err
-    return emas
+    """Read EMA answers; raises DataFormatError naming the bad line."""
+    return read_input(path, "EMA record", lambda lines: [
+        EmaResponse(strict_str(row["user_id"], "user_id"), int(row["timestamp_ms"]),
+                    int(row["stress_level"]))
+        for row in csv.DictReader(lines)])
 
 
 def write_ema_csv(path, emas):

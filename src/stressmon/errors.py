@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline modules."""
+"""Exception types shared across the pipeline modules, and the input reader."""
+import csv
+import json
+import math
 
 
 class StressmonError(Exception):
@@ -43,7 +46,7 @@ class InsufficientSpan(StressmonError):
 
 # -- dataset assembly --------------------------------------------------------
 
-class OutOfRange(StressmonError):
+class OutOfRange(StressmonError, ValueError):
     """Stress level outside the 1..5 Likert range."""
 
 
@@ -103,3 +106,75 @@ class InsufficientData(StressmonError):
 
 class NoWearYet(StressmonError):
     """Waiting period undefined before the first wear of the day."""
+
+
+# -- reading input files -----------------------------------------------------
+
+#: What parsing a malformed record raises.  ValueError covers JSON and UTF-8
+#: decoding errors; csv.Error a CSV cell over the csv module's size limit.
+_MALFORMED = (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+              ValueError, csv.Error)
+
+
+def read_input(path, what, parse):
+    """``parse(lines)`` over the file's non-blank lines, decoded as UTF-8.
+
+    Any of _MALFORMED becomes a DataFormatError ``<path>:<line>: bad <what>:
+    <err>`` naming the line being read, or ``<path>: bad <what>: <err>`` once
+    all are read (no records, or a whole-file JSON document).
+    """
+    lineno = None
+
+    def lines(fh):
+        nonlocal lineno
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.decode("utf-8")
+            if not text.isspace():  # a file yields no empty line; strip() would copy it
+                yield text
+        lineno = None
+
+    try:
+        with open(path, "rb") as fh:
+            return parse(lines(fh))
+    except _MALFORMED as err:
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise DataFormatError(f"{where}: bad {what}: {err}") from err
+
+
+def read_jsonl(path, what, record):
+    """``record(value)`` for the JSON value of each line; see :func:`read_input`."""
+    decode = json.JSONDecoder().decode  # json.loads re-checks its options per call
+    return read_input(path, what, lambda lines: list(map(record, map(decode, lines))))
+
+
+def strict_int(value, name) -> int:
+    """An integer read from JSON: an int, or a float with no fraction.
+
+    A bool, a string, a fractional or non-finite float and any other type
+    raise ValueError naming ``name``, instead of being truncated by ``int``.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def is_number(value) -> bool:
+    """A finite int or float; JSON true and false are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def strict_float(value, name) -> float:
+    """A finite number read from JSON; a bool, a string or NaN raises ValueError."""
+    if is_number(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def strict_str(value, name) -> str:
+    """A non-empty string read from an input file, such as a user id."""
+    if type(value) is str and value:
+        return value
+    raise ValueError(f"{name} must be a non-empty string, got {value!r}")

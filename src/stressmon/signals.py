@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidBand, TooShort, Unstable
+from .errors import (InvalidBand, TooShort, Unstable, read_jsonl, strict_float,
+                     strict_int, strict_str)
 
 PPG_RATE_HZ = 20.0
 BURST_SECONDS = 120.0
@@ -336,32 +337,23 @@ def windowize(bursts, snapshots):
 
 # -- file formats -------------------------------------------------------------
 
-def read_bursts_jsonl(path):
-    """Read burst records; raises DataFormatError naming the bad line.
+def _burst(rec) -> SensorBurst:
+    """One bursts.jsonl record; a PPG burst is sampled at the filter design rate."""
+    burst = SensorBurst(strict_str(rec["user_id"], "user_id"), rec["channel"],
+                        strict_int(rec["start_time_ms"], "start_time_ms"),
+                        strict_float(rec["rate_hz"], "rate_hz"), rec["samples"])
+    # count_nonzero is one C call; .all() adds a Python wrapper to every record
+    if np.count_nonzero(np.isfinite(burst.samples)) != len(burst.samples):
+        raise ValueError("samples must be finite numbers")
+    if burst.channel == "ppg" and burst.rate_hz != PPG_RATE_HZ:
+        raise ValueError(f"ppg rate_hz {burst.rate_hz} is not the filter design rate "
+                         f"{PPG_RATE_HZ}")
+    return burst
 
-    A PPG burst must be sampled at PPG_RATE_HZ, the band-pass design rate.
-    """
-    bursts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                burst = SensorBurst(
-                    user_id=str(rec["user_id"]),
-                    channel=str(rec["channel"]),
-                    start_time_ms=int(rec["start_time_ms"]),
-                    rate_hz=float(rec["rate_hz"]),
-                    samples=rec["samples"],
-                )
-            except (ValueError, KeyError, TypeError) as err:
-                raise DataFormatError(f"{path}:{lineno}: bad burst record: {err}") from err
-            if burst.channel == "ppg" and burst.rate_hz != PPG_RATE_HZ:
-                raise DataFormatError(f"{path}:{lineno}: ppg rate_hz {burst.rate_hz} is not "
-                                      f"the filter design rate {PPG_RATE_HZ}")
-            bursts.append(burst)
-    return bursts
+
+def read_bursts_jsonl(path):
+    """Read burst records; raises DataFormatError naming the bad line."""
+    return read_jsonl(path, "burst record", _burst)
 
 
 def burst_record(burst: SensorBurst, arrival_ms=None) -> str:

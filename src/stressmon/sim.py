@@ -31,8 +31,8 @@ import numpy as np
 
 from . import sema as sema_mod
 from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_record,
-                      parse_zones, strict_int)
-from .errors import ConfigError
+                      parse_zones)
+from .errors import ConfigError, is_number, strict_int
 from .sema import DAY_MS
 from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
                       burst_record)
@@ -143,16 +143,16 @@ class SimConfig:
             raise ConfigError("n_users and days must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not (_is_number(p.ema_compliance) and 0.0 <= p.ema_compliance <= 1.0):
+        if not (is_number(p.ema_compliance) and 0.0 <= p.ema_compliance <= 1.0):
             raise ConfigError("ema_compliance must be a number in [0, 1]")
-        if not _is_number(p.stress_bpm_delta):
+        if not is_number(p.stress_bpm_delta):
             raise ConfigError("stress_bpm_delta must be a finite number")
         bpm_range = p.baseline_bpm_range
-        if not (len(bpm_range) == 2 and all(map(_is_number, bpm_range))
+        if not (len(bpm_range) == 2 and all(map(is_number, bpm_range))
                 and 0 < bpm_range[0] <= bpm_range[1]):
             raise ConfigError("baseline_bpm_range must be two increasing positive numbers")
         for window in self.network.wifi_outages_ms:
-            if not (len(window) == 2 and all(map(_is_number, window))
+            if not (len(window) == 2 and all(map(is_number, window))
                     and window[0] < window[1]):
                 raise ConfigError("wifi outage intervals must be [start, end] with end > start")
         self._validate_per_user()
@@ -168,7 +168,7 @@ class SimConfig:
                 raise ConfigError(f"{where}: no such user in {users[0]}..{users[-1]}")
             _check_keys(over, _OVERRIDE_NUMBERS + _OVERRIDE_FLAGS, where)
             for key, value in over.items():
-                if key in _OVERRIDE_NUMBERS and not _is_number(value):
+                if key in _OVERRIDE_NUMBERS and not is_number(value):
                     raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
                 if key in _OVERRIDE_FLAGS and not isinstance(value, bool):
                     raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
@@ -221,12 +221,6 @@ def _check_keys(raw, known, where):
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
-
-
-def _is_number(value) -> bool:
-    """A finite int or float; JSON true and false are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,

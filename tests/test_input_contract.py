@@ -1,0 +1,266 @@
+"""One reader contract: a malformed input record exits 3 naming file and line.
+
+Every case goes through ``cli.main``.  A malformed record must end in exit
+code 3 with ``<file>:<line>:`` (or ``<file>:`` for a whole-file JSON
+document) on stderr, never in an exception escaping ``main``.
+"""
+import contextlib
+import csv
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stressmon import cli
+from stressmon.context import read_context_jsonl
+from stressmon.dataset import read_ema_csv, read_matrix_csv, write_matrix_csv
+from stressmon.errors import DataFormatError
+from stressmon.signals import read_bursts_jsonl
+
+EMA_HEADER = "timestamp_ms,user_id,stress_level\n"
+PPG = {"user_id": "u01", "channel": "ppg", "start_time_ms": 36_000_000,
+       "rate_hz": 20.0, "samples": [0.5] * 2400}
+SNAP = {"user_id": "u01", "timestamp_ms": 36_000_000, "sensor": "speed", "payload": 1.5}
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one command; an escaping exception is its repr."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    except Exception as exc:  # a traceback instead of an exit code
+        rc = repr(exc)
+    return rc, err.getvalue()
+
+
+def featurize(data_dir, files):
+    """Write ``files`` (name -> str or bytes) into data_dir and featurize it."""
+    files = {"bursts.jsonl": "", "ema.csv": EMA_HEADER, **files}
+    for name, text in files.items():
+        mode = "wb" if isinstance(text, bytes) else "w"
+        with open(os.path.join(data_dir, name), mode) as fh:
+            fh.write(text)
+    return run_cli(["featurize", "--data", str(data_dir),
+                    "--out", os.path.join(str(data_dir), "m.csv")])
+
+
+def assert_rejected(rc, err, where):
+    assert rc == cli.EXIT_DATA, (rc, err)
+    assert where in err and "Traceback" not in err, err
+
+
+class TestRegressions:
+    """Inputs that ended in a traceback or exit 0 before the reader contract."""
+
+    def test_overflowing_burst_time(self, tmp_path):
+        line = json.dumps(PPG).replace('"start_time_ms": 36000000', '"start_time_ms": 1e400')
+        assert_rejected(*featurize(tmp_path, {"bursts.jsonl": line + "\n"}),
+                        "bursts.jsonl:1:")
+
+    def test_burst_file_not_utf8(self, tmp_path):
+        good = json.dumps(PPG).encode()
+        bad = good.replace(b'"u01"', b'"u\xff1"')
+        assert_rejected(*featurize(tmp_path, {"bursts.jsonl": good + b"\n" + bad + b"\n"}),
+                        "bursts.jsonl:2:")
+
+    def test_matrix_cell_over_csv_field_limit(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("user_id,window_start_ms,label,bpm\n"
+                        f"u01,0,1,{'1' * 140_000}\n")
+        rc, err = run_cli(["train-eval", "--matrix", str(path), "--out", str(tmp_path / "e")])
+        assert_rejected(rc, err, "m.csv:2:")
+
+    def test_deeply_nested_model(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"kind": "random_forest", "trees": [' + '{"left": ' * 3000
+                         + "1" + "}" * 3000 + "]}")
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("user_id,window_start_ms,label,bpm\nu01,0,1,70.0\n")
+        rc, err = run_cli(["explain", "--model", str(model), "--matrix", str(matrix),
+                           "--out", str(tmp_path / "x")])
+        assert_rejected(rc, err, "model.json: bad model file")
+
+    @pytest.mark.parametrize("value", ["true", '"36000000"', "36000000.7"],
+                             ids=["bool", "string", "fraction"])
+    def test_burst_time_not_an_integer(self, tmp_path, value):
+        line = json.dumps(PPG).replace("36000000", value)
+        assert_rejected(*featurize(tmp_path, {"bursts.jsonl": line + "\n"}),
+                        "bursts.jsonl:1:")
+
+    @pytest.mark.parametrize("value", ["true", '"36000000"', "36000000.7"],
+                             ids=["bool", "string", "fraction"])
+    def test_context_time_not_an_integer(self, tmp_path, value):
+        line = json.dumps(SNAP).replace("36000000", value)
+        assert_rejected(*featurize(tmp_path, {"context.jsonl": line + "\n"}),
+                        "context.jsonl:1:")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_ppg_sample(self, tmp_path, value):
+        line = json.dumps(PPG).replace("0.5", value, 1)
+        assert_rejected(*featurize(tmp_path, {"bursts.jsonl": line + "\n"}),
+                        "bursts.jsonl:1:")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_matrix_cell(self, small_matrix, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(small_matrix, path)
+        lines = path.read_text().splitlines()
+        lines[9] = lines[9].rsplit(",", 1)[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        rc, err = run_cli(["train-eval", "--matrix", str(path), "--folds", "2",
+                           "--n-trees", "3", "--out", str(tmp_path / "e")])
+        assert_rejected(rc, err, "m.csv:10:")
+
+
+def test_finite_samples_whose_sum_overflows_are_kept(tmp_path):
+    burst = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0, "rate_hz": 4.0,
+             "samples": [1.7e308, 1.7e308]}
+    rc, err = featurize(tmp_path, {"bursts.jsonl": json.dumps(burst) + "\n"})
+    assert rc == cli.EXIT_OK, err
+    assert read_bursts_jsonl(tmp_path / "bursts.jsonl")[0].samples.tolist() == [1.7e308] * 2
+
+
+def test_blank_lines_count_in_line_numbers(tmp_path):
+    text = "\n" + json.dumps(SNAP) + "\n   \n" + json.dumps(dict(SNAP, timestamp_ms=None))
+    assert_rejected(*featurize(tmp_path, {"context.jsonl": text}), "context.jsonl:4:")
+
+
+# -- corrupting one field of a valid record ------------------------------------
+
+CORRUPTIONS = ("missing", "null", "bool", "string", "1e400", "NaN", "list", "object")
+
+BURSTS = [dict(PPG, samples=[0.5, -0.25, 1.0]),
+          {"user_id": "u02", "channel": "accel_x", "start_time_ms": 900_000,
+           "rate_hz": 4.0, "samples": [0.0, 1.5]}]
+SNAPSHOTS = [SNAP,
+             {"user_id": "u01", "timestamp_ms": 60_000, "sensor": "screen_status", "payload": 2},
+             {"user_id": "u02", "timestamp_ms": 0, "sensor": "battery_level", "payload": None},
+             {"user_id": "u02", "timestamp_ms": 5, "sensor": "weather", "payload": "rain"},
+             {"user_id": "u03", "timestamp_ms": 7, "sensor": "location",
+              "payload": [33.64, -117.84, 12.0]}]
+#: JSON fields in the order parse_key lists them.
+FIELDS = {"bursts": ["user_id", "channel", "start_time_ms", "rate_hz", "samples"],
+          "context": ["user_id", "timestamp_ms", "sensor", "payload"]}
+EMAS = [["36000000", "u01", "3"], ["900000", "u02", "1"]]
+MATRIX_HEADER = ["user_id", "window_start_ms", "label", "bpm", "speed"]
+MATRIX_ROWS = [["u01", "0", "1", "71.5", "2.0"], ["u02", "900000", "", "", "0.0"]]
+
+
+def corrupt_json(rec, field, how):
+    """One JSON line: ``rec`` with ``field`` corrupted as ``how`` says."""
+    rec = dict(rec)
+    value = rec.pop(field)
+    if how != "missing":
+        rec[field] = {"null": None, "bool": True, "string": str(value), "1e400": "@1e400@",
+                      "NaN": float("nan"), "list": [value], "object": {"value": value}}[how]
+    return json.dumps(rec).replace('"@1e400@"', "1e400")
+
+
+def corrupt_csv(row, column, how):
+    """One CSV row: ``row`` with its cell ``column`` corrupted as ``how`` says."""
+    row = list(row)
+    if how == "missing":
+        del row[column]
+    else:
+        row[column] = {"null": "", "bool": "true", "string": "abc", "1e400": "1e400",
+                       "NaN": "NaN", "list": "[1, 2]", "object": '{"a": 1}'}[how]
+    return row
+
+
+def csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def parse_key(fmt, parsed):
+    """The reader's result as nested lists of reprs, one entry per record."""
+    if fmt == "bursts":
+        return [[b.user_id, b.channel, repr(b.start_time_ms), repr(b.rate_hz),
+                 repr(b.samples.tolist())] for b in parsed]
+    if fmt == "context":
+        return [[s.user_id, repr(s.timestamp_ms), s.sensor, repr(s.payload)] for s in parsed]
+    if fmt == "ema":
+        return [[repr(e.timestamp_ms), e.user_id, repr(e.stress_level)] for e in parsed]
+    return [[group, repr(int(start)), repr(float(label)), *map(repr, row.tolist())]
+            for group, start, label, row in zip(parsed.groups, parsed.window_starts,
+                                                parsed.labels, parsed.values)]
+
+
+def documented(fmt, rec, field, how, value):
+    """The parsed repr of a corruption the format accepts, else None.
+
+    A null payload of a numeric context sensor means missing and a weather
+    payload is free text; in a CSV any non-empty text is a user id, and an
+    empty matrix label or feature cell means unlabeled or missing.
+    """
+    if fmt == "context" and field == "payload" and how != "missing" \
+            and (how == "null" or rec["sensor"] == "weather"):
+        return repr(value)
+    if fmt in ("ema", "matrix") and field == ("user_id" if fmt == "ema" else 0) \
+            and how not in ("missing", "null"):
+        return value
+    if fmt == "matrix" and field >= 2 and how == "null":
+        return repr(float("nan"))
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(["bursts", "context", "ema", "matrix"]),
+       pick=st.integers(0, 10**6), how=st.sampled_from(CORRUPTIONS),
+       before=st.integers(0, 3), blank=st.booleans())
+def test_one_corrupt_field_is_parsed_alike_or_named(fmt, pick, how, before, blank):
+    """Either the record parses as before (or as the format documents the
+    corrupt value), or the CLI exits 3 naming the record's line."""
+    if fmt in ("bursts", "context"):
+        records = BURSTS if fmt == "bursts" else SNAPSHOTS
+        rec = records[pick % len(records)]
+        column = pick // len(records) % len(FIELDS[fmt])
+        field = FIELDS[fmt][column]
+        head = "".join(json.dumps(records[i % len(records)]) + "\n" for i in range(before))
+        bad = corrupt_json(rec, field, how)
+        value = json.loads(bad).get(field)
+        bad, good = bad + "\n", json.dumps(rec) + "\n"
+        name = "bursts.jsonl" if fmt == "bursts" else "context.jsonl"
+        read = read_bursts_jsonl if fmt == "bursts" else read_context_jsonl
+    else:
+        header = EMA_HEADER.strip().split(",") if fmt == "ema" else MATRIX_HEADER
+        rows = EMAS if fmt == "ema" else MATRIX_ROWS
+        rec = rows[pick % len(rows)]
+        column = pick // len(rows) % len(rec)
+        field = header[column] if fmt == "ema" else column
+        head = csv_text([header] + [rows[i % len(rows)] for i in range(before)])
+        value = corrupt_csv(rec, column, how)[column] if how != "missing" else None
+        bad, good = csv_text([corrupt_csv(rec, column, how)]), csv_text([rec])
+        name = "ema.csv" if fmt == "ema" else "matrix.csv"
+        read = read_ema_csv if fmt == "ema" else read_matrix_csv
+    if blank:
+        head += "\n"
+    lineno = head.count("\n") + 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", newline="") as fh:
+            fh.write(head + good + good)
+        expected = parse_key(fmt, read(path))
+        with open(path, "w", newline="") as fh:
+            fh.write(head + bad + good)
+        try:
+            got = parse_key(fmt, read(path))
+        except DataFormatError:  # rejected: the CLI must say where
+            if fmt == "matrix":
+                rc, err = run_cli(["train-eval", "--matrix", path,
+                                   "--out", os.path.join(tmp, "e")])
+            else:
+                rc, err = featurize(tmp, {name: head + bad + good})
+            assert_rejected(rc, err, f"{name}:{lineno}:")
+            return
+    accepted = documented(fmt, rec, field, how, value)
+    assert accepted is not None or got == expected, (field, how)
+    if accepted is not None:
+        expected[before][column] = accepted
+        assert got == expected
