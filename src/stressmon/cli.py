@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
-from .context import ContextSchema, load_zones, read_context_jsonl
+from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones, read_context_jsonl
 from .errors import DataFormatError, StressmonError, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
@@ -117,12 +117,28 @@ def _model_spec(args) -> ModelSpec:
                      learning_rate=args.learning_rate, select_top=args.select_top)
 
 
+#: The columns each ``--features`` choice trains on.
+_FEATURE_SETS = {"all": dataset.FEATURE_COLUMNS, "ppg": HRV_FEATURE_NAMES,
+                 "context": CONTEXT_FEATURE_NAMES}
+
+
+def _read_features(path, which):
+    """The matrix at ``path``, restricted to the ``--features`` choice ``which``.
+
+    A matrix that lacks a column the choice trains on is a DataFormatError
+    naming the file and the columns.
+    """
+    matrix = dataset.read_matrix_csv(path)
+    lacking = [c for c in _FEATURE_SETS[which] if c not in matrix.columns]
+    if lacking:
+        raise DataFormatError(f"{path}: --features {which} needs columns the matrix "
+                              f"lacks: {', '.join(lacking)}")
+    return _restrict_features(matrix, which)
+
+
 def _restrict_features(matrix, which):
-    if which == "ppg":
-        matrix = matrix.select_columns(list(HRV_FEATURE_NAMES))
-    elif which == "context":
-        from .context import CONTEXT_FEATURE_NAMES
-        matrix = matrix.select_columns(list(CONTEXT_FEATURE_NAMES))
+    if which != "all":
+        matrix = matrix.select_columns(list(_FEATURE_SETS[which]))
     if which in ("all", "ppg"):
         matrix = dataset.drop_rows_missing_block(matrix, HRV_FEATURE_NAMES)
     return matrix
@@ -166,8 +182,7 @@ def load_model_json(path):
 
 def cmd_train_eval(args) -> int:
     t0 = time.monotonic()
-    matrix = dataset.read_matrix_csv(args.matrix)
-    matrix = _restrict_features(matrix, args.features)
+    matrix = _read_features(args.matrix, args.features)
     spec = _model_spec(args)
     report = grouped_cv(matrix, spec, folds=args.folds, seed=args.seed)
 
@@ -239,8 +254,7 @@ def cmd_explain(args) -> int:
 
 def cmd_personalize(args) -> int:
     t0 = time.monotonic()
-    matrix = dataset.read_matrix_csv(args.matrix)
-    matrix = _restrict_features(matrix, args.features)
+    matrix = _read_features(args.matrix, args.features)
     result = personalization_eval(matrix, args.user, _model_spec(args),
                                   seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -300,7 +314,7 @@ def _add_model_flags(parser):
     parser.add_argument("--learning-rate", type=_positive_float,
                         default=spec.learning_rate,
                         help="boosting step size (default: %(default)s)")
-    parser.add_argument("--features", choices=["all", "ppg", "context"], default="all")
+    parser.add_argument("--features", choices=list(_FEATURE_SETS), default="all")
     parser.add_argument("--select-top", type=_select_top, default=spec.select_top,
                         help="number of features to keep, or 'auto'")
     parser.add_argument("--seed", type=_int_at_least(0), default=0)

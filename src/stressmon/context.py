@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import read_input, read_jsonl, strict_float, strict_int, strict_str
+from .errors import encode_json, read_input, read_jsonl, strict_float, strict_int, strict_str
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -205,7 +205,7 @@ def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:
     }
     if arrival_ms is not None:
         rec["arrival_ms"] = arrival_ms
-    return json.dumps(rec, separators=(",", ":"))
+    return encode_json(rec)
 
 
 def write_context_jsonl(path, snapshots):

@@ -1,4 +1,5 @@
-"""Exception types shared across the pipeline modules, and the input reader."""
+"""Exception types shared across the pipeline modules, the input reader and
+the compact JSON writer."""
 import csv
 import json
 import math
@@ -145,6 +146,12 @@ def read_jsonl(path, what, record):
     """``record(value)`` for the JSON value of each line; see :func:`read_input`."""
     decode = json.JSONDecoder().decode  # json.loads re-checks its options per call
     return read_input(path, what, lambda lines: list(map(record, map(decode, lines))))
+
+
+#: Compact JSON text of one value, equal to ``json.dumps(value,
+#: separators=(",", ":"))``; json.dumps with separators builds a new encoder
+#: on every call.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def strict_int(value, name) -> int:

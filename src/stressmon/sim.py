@@ -16,23 +16,30 @@ stress-state dwell times and every distribution a participant draws from
 (``SimConfig``); burst timing comes from ``signals`` and the trigger rules
 from ``sema``.
 
-Everything is driven by seeded generator streams and a single-threaded
-event queue ordered by (time, sequence), so a given config and seed
-produce byte-identical output files.
+Everything is driven by seeded generator streams, so a given config and
+seed produce byte-identical output files.  Bursts, sEMA evaluations and EMA
+answers go through one event queue ordered by (time, sequence).  Context
+snapshots do not: each (user, sensor) stream reads only its own generator,
+the latent stress trace and its blackouts, so it is generated on its own,
+and the streams are merged into context.jsonl in the order that queue
+would deliver them (see ``_arrival_order``), keeping in memory only the
+snapshots still in flight.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import sema as sema_mod
 from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_record,
-                      parse_zones)
-from .errors import ConfigError, is_number, strict_int
+                      dump_zones, parse_zones)
+from .errors import (ConfigError, DataFormatError, encode_json, is_number, read_input,
+                     strict_int)
 from .sema import DAY_MS
 from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
                       burst_record)
@@ -202,11 +209,14 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
+        """Read a config file; an unreadable or malformed file is a ConfigError naming it."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+            raw = read_input(path, "simulation config",
+                             lambda lines: json.loads("".join(lines)))
+        except OSError as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
+        except DataFormatError as err:
+            raise ConfigError(str(err)) from err
         return cls.from_dict(raw)
 
 
@@ -378,13 +388,11 @@ class _Simulation:
         self.last_accel = [None] * cfg.n_users      # (end_ms, magnitudes, rate)
         self.ema_rngs = [np.random.default_rng([cfg.seed, i, 5])
                          for i in range(cfg.n_users)]
-        self.ctx_rngs = [[np.random.default_rng([cfg.seed, i, 4, s])
-                          for s in range(len(CONTEXT_FEATURE_NAMES))]
-                         for i in range(cfg.n_users)]
         wrng = np.random.default_rng([cfg.seed, 6])
         blocks = cfg.days * 8
         self.weather_blocks = wrng.choice(len(_WEATHER_CHOICES), size=blocks,
                                           p=_WEATHER_WEIGHTS)
+        self.zone_by_code = {z.code: z for z in cfg.zones}
         self.heap = []
         self.seq = 0
         self.counts = {"bursts": 0, "snapshots": 0, "emas": 0,
@@ -430,53 +438,99 @@ class _Simulation:
                  for k, axis in enumerate(("x", "y", "z"))]
         return [ppg] + accel
 
-    def context_value(self, user: _Participant, sensor: str, t_ms: int, rng):
-        hour = ((t_ms + self.cfg.tz_offset_ms) % DAY_MS) / 3_600_000.0
-        stressed = user.stressed(t_ms)
+    def _context_values(self, user: _Participant, sensor: str, rng):
+        """The payload function, emit time -> payload, of one context stream.
+
+        It is picked once per (user, sensor) stream; each call draws from the
+        stream's ``rng`` what that sensor's payload needs, in a fixed order.
+        """
+        tz_offset_ms = self.cfg.tz_offset_ms
+
+        def hour(t_ms):
+            return ((t_ms + tz_offset_ms) % DAY_MS) / 3_600_000.0
+
         if sensor == "battery_adaptor":
-            return 1 if (hour < WEAR_START_HOUR or hour >= WEAR_END_HOUR) else 0
-        if sensor == "battery_level":
-            level = (95.0 - 70.0 * max(0.0, hour - WEAR_START_HOUR) / (24.0 - WEAR_START_HOUR)
-                     if hour >= WEAR_START_HOUR else 90.0)
-            return round(float(np.clip(level + rng.normal(0, 3), 1, 100)), 1)
-        if sensor == "speed":
-            return 0.0 if rng.random() < 0.5 else round(float(min(8.0, abs(rng.normal(1.2, 1.0)))), 2)
-        if sensor == "device_off":
-            lo, hi = user.stressed_device_off if stressed else user.calm_device_off
-            return round(float(rng.uniform(lo, hi)), 1)
-        if sensor == "device_on":
-            if user.device_on_coupled:
-                # personal habit: long phone sessions while stressed
-                lo, hi = (25.0, 60.0) if stressed else (0.5, 8.0)
-                return round(float(rng.uniform(lo, hi)), 1)
-            return round(float(rng.uniform(0.5, 25.0)), 1)
-        if sensor == "air_pressure":
-            return round(float(1008.0 + 6.0 * math.sin(2 * math.pi * t_ms / DAY_MS)
-                                + rng.normal(0, 1.5)), 1)
-        if sensor == "weather_temperature":
-            return round(float(16.0 + 7.0 * math.sin(2 * math.pi * (hour - 9.0) / 24.0)
-                                + rng.normal(0, 0.8)), 1)
-        if sensor == "weather":
-            block = min(len(self.weather_blocks) - 1, t_ms // (3 * 3_600_000))
-            return _WEATHER_CHOICES[self.weather_blocks[block]]
-        if sensor == "wind_degrees":
-            return round(float(rng.uniform(0, 360)), 0)
-        if sensor == "wind_speed":
-            return round(float(min(14.0, abs(rng.normal(3.0, 2.5)))), 2)
-        if sensor == "screen_status":
-            if user.screen_coupled:
-                # personal habit: compulsive phone checking under stress
-                return int(2 + rng.integers(0, 2)) if stressed else int(rng.integers(0, 2))
-            return int(rng.integers(0, 4))
-        # location: zone choice coupled to the latent stress state
-        probs = user.stressed_location_probs if stressed else user.calm_location_probs
-        zone_code = int(rng.choice(4, p=probs))
-        return self._location_payload(zone_code, rng)
+            def value(t_ms):
+                h = hour(t_ms)
+                return 1 if (h < WEAR_START_HOUR or h >= WEAR_END_HOUR) else 0
+        elif sensor == "battery_level":
+            def value(t_ms):
+                h = hour(t_ms)
+                level = (95.0 - 70.0 * max(0.0, h - WEAR_START_HOUR) / (24.0 - WEAR_START_HOUR)
+                         if h >= WEAR_START_HOUR else 90.0)
+                return round(min(100.0, max(1.0, level + rng.normal(0, 3))), 1)
+        elif sensor == "speed":
+            def value(t_ms):
+                return 0.0 if rng.random() < 0.5 else round(min(8.0, abs(rng.normal(1.2, 1.0))), 2)
+        elif sensor == "device_off":
+            def value(t_ms):
+                lo, hi = user.stressed_device_off if user.stressed(t_ms) else user.calm_device_off
+                return round(rng.uniform(lo, hi), 1)
+        elif sensor == "device_on" and user.device_on_coupled:
+            # personal habit: long phone sessions while stressed
+            def value(t_ms):
+                lo, hi = (25.0, 60.0) if user.stressed(t_ms) else (0.5, 8.0)
+                return round(rng.uniform(lo, hi), 1)
+        elif sensor == "device_on":
+            def value(t_ms):
+                return round(rng.uniform(0.5, 25.0), 1)
+        elif sensor == "air_pressure":
+            def value(t_ms):
+                return round(1008.0 + 6.0 * math.sin(2 * math.pi * t_ms / DAY_MS)
+                             + rng.normal(0, 1.5), 1)
+        elif sensor == "weather_temperature":
+            def value(t_ms):
+                return round(16.0 + 7.0 * math.sin(2 * math.pi * (hour(t_ms) - 9.0) / 24.0)
+                             + rng.normal(0, 0.8), 1)
+        elif sensor == "weather":
+            blocks = self.weather_blocks
+
+            def value(t_ms):
+                return _WEATHER_CHOICES[blocks[min(len(blocks) - 1, t_ms // (3 * 3_600_000))]]
+        elif sensor == "wind_degrees":
+            def value(t_ms):
+                return round(rng.uniform(0, 360), 0)
+        elif sensor == "wind_speed":
+            def value(t_ms):
+                return round(min(14.0, abs(rng.normal(3.0, 2.5))), 2)
+        elif sensor == "screen_status" and user.screen_coupled:
+            # personal habit: compulsive phone checking under stress
+            def value(t_ms):
+                if user.stressed(t_ms):
+                    return int(2 + rng.integers(0, 2))
+                return int(rng.integers(0, 2))
+        elif sensor == "screen_status":
+            def value(t_ms):
+                return int(rng.integers(0, 4))
+        else:
+            # location: zone choice coupled to the latent stress state
+            def value(t_ms):
+                probs = (user.stressed_location_probs if user.stressed(t_ms)
+                         else user.calm_location_probs)
+                return self._location_payload(int(rng.choice(4, p=probs)), rng)
+        return value
+
+    def _context_stream(self, user: _Participant, s_idx: int):
+        """One (user, sensor) context stream: ``(emit_ms, snapshot)`` in emit order.
+
+        The snapshot is None while the sensor is blacked out.  The stream
+        ends at the study's end.  Its rng draws the first emit time, then per
+        emit the payload (nothing while blacked out) and the gap to the next.
+        """
+        sensor = CONTEXT_FEATURE_NAMES[s_idx]
+        rng = np.random.default_rng([self.cfg.seed, user.index, 4, s_idx])
+        value = self._context_values(user, sensor, rng)
+        t = int(rng.uniform(0, 300_000))
+        while t <= self.end_ms:
+            if user.blacked_out(sensor, t):
+                yield t, None
+            else:
+                yield t, ContextSnapshot(user.user_id, t, sensor, value(t))
+            t += int(rng.uniform(60_000, 300_000))
 
     def _location_payload(self, zone_code: int, rng):
-        zones = {z.code: z for z in self.cfg.zones}
-        if zone_code in zones:
-            z = zones[zone_code]
+        if zone_code in self.zone_by_code:
+            z = self.zone_by_code[zone_code]
             r = 0.9 * z.radius_m * math.sqrt(rng.random())
             theta = rng.uniform(0, 2 * math.pi)
             lat = z.lat + (r * math.cos(theta)) / 111_320.0
@@ -499,19 +553,16 @@ class _Simulation:
                           (user.index, slot * SLOT_MS))
             for k in range(0, self.end_ms + 1, SEMA_EVAL_MINUTES * 60_000):
                 self.push(k, "sema_eval", user.index)
-            for s_idx in range(len(CONTEXT_FEATURE_NAMES)):
-                first = int(self.ctx_rngs[user.index][s_idx].uniform(0, 300_000))
-                self.push(first, "emit_context", (user.index, s_idx))
 
         paths = self._open_writers()
         try:
+            self._write_context()
             while self.heap:
                 t, _, kind, data = heapq.heappop(self.heap)
                 getattr(self, "_on_" + kind)(t, data)
         finally:
             self._close_writers()
         self._write_latent(paths["latent"])
-        from .context import dump_zones
         dump_zones(paths["zones"], list(self.cfg.zones))
         return SimResult(out_dir=str(self.out_dir), paths=paths, counts=self.counts)
 
@@ -539,29 +590,14 @@ class _Simulation:
             if prev is None or end > prev[0]:
                 self.last_accel[user_idx] = (end, mags, ACCEL_RATE_HZ)
 
-    def _on_emit_context(self, t, data):
-        user_idx, s_idx = data
-        if t > self.end_ms:
-            return
-        user = self.users[user_idx]
-        sensor = CONTEXT_FEATURE_NAMES[s_idx]
-        rng = self.ctx_rngs[user_idx][s_idx]
-        if not user.blacked_out(sensor, t):
-            snap = ContextSnapshot(user_id=user.user_id, timestamp_ms=t,
-                                   sensor=sensor,
-                                   payload=self.context_value(user, sensor, t, rng))
-            net = self.cfg.network
-            if net.wifi_up(t):
-                arrive = t + CONTEXT_LATENCY_MS
-            else:
-                arrive = net.outage_end_after(t) + CONTEXT_LATENCY_MS
-            self.push(arrive, "arrive_context", snap)
-        self.push(t + int(rng.uniform(60_000, 300_000)), "emit_context",
-                  (user_idx, s_idx))
-
-    def _on_arrive_context(self, t, snap):
-        self._fh["context"].write(context_record(snap, arrival_ms=t) + "\n")
-        self.counts["snapshots"] += 1
+    def _write_context(self):
+        """Write context.jsonl: every stream generated on its own, then merged."""
+        write = self._fh["context"].write
+        streams = [self._context_stream(user, s_idx) for user in self.users
+                   for s_idx in range(len(CONTEXT_FEATURE_NAMES))]
+        for arrival_ms, snap in _arrival_order(streams, self.cfg.network.outage_end_after):
+            write(context_record(snap, arrival_ms) + "\n")
+            self.counts["snapshots"] += 1
 
     def _on_sema_eval(self, t, user_idx):
         if t >= self.end_ms:
@@ -580,7 +616,7 @@ class _Simulation:
         rec = {"user_id": state.user_id, "timestamp_ms": t,
                "decision": "trigger" if decision.triggered else "skip",
                "reason": decision.reason}
-        self._fh["triggers"].write(json.dumps(rec, separators=(",", ":")) + "\n")
+        self._fh["triggers"].write(encode_json(rec) + "\n")
         if decision.triggered:
             self.counts["prompts"] += 1
             rng = self.ema_rngs[user_idx]
@@ -604,7 +640,6 @@ class _Simulation:
     # -- output files ------------------------------------------------------------
 
     def _open_writers(self):
-        import os
         os.makedirs(self.out_dir, exist_ok=True)
         join = lambda name: os.path.join(str(self.out_dir), name)
         self.paths = {"bursts": join("bursts.jsonl"), "context": join("context.jsonl"),
@@ -630,6 +665,49 @@ class _Simulation:
                         fh.write(f"{user.user_id},{run_start * SLOT_MS},"
                                  f"{s * SLOT_MS},{int(states[run_start])}\n")
                         run_start = s
+
+
+def _arrival_order(streams, outage_end_after):
+    """Merge context streams into ``(arrival_ms, snapshot)`` in delivery order.
+
+    ``streams`` yield ``(emit_ms, snapshot or None)`` in emit order; a
+    snapshot sent at ``t`` arrives at ``outage_end_after(t) +
+    CONTEXT_LATENCY_MS``.  The order is that of one event queue ordered by
+    (time, order of scheduling), in which handling an emit schedules its
+    arrival and then the stream's next emit:
+
+    * emits go by (emit time, the rank at which the stream's previous emit
+      was handled); the first emits of all streams come ahead of the rest,
+      in stream order;
+    * arrivals go by (arrival time, the rank of the emit that sent them).
+
+    An arrival is yielded once no later emit can arrive before it: every
+    emit at ``t`` or after arrives at ``t + CONTEXT_LATENCY_MS`` or after,
+    with a higher rank, because ``outage_end_after(t) >= t``.  So memory
+    holds the snapshots in flight, not all of them.
+    """
+    emits = [(first[0], i - len(streams), i, first[1])   # first emits rank below 0
+             for i, first in enumerate(next(stream, None) for stream in streams)
+             if first is not None]
+    heapq.heapify(emits)
+    in_flight = []          # (arrival_ms, rank, snapshot)
+    rank = 0
+    while emits:
+        t, _, i, snap = emits[0]
+        while in_flight and in_flight[0][0] <= t + CONTEXT_LATENCY_MS:
+            arrival_ms, _, sent = heapq.heappop(in_flight)
+            yield arrival_ms, sent
+        if snap is not None:
+            heapq.heappush(in_flight, (outage_end_after(t) + CONTEXT_LATENCY_MS, rank, snap))
+        following = next(streams[i], None)
+        if following is None:
+            heapq.heappop(emits)
+        else:
+            heapq.heapreplace(emits, (following[0], rank, i, following[1]))
+        rank += 1
+    while in_flight:
+        arrival_ms, _, sent = heapq.heappop(in_flight)
+        yield arrival_ms, sent
 
 
 def run_simulation(config: SimConfig, out_dir) -> SimResult:

@@ -116,6 +116,38 @@ class TestRegressions:
         assert_rejected(rc, err, "m.csv:10:")
 
 
+class TestConfigAndColumnRegressions:
+    """A simulate config and a matrix's columns that ended in a traceback."""
+
+    def test_config_not_utf8(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"n_users": 2,\n "seed": "\xff"}\n')
+        rc, err = run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert_rejected(rc, err, "config.json:2: bad simulation config")
+
+    def test_deeply_nested_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"per_user": ' + "[" * 3000 + "]" * 3000 + "}")
+        rc, err = run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert_rejected(rc, err, "config.json: bad simulation config")
+
+    @pytest.mark.parametrize("argv,lacking", [
+        (["train-eval", "--folds", "2", "--features", "all"], "rmssd"),
+        (["train-eval", "--folds", "2", "--features", "ppg"], "rmssd"),
+        (["train-eval", "--folds", "2", "--features", "context"], "battery_adaptor"),
+        (["personalize", "--user", "u01", "--features", "all"], "rmssd"),
+    ], ids=["train-eval-all", "train-eval-ppg", "train-eval-context", "personalize"])
+    def test_matrix_without_feature_columns(self, tmp_path, argv, lacking):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("user_id,window_start_ms,label,bpm,speed\n" + "".join(
+            f"u0{u},{w * 900_000},{(u + w) % 2},{60 + u + w},{w % 3}\n"
+            for u in range(1, 5) for w in range(6)))
+        rc, err = run_cli([*argv, "--matrix", str(matrix), "--out", str(tmp_path / "e")])
+        assert_rejected(rc, err, "m.csv: --features")
+        listed = err.split("lacks: ")[1].split()
+        assert lacking + "," in listed and "bpm," not in listed and "speed," not in listed
+
+
 def test_finite_samples_whose_sum_overflows_are_kept(tmp_path):
     burst = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0, "rate_hz": 4.0,
              "samples": [1.7e308, 1.7e308]}

@@ -1,8 +1,10 @@
 """Band-pass design/application, the peak detector's moving average and windowizing."""
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stressmon import signals
 from stressmon.context import ContextSnapshot
@@ -217,3 +219,49 @@ class TestTypesAndIo:
                         '"rate_hz":20.0,"samples":[1.0]}\nnot json\n')
         with pytest.raises(DataFormatError, match=r":2:"):
             read_bursts_jsonl(path)
+
+
+def _reference_line(user_id, channel, start_time_ms, rate_hz, samples, arrival_ms):
+    rec = {"user_id": user_id, "channel": channel, "start_time_ms": start_time_ms,
+           "rate_hz": rate_hz, "samples": list(samples)}
+    if arrival_ms is not None:
+        rec["arrival_ms"] = arrival_ms
+    return json.dumps(rec, separators=(",", ":"))
+
+
+_SPECIAL_SAMPLES = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1e16, -1e16, 1e-5, -1e-5, 1.0, -3.0, 2400.0)
+
+
+class TestBurstRecordOracle:
+    """burst_record is json.dumps of the record, whatever the sample values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.one_of(
+               st.floats(width=64),
+               st.sampled_from(_SPECIAL_SAMPLES),
+               st.floats(-3.0, 3.0).map(lambda x: round(x, 3)),
+               st.floats(-3.0, 3.0).map(lambda x: round(x, 4)),
+               st.integers(-10**17, 10**17).map(float)), min_size=1, max_size=200),
+           user_id=st.text(min_size=1, max_size=4),
+           channel=st.sampled_from(sorted(signals.CHANNELS)),
+           start_time_ms=st.integers(-2**63, 2**63),
+           rate_hz=st.floats(1e-3, 1e3),
+           arrival_ms=st.none() | st.integers(0, 2**53))
+    @example(samples=[-0.0, 0.0, 0.0, -0.0], user_id="u01", channel="ppg",
+             start_time_ms=0, rate_hz=20.0, arrival_ms=None)
+    @example(samples=[0.0, -0.0, math.nan, math.inf, -math.inf], user_id="u01",
+             channel="accel_z", start_time_ms=900_000, rate_hz=4.0, arrival_ms=901_000)
+    def test_matches_json_dumps(self, samples, user_id, channel, start_time_ms, rate_hz,
+                                arrival_ms):
+        burst = SensorBurst(user_id, channel, start_time_ms, rate_hz, samples)
+        assert signals.burst_record(burst, arrival_ms) == _reference_line(
+            user_id, channel, start_time_ms, rate_hz, samples, arrival_ms)
+
+    def test_table_filled_past_its_bound(self):
+        samples = [-0.0, 0.0, *(np.arange(signals._SAMPLE_TEXT_MAX + 1000) / 7.0).tolist(),
+                   0.0, -0.0, math.nan]
+        burst = SensorBurst("u01", "accel_x", 0, 4.0, samples)
+        assert signals.burst_record(burst, 7) == _reference_line(
+            "u01", "accel_x", 0, 4.0, samples, 7)
+        assert 0 < len(signals._SAMPLE_TEXT) <= signals._SAMPLE_TEXT_MAX

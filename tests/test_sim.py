@@ -2,19 +2,22 @@
 import collections
 import contextlib
 import hashlib
+import heapq
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stressmon import cli
 from stressmon.cli import featurize_directory
 from stressmon.errors import ConfigError
-from stressmon.sim import (DEFAULT_ZONES, ParticipantParams, SimConfig,
-                           run_simulation, synth_ppg)
+from stressmon.sim import (CONTEXT_LATENCY_MS, DEFAULT_ZONES, NetworkParams,
+                           ParticipantParams, SimConfig, _arrival_order, run_simulation,
+                           synth_ppg)
 
 
 def read_jsonl(path):
@@ -145,6 +148,118 @@ class TestGoldenOutputs:
 
     def test_matrix(self, outputs):
         assert outputs["matrix.csv"] == self.SHA256["matrix.csv"]
+
+
+class TestGoldenOutageOrder:
+    """Bytes that pin the order in which delayed context snapshots arrive.
+
+    Snapshots emitted during a Wi-Fi outage all arrive at its end, so their
+    order in context.jsonl is decided by emit order and tie-breaking alone.
+    The outages start at 0, overlap with the inner one listed first (so the
+    end a snapshot waits for is not monotone in its emit time: 1:00-1:30 waits
+    for 1:30, 0:30-1:00 and 1:30-3:00 for 3:00), and run past the study's end.
+    Every habit override is on.  The digests were recorded with the
+    simulator's single event heap, before context left it.
+    """
+
+    CONFIG = {"n_users": 4, "days": 2, "seed": 31, "tz_offset_ms": -25_200_000,
+              "participants": {"stress_bpm_delta": 9.0,
+                               "baseline_bpm_range": [60.0, 84.0]},
+              "network": {"wifi_outages_ms": [[0, 1_800_000],
+                                              [3_600_000, 5_400_000],
+                                              [0, 10_800_000],
+                                              [165_600_000, 180_000_000]]},
+              "per_user": {"u02": {"invert_context": True, "baseline_bpm": 98.0},
+                           "u03": {"neutral_context": True, "screen_coupled": True},
+                           "u04": {"neutral_context": True, "device_on_coupled": True,
+                                   "stress_bpm_delta": 0.0}}}
+    SHA256 = {
+        "bursts.jsonl": "807c61bfae2d90434f61a4581fbd45add1f0bb3db1f64fa0615d433c871c3ffc",
+        "context.jsonl": "f62a0655355b18a2b1c557c29df4dd10135dff9420f77046b79f6ae52b1e7255",
+        "ema.csv": "cb4c3b5b3b6af71b6f6133abc280dcd78b46ca889fbaafab162f9bbeeb99c44b",
+        "triggers.jsonl": "59f51515dddd94ac1b39afcbcba0e732c6ceb9388c626af33b106379bba56f22",
+        "latent.csv": "7ee5b8fdbc01969c8861af7f1131cdc61edf5f85b0abf83c73167a908bb06dd6",
+        "zones.json": "b477949946e407119af97983846cf219b32b8a784640347afa1e601d265e44b9",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_outage")
+        (root / "config.json").write_text(json.dumps(self.CONFIG))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--config", str(root / "config.json"),
+                             "--out", str(root / "sim")]) == 0
+        return {name: hashlib.sha256((root / "sim" / name).read_bytes()).hexdigest()
+                for name in self.SHA256}
+
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_simulate_file(self, outputs, name):
+        assert outputs[name] == self.SHA256[name]
+
+
+def _heap_arrival_order(streams, outage_end_after):
+    """The event loop the context merge replaced: one heap of every emit and arrival.
+
+    Handling an emit schedules its arrival (unless blacked out) and then the
+    stream's next emit; ties in time go to the event scheduled first.
+    """
+    streams = [iter(stream) for stream in streams]
+    heap, seq = [], itertools.count()
+    for i, stream in enumerate(streams):
+        first = next(stream, None)
+        if first is not None:
+            heapq.heappush(heap, (first[0], next(seq), "emit", (i, first[1])))
+    delivered = []
+    while heap:
+        t, _, kind, data = heapq.heappop(heap)
+        if kind == "arrive":
+            delivered.append((t, data))
+            continue
+        i, snap = data
+        if snap is not None:
+            heapq.heappush(heap, (outage_end_after(t) + CONTEXT_LATENCY_MS, next(seq),
+                                  "arrive", snap))
+        following = next(streams[i], None)
+        if following is not None:
+            heapq.heappush(heap, (following[0], next(seq), "emit", (i, following[1])))
+    return delivered
+
+
+class TestContextArrivalOrder:
+    """The per-stream merge delivers snapshots in the single event heap's order.
+
+    Emit times sit on a 1-second grid, a fifth of the delivery latency, so
+    equal emit times, equal arrival times and arrivals equal to a later
+    emit's horizon are all common.  Outages start and end on a 0.1-second
+    grid, so a listed-first outage can end between two emit times.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids=st.lists(st.lists(st.tuples(st.integers(0, 60), st.booleans()),
+                                   max_size=12), max_size=8),
+           outages=st.lists(st.tuples(st.integers(0, 600), st.integers(1, 300)), max_size=4))
+    # sent at 1 s the snapshot waits for 2.8 s; sent at 2 s, for the inner
+    # outage's 2.3 s, so it arrives first although it was sent later
+    @example(grids=[[(1, True)], [(2, True)]], outages=[(15, 8), (0, 28)])
+    def test_matches_event_heap(self, grids, outages):
+        streams = []
+        for i, grid in enumerate(grids):
+            times = sorted(dict(grid))     # distinct, increasing emit times per stream
+            sent = dict(grid)
+            streams.append([(t * 1000, f"{i}:{t}" if sent[t] else None) for t in times])
+        net = NetworkParams(wifi_outages_ms=tuple((s * 100, (s + n) * 100)
+                                                  for s, n in outages))
+        merged = list(_arrival_order([iter(s) for s in streams], net.outage_end_after))
+        assert merged == _heap_arrival_order(streams, net.outage_end_after)
+
+    def test_first_emits_precede_later_emits_at_the_same_time(self):
+        # stream 1's second emit and stream 2's first emit tie at 4 s and are
+        # sent during an outage, so both arrive at its end, in handling order
+        streams = [[(0, "a0")], [(1000, "b0"), (4000, "b1")], [(4000, "c0")]]
+        net = NetworkParams(wifi_outages_ms=((0, 60_000),))
+        merged = list(_arrival_order([iter(s) for s in streams], net.outage_end_after))
+        assert merged == _heap_arrival_order(streams, net.outage_end_after)
+        assert [snap for _, snap in merged] == ["a0", "b0", "c0", "b1"]
 
 
 class TestConfig:
