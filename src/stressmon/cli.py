@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones, read_context_jsonl
-from .errors import DataFormatError, StressmonError, read_input
+from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
                     model_to_dict, personalization_eval)
@@ -209,6 +209,11 @@ def cmd_train_eval(args) -> int:
 def cmd_explain(args) -> int:
     t0 = time.monotonic()
     model = load_model_json(args.model)
+    explain_mod.require_tree_model(model)
+    limit = explain_mod.MAX_EXACT_FEATURES
+    if len(model.feature_names) > limit:
+        raise TooManyFeatures(f"{args.model}: {len(model.feature_names)} features > {limit}; "
+                              f"train with --select-top {limit} or fewer")
     matrix = dataset.read_matrix_csv(args.matrix)
     labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
     if any(c not in labeled.columns for c in model.feature_names):

@@ -42,7 +42,7 @@ class Explanation:
         return self.base_value + float(self.shap_values.sum())
 
 
-def _require_tree_model(model):
+def require_tree_model(model):
     if getattr(model, "kind", None) not in ("random_forest", "boosted"):
         raise NotATreeModel("exact Shapley explanation needs a tree-based model")
 
@@ -73,7 +73,7 @@ def shap_values(model, row, background_rows) -> Explanation:
     Raises TooManyFeatures beyond 16 features and EmptyBackground when no
     reference rows are given.
     """
-    _require_tree_model(model)
+    require_tree_model(model)
     row = np.asarray(row, dtype=float).ravel()
     background = np.asarray(background_rows, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:

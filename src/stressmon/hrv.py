@@ -74,7 +74,6 @@ class HrvFeatures:
     sd2: float
     s: float
     br: float
-    br_low_confidence: bool = False
 
 
 def detect_peaks(ppg: SensorBurst) -> PeakTrain:
@@ -261,7 +260,6 @@ def hrv_features(nn, nn_times) -> HrvFeatures:
         sd2=sd2,
         s=float(np.pi * sd1 * sd2),
         br=br.value,
-        br_low_confidence=br.low_confidence,
     )
 
 

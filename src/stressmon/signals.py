@@ -300,11 +300,12 @@ def windowize(bursts, snapshots):
     """Cut bursts and context snapshots into 15-minute wall-clock windows.
 
     The slot grid is aligned to wall-clock multiples of the window length,
-    starting at the slot containing each user's first record.  A burst
+    and a slot becomes a window only when one of its user's records falls
+    in it; windows come per user in increasing start order.  A burst
     belongs to the slot containing its start time; the first complete PPG
     burst of a slot (BURST_SAMPLES samples or more) becomes the window's
-    ``ppg``, and every other burst is dropped.  Slots without a complete
-    burst are still emitted, with ``ppg`` left as None.
+    ``ppg``, and every other burst is dropped.  A slot with records but
+    without a complete burst keeps ``ppg`` as None.
     """
     per_user = {}
     for burst in bursts:
@@ -316,14 +317,8 @@ def windowize(bursts, snapshots):
     for user_id in sorted(per_user):
         user_bursts, user_snaps = per_user[user_id]
         times = [b.start_time_ms for b in user_bursts] + [s.timestamp_ms for s in user_snaps]
-        if not times:
-            continue
-        first_slot = (min(times) // WINDOW_MS) * WINDOW_MS
-        last_slot = (max(times) // WINDOW_MS) * WINDOW_MS
-        slots = {}
-        for start in range(int(first_slot), int(last_slot) + WINDOW_MS, WINDOW_MS):
-            slots[start] = RawWindow(user_id=user_id, start_ms=start,
-                                     end_ms=start + WINDOW_MS)
+        slots = {start: RawWindow(user_id=user_id, start_ms=start, end_ms=start + WINDOW_MS)
+                 for start in sorted({(t // WINDOW_MS) * WINDOW_MS for t in times})}
         for burst in user_bursts:
             win = slots[(burst.start_time_ms // WINDOW_MS) * WINDOW_MS]
             complete = burst.channel == "ppg" and len(burst.samples) >= BURST_SAMPLES
@@ -331,7 +326,7 @@ def windowize(bursts, snapshots):
                 win.ppg = burst
         for snap in user_snaps:
             slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS].snapshots.append(snap)
-        windows.extend(slots[k] for k in sorted(slots))
+        windows.extend(slots.values())
     return windows
 
 

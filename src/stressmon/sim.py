@@ -17,13 +17,18 @@ stress-state dwell times and every distribution a participant draws from
 from ``sema``.
 
 Everything is driven by seeded generator streams, so a given config and
-seed produce byte-identical output files.  Bursts, sEMA evaluations and EMA
-answers go through one event queue ordered by (time, sequence).  Context
-snapshots do not: each (user, sensor) stream reads only its own generator,
-the latent stress trace and its blackouts, so it is generated on its own,
-and the streams are merged into context.jsonl in the order that queue
-would deliver them (see ``_arrival_order``), keeping in memory only the
-snapshots still in flight.
+seed produce byte-identical output files, each written in delivery order
+without an event queue.  Every user sends a slot's bursts at the same
+time over the same link, so bursts.jsonl goes slot by slot in arrival
+order, users in index order within a slot.  The cloud evaluates the sEMA
+rules on a fixed timer, users in index order, each evaluation seeing the
+bursts that arrived strictly before it; one pass interleaves the two
+files.  EMA answers are collected and written sorted by (answer time,
+prompt time, user).  Each (user, sensor) context stream reads only its own
+generator, the latent stress trace and its blackouts, so it is generated
+on its own, and the streams are merged into context.jsonl by arrival
+(see ``_arrival_order``), keeping in memory only the snapshots still in
+flight.
 """
 from __future__ import annotations
 
@@ -87,6 +92,10 @@ STRESS_DEVICE_OFF_RANGE = (0.5, 12.0)
 CALM_DEVICE_OFF_RANGE = (45.0, 600.0)
 #: Chance that a context sensor has a 2-5 h blackout on a given day.
 CONTEXT_BLACKOUT_PROB = 0.25
+
+#: Output file of each kind, in the order the manifest lists them.
+_OUTPUT_FILES = {"bursts": "bursts.jsonl", "context": "context.jsonl", "ema": "ema.csv",
+                 "triggers": "triggers.jsonl", "latent": "latent.csv", "zones": "zones.json"}
 
 #: ``per_user`` override keys: numbers, then flags.
 _OVERRIDE_NUMBERS = ("baseline_bpm", "stress_bpm_delta")
@@ -234,7 +243,7 @@ def _check_keys(raw, known, where):
 
 
 def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
-              start_time_ms: int = 0, user_id: str = "", pulse_width_s: float = 0.08):
+              start_time_ms: int = 0, pulse_width_s: float = 0.08):
     """Synthetic PPG burst: Gaussian pulses at integrated-rate beat times.
 
     ``bpm_trace`` may be a scalar or a per-sample array.  Returns the burst
@@ -265,7 +274,7 @@ def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
     np.add.at(x, cols[inside], pulses[inside])
     if noise_level > 0:
         x = x + np.random.default_rng(seed).normal(0.0, noise_level, n)
-    burst = SensorBurst(user_id=user_id, channel="ppg", start_time_ms=start_time_ms,
+    burst = SensorBurst(user_id="", channel="ppg", start_time_ms=start_time_ms,
                         rate_hz=rate_hz, samples=x)
     return burst, start_time_ms + beat_times * 1000.0
 
@@ -381,11 +390,6 @@ class _Simulation:
         self.out_dir = out_dir
         self.end_ms = cfg.days * DAY_MS
         self.users = [_Participant(cfg, i, uid) for i, uid in enumerate(cfg.user_ids)]
-        self.sema_states = [sema_mod.SemaState(user_id=u.user_id,
-                                               tz_offset_ms=cfg.tz_offset_ms)
-                            for u in self.users]
-        self.newest_watch_end = [None] * cfg.n_users
-        self.last_accel = [None] * cfg.n_users      # (end_ms, magnitudes, rate)
         self.ema_rngs = [np.random.default_rng([cfg.seed, i, 5])
                          for i in range(cfg.n_users)]
         wrng = np.random.default_rng([cfg.seed, 6])
@@ -393,14 +397,8 @@ class _Simulation:
         self.weather_blocks = wrng.choice(len(_WEATHER_CHOICES), size=blocks,
                                           p=_WEATHER_WEIGHTS)
         self.zone_by_code = {z.code: z for z in cfg.zones}
-        self.heap = []
-        self.seq = 0
         self.counts = {"bursts": 0, "snapshots": 0, "emas": 0,
                        "prompts": 0, "evaluations": 0}
-
-    def push(self, t_ms, kind, data):
-        heapq.heappush(self.heap, (int(t_ms), self.seq, kind, data))
-        self.seq += 1
 
     # -- generation ------------------------------------------------------------
 
@@ -414,16 +412,13 @@ class _Simulation:
                 [cfg.seed, user.index, 2, slot_index, 0]).normal(0.0, 1.2))
             ppg, _ = synth_ppg(user.bpm_at(slot_ms, jitter), BURST_SECONDS,
                                PPG_RATE_HZ, PPG_NOISE,
-                               seed=[cfg.seed, user.index, 2, slot_index, 1],
-                               start_time_ms=slot_ms, user_id=user.user_id)
-            ppg = SensorBurst(user_id=user.user_id, channel="ppg",
-                              start_time_ms=slot_ms, rate_hz=PPG_RATE_HZ,
-                              samples=np.round(ppg.samples, 3))
+                               seed=[cfg.seed, user.index, 2, slot_index, 1])
+            samples = np.round(ppg.samples, 3)
         else:
             # LED gated off-wrist: idle channel reads a constant zero
-            ppg = SensorBurst(user_id=user.user_id, channel="ppg",
-                              start_time_ms=slot_ms, rate_hz=PPG_RATE_HZ,
-                              samples=np.zeros(BURST_SAMPLES))
+            samples = np.zeros(BURST_SAMPLES)
+        ppg = SensorBurst(user_id=user.user_id, channel="ppg", start_time_ms=slot_ms,
+                          rate_hz=PPG_RATE_HZ, samples=samples)
         arng = np.random.default_rng([cfg.seed, user.index, 3, slot_index])
         n = int(ACCEL_SECONDS * ACCEL_RATE_HZ)
         if worn:
@@ -543,128 +538,126 @@ class _Simulation:
             lon = anchor.lon + (dist * math.sin(theta)) / (111_320.0 * math.cos(math.radians(anchor.lat)))
         return [round(lat, 6), round(lon, 6), round(float(rng.uniform(10, 60)), 1)]
 
-    # -- event handlers ----------------------------------------------------------
+    # -- output files ------------------------------------------------------------
 
     def run(self):
-        cfg = self.cfg
-        for user in self.users:
-            for slot in range(cfg.days * SLOTS_PER_DAY):
-                self.push(slot * SLOT_MS + int(BURST_SECONDS * 1000), "emit_bursts",
-                          (user.index, slot * SLOT_MS))
-            for k in range(0, self.end_ms + 1, SEMA_EVAL_MINUTES * 60_000):
-                self.push(k, "sema_eval", user.index)
-
-        paths = self._open_writers()
-        try:
-            self._write_context()
-            while self.heap:
-                t, _, kind, data = heapq.heappop(self.heap)
-                getattr(self, "_on_" + kind)(t, data)
-        finally:
-            self._close_writers()
-        self._write_latent(paths["latent"])
+        os.makedirs(self.out_dir, exist_ok=True)
+        paths = {key: os.path.join(str(self.out_dir), name)
+                 for key, name in _OUTPUT_FILES.items()}
+        with _create(paths["context"]) as fh:
+            self._write_context(fh)
+        with _create(paths["bursts"]) as bursts, _create(paths["triggers"]) as triggers:
+            answers = self._write_bursts_and_triggers(bursts, triggers)
+        with _create(paths["ema"]) as fh:
+            fh.write("timestamp_ms,user_id,stress_level\n")
+            for answer_ms, _, user_idx, level in sorted(answers):
+                fh.write(f"{answer_ms},{self.users[user_idx].user_id},{level}\n")
+        self.counts["emas"] = len(answers)
+        with _create(paths["latent"]) as fh:
+            self._write_latent(fh)
         dump_zones(paths["zones"], list(self.cfg.zones))
         return SimResult(out_dir=str(self.out_dir), paths=paths, counts=self.counts)
 
-    def _on_emit_bursts(self, t, data):
-        user_idx, slot_ms = data
-        records = self.make_bursts(self.users[user_idx], slot_ms)
-        latency = WIFI_LATENCY_MS if self.cfg.network.wifi_up(t) else BLUETOOTH_LATENCY_MS
-        self.push(t + latency, "arrive_bursts", (user_idx, records))
-
-    def _on_arrive_bursts(self, t, data):
-        user_idx, records = data
-        mags = None
-        for burst in records:
-            self._fh["bursts"].write(burst_record(burst, arrival_ms=t) + "\n")
-            self.counts["bursts"] += 1
-            end = burst.end_time_ms
-            if self.newest_watch_end[user_idx] is None or end > self.newest_watch_end[user_idx]:
-                self.newest_watch_end[user_idx] = end
-        accel = {b.channel: b.samples for b in records if b.channel.startswith("accel_")}
-        if len(accel) == 3:
-            mags = np.sqrt(accel["accel_x"] ** 2 + accel["accel_y"] ** 2
-                           + accel["accel_z"] ** 2)
-            end = max(b.end_time_ms for b in records if b.channel.startswith("accel_"))
-            prev = self.last_accel[user_idx]
-            if prev is None or end > prev[0]:
-                self.last_accel[user_idx] = (end, mags, ACCEL_RATE_HZ)
-
-    def _write_context(self):
+    def _write_context(self, fh):
         """Write context.jsonl: every stream generated on its own, then merged."""
-        write = self._fh["context"].write
         streams = [self._context_stream(user, s_idx) for user in self.users
                    for s_idx in range(len(CONTEXT_FEATURE_NAMES))]
         for arrival_ms, snap in _arrival_order(streams, self.cfg.network.outage_end_after):
-            write(context_record(snap, arrival_ms) + "\n")
+            fh.write(context_record(snap, arrival_ms) + "\n")
             self.counts["snapshots"] += 1
 
-    def _on_sema_eval(self, t, user_idx):
-        if t >= self.end_ms:
-            return
-        state = self.sema_states[user_idx]
-        accel = self.last_accel[user_idx]
-        newest = self.newest_watch_end[user_idx]
-        if accel is None or newest is None:
-            wear = sema_mod.WearSample(magnitudes=np.empty(0), rate_hz=ACCEL_RATE_HZ,
-                                       newest_data_time_ms=0)
-        else:
-            wear = sema_mod.WearSample(magnitudes=accel[1], rate_hz=accel[2],
-                                       newest_data_time_ms=newest)
-        decision = sema_mod.should_trigger(state, t, wear)
-        self.counts["evaluations"] += 1
-        rec = {"user_id": state.user_id, "timestamp_ms": t,
-               "decision": "trigger" if decision.triggered else "skip",
-               "reason": decision.reason}
-        self._fh["triggers"].write(encode_json(rec) + "\n")
-        if decision.triggered:
-            self.counts["prompts"] += 1
-            rng = self.ema_rngs[user_idx]
-            comply = rng.random() < self.cfg.participants.ema_compliance
-            delay = int(rng.uniform(30_000, 300_000))
-            if comply:
-                answer_time = t + delay
-                user = self.users[user_idx]
-                if user.stressed(answer_time):
-                    weights = np.asarray(STRESSED_LEVEL_WEIGHTS, dtype=float)
-                    level = 2 + int(rng.choice(4, p=weights / weights.sum()))
-                else:
-                    level = 1
-                self.push(answer_time, "ema_response", (user_idx, level))
+    def _burst_arrivals(self):
+        """``(arrival_ms, slot)`` of every slot, in delivery order.
 
-    def _on_ema_response(self, t, data):
-        user_idx, level = data
-        self._fh["ema"].write(f"{t},{self.users[user_idx].user_id},{level}\n")
-        self.counts["emas"] += 1
+        Every user sends a slot's bursts together, once its PPG burst ends,
+        over the link that is up at that moment; so the arrival time depends
+        on the slot alone, and one slot's records arrive in user order.
+        """
+        arrivals = []
+        for slot in range(self.cfg.days * SLOTS_PER_DAY):
+            sent = slot * SLOT_MS + int(BURST_SECONDS * 1000)
+            up = self.cfg.network.wifi_up(sent)
+            arrivals.append((sent + (WIFI_LATENCY_MS if up else BLUETOOTH_LATENCY_MS), slot))
+        return sorted(arrivals)
 
-    # -- output files ------------------------------------------------------------
+    def _write_bursts_and_triggers(self, bursts_fh, triggers_fh):
+        """Write bursts.jsonl and triggers.jsonl in one pass; return the EMA answers.
 
-    def _open_writers(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        join = lambda name: os.path.join(str(self.out_dir), name)
-        self.paths = {"bursts": join("bursts.jsonl"), "context": join("context.jsonl"),
-                      "ema": join("ema.csv"), "triggers": join("triggers.jsonl"),
-                      "latent": join("latent.csv"), "zones": join("zones.json")}
-        self._fh = {name: open(self.paths[name], "w", encoding="utf-8", newline="")
-                    for name in ("bursts", "context", "ema", "triggers")}
-        self._fh["ema"].write("timestamp_ms,user_id,stress_level\n")
-        return self.paths
+        The cloud evaluates the sEMA rules every ``SEMA_EVAL_MINUTES``, users
+        in index order, on the bursts that arrived strictly before.  An
+        answer is ``(answer_ms, eval_ms, user index, level)``.
+        """
+        arrivals = self._burst_arrivals()
+        states = [sema_mod.SemaState(user_id=user.user_id, tz_offset_ms=self.cfg.tz_offset_ms)
+                  for user in self.users]
+        wear = [sema_mod.WearSample(magnitudes=np.empty(0), rate_hz=ACCEL_RATE_HZ,
+                                    newest_data_time_ms=0)] * len(self.users)
+        answers = []
+        delivered = 0
+        for t in range(0, self.end_ms, SEMA_EVAL_MINUTES * 60_000):
+            while delivered < len(arrivals) and arrivals[delivered][0] < t:
+                self._deliver(bursts_fh, *arrivals[delivered], wear)
+                delivered += 1
+            for user, state in zip(self.users, states):
+                decision = sema_mod.should_trigger(state, t, wear[user.index])
+                self.counts["evaluations"] += 1
+                rec = {"user_id": user.user_id, "timestamp_ms": t,
+                       "decision": "trigger" if decision.triggered else "skip",
+                       "reason": decision.reason}
+                triggers_fh.write(encode_json(rec) + "\n")
+                if decision.triggered:
+                    self.counts["prompts"] += 1
+                    answer = self._answer(user, t)
+                    if answer is not None:
+                        answers.append(answer)
+        for arrival in arrivals[delivered:]:
+            self._deliver(bursts_fh, *arrival, wear)
+        return answers
 
-    def _close_writers(self):
-        for fh in self._fh.values():
-            fh.close()
+    def _deliver(self, fh, arrival_ms, slot, wear):
+        """Write every user's bursts of ``slot``, and keep the newest slot's in ``wear``.
 
-    def _write_latent(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("user_id,start_ms,end_ms,stress\n")
-            for user in self.users:
-                states = user.stress_slots
-                run_start = 0
-                for s in range(1, len(states) + 1):
-                    if s == len(states) or states[s] != states[run_start]:
-                        fh.write(f"{user.user_id},{run_start * SLOT_MS},"
-                                 f"{s * SLOT_MS},{int(states[run_start])}\n")
-                        run_start = s
+        A user's wear sample holds the accelerometer magnitudes of the newest
+        slot that has arrived; its PPG burst ends last, at the newest data time.
+        """
+        for user in self.users:
+            records = self.make_bursts(user, slot * SLOT_MS)
+            for burst in records:
+                fh.write(burst_record(burst, arrival_ms=arrival_ms) + "\n")
+            ppg, x, y, z = records
+            if ppg.end_time_ms > wear[user.index].newest_data_time_ms:
+                wear[user.index] = sema_mod.WearSample(
+                    magnitudes=np.sqrt(x.samples ** 2 + y.samples ** 2 + z.samples ** 2),
+                    rate_hz=ACCEL_RATE_HZ, newest_data_time_ms=ppg.end_time_ms)
+        self.counts["bursts"] += 4 * len(self.users)
+
+    def _answer(self, user: _Participant, prompt_ms: int):
+        """The user's answer to a prompt sent at ``prompt_ms``, or None if ignored."""
+        rng = self.ema_rngs[user.index]
+        comply = rng.random() < self.cfg.participants.ema_compliance
+        answer_ms = prompt_ms + int(rng.uniform(30_000, 300_000))
+        if not comply:
+            return None
+        level = 1
+        if user.stressed(answer_ms):
+            weights = np.asarray(STRESSED_LEVEL_WEIGHTS, dtype=float)
+            level = 2 + int(rng.choice(4, p=weights / weights.sum()))
+        return answer_ms, prompt_ms, user.index, level
+
+    def _write_latent(self, fh):
+        fh.write("user_id,start_ms,end_ms,stress\n")
+        for user in self.users:
+            states = user.stress_slots
+            run_start = 0
+            for s in range(1, len(states) + 1):
+                if s == len(states) or states[s] != states[run_start]:
+                    fh.write(f"{user.user_id},{run_start * SLOT_MS},"
+                             f"{s * SLOT_MS},{int(states[run_start])}\n")
+                    run_start = s
+
+
+def _create(path):
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _arrival_order(streams, outage_end_after):

@@ -125,6 +125,23 @@ class TestFeaturize:
         assert json.loads((str(matrix_path) + ".meta.json") and
                           open(str(matrix_path) + ".meta.json").read())
 
+    def test_far_apart_records_give_only_occupied_windows(self, tmp_path, capsys):
+        # two accelerometer bursts a year apart: the EMA just after the second
+        # labels its slot alone, not also the 31 empty slots of the 8-hour
+        # label horizon before it
+        year = 365 * 86_400_000
+        (tmp_path / "bursts.jsonl").write_text("".join(
+            json.dumps({"user_id": "u01", "channel": "accel_x", "start_time_ms": t,
+                        "rate_hz": 4.0, "samples": [0.0] * 240}) + "\n"
+            for t in (0, year)))
+        (tmp_path / "ema.csv").write_text(
+            f"timestamp_ms,user_id,stress_level\n{year + 60_000},u01,3\n")
+        out = tmp_path / "matrix.csv"
+        assert cli.main(["featurize", "--data", str(tmp_path), "--out", str(out)]) == 0
+        matrix = read_matrix_csv(out)
+        assert matrix.window_starts.tolist() == [year]
+        assert "featurized 1 labeled windows" in capsys.readouterr().out
+
     def test_empty_dir_header_only(self, tmp_path, capsys):
         # an empty (or misspelled) directory is an error naming each missing file
         out = tmp_path / "matrix.csv"
@@ -404,6 +421,24 @@ class TestExplain:
                        "--matrix", str(matrix_path),
                        "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_DATA
+
+    def test_default_model_too_wide_names_model_before_imputing(self, matrix_path, tmp_path,
+                                                                capsys, monkeypatch):
+        from stressmon import dataset
+        out = tmp_path / "default"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def no_fit(self, values, missing):
+            raise AssertionError("imputer fitted for a model that cannot be explained")
+
+        monkeypatch.setattr(dataset.KnnImputer, "fit", no_fit)
+        model = out / "model.json"
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{model}: 24 features > 16; train with --select-top 16 or fewer" in err
 
     def test_dummy_feature_zero_in_ranking(self, matrix_path, tmp_path):
         # hand-build a stump that never touches 'ibi'; its mean |shap| is 0

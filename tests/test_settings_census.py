@@ -25,7 +25,6 @@ SETTABLE = frozenset({
     "stressmon.dataset:KnnImputer.transform(exclude)",
     "stressmon.dataset:knn_impute(k)",
     "stressmon.dataset:knn_impute(weighting)",
-    "stressmon.hrv:HrvFeatures.br_low_confidence",
     "stressmon.learn.evaluate:ModelSpec.kind",
     "stressmon.learn.evaluate:ModelSpec.depth",
     "stressmon.learn.evaluate:ModelSpec.k",
@@ -81,7 +80,6 @@ SETTABLE = frozenset({
     "stressmon.sim:SimConfig.per_user",
     "stressmon.sim:SimConfig.zones",
     "stressmon.sim:synth_ppg(start_time_ms)",
-    "stressmon.sim:synth_ppg(user_id)",
     "stressmon.sim:synth_ppg(pulse_width_s)",
 })
 

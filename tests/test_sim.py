@@ -197,6 +197,48 @@ class TestGoldenOutageOrder:
         assert outputs[name] == self.SHA256[name]
 
 
+class TestGoldenDeliveryEdges:
+    """Bytes that pin burst, sEMA and EMA order where delivery times meet.
+
+    Bursts are sent at 2:00 past each slot.  The first outage ends exactly
+    at slot 1's send time, so slot 0 goes over Bluetooth and slot 1 over
+    Wi-Fi.  The second starts at slot 3's send time, which is also when
+    slot 0's Bluetooth copy arrives.  The third runs from 47:00 past the
+    study's end, so the last slots arrive after the last sEMA evaluation.
+    Every prompt is answered, so answers of neighbouring evaluations
+    interleave in ema.csv.  The digests were recorded with the simulator's
+    event heap.
+    """
+
+    CONFIG = {"n_users": 3, "days": 2, "seed": 13,
+              "participants": {"ema_compliance": 1.0},
+              "network": {"wifi_outages_ms": [[120_000, 1_020_000],
+                                              [2_820_000, 3_720_000],
+                                              [169_200_000, 180_000_000]]}}
+    SHA256 = {
+        "bursts.jsonl": "cb263c07ba0f2c54c742686556984b3da090e8a48953c0809462ebfa08c615c1",
+        "context.jsonl": "5f4d11e8c26e5bbeadb9757425b0258b9d587767709d29d922c038590b65eba7",
+        "ema.csv": "d4172b3bbe39632c0cb6b67bcaca5a7e4f428a451d5b5a1cae3d283455bc40d7",
+        "triggers.jsonl": "27b65fbfe1e8b00e95038694637dc200b6d1fab152158d7bf18fbb3224d39c2f",
+        "latent.csv": "6cd68c1d2bd227ef8cbcfb1fc92a71333d16201d65413064ff31cf3735a9fba4",
+        "zones.json": "b477949946e407119af97983846cf219b32b8a784640347afa1e601d265e44b9",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_edges")
+        (root / "config.json").write_text(json.dumps(self.CONFIG))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--config", str(root / "config.json"),
+                             "--out", str(root / "sim")]) == 0
+        return {name: hashlib.sha256((root / "sim" / name).read_bytes()).hexdigest()
+                for name in self.SHA256}
+
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_simulate_file(self, outputs, name):
+        assert outputs[name] == self.SHA256[name]
+
+
 def _heap_arrival_order(streams, outage_end_after):
     """The event loop the context merge replaced: one heap of every emit and arrival.
 
