@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
-from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones, read_context_jsonl
+from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones
 from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
@@ -39,7 +39,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command, seed, inputs, outputs, timings, config_path=None):
+def write_manifest(out_dir, command, seed, inputs, outputs, timings, config_path=None,
+                   counts=None):
+    """Write ``manifest.json``; ``counts``, when given, is what the stage read and kept."""
     manifest = {
         "command": command,
         "config_hash": _sha256(config_path) if config_path else None,
@@ -51,6 +53,8 @@ def write_manifest(out_dir, command, seed, inputs, outputs, timings, config_path
                      "numpy": np.__version__},
         "timings": timings,
     }
+    if counts is not None:
+        manifest["counts"] = counts
     path = os.path.join(str(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -73,40 +77,68 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def featurize_directory(data_dir, zones_path=None):
-    """data dir (bursts/context/ema files) -> labeled FeatureMatrix."""
-    def read(reader, name):
-        path = os.path.join(str(data_dir), name)
-        return reader(path) if os.path.exists(path) else None
+def featurize_directory(data_dir, zones_path=None, counts=None):
+    """data dir (bursts/context/ema files) -> labeled FeatureMatrix.
 
-    # Parse what exists first, so a malformed line is reported by its
-    # location even when another input is missing.
-    bursts = read(signals.read_bursts_jsonl, "bursts.jsonl")
-    snapshots = read(read_context_jsonl, "context.jsonl") or []
-    emas = read(dataset.read_ema_csv, "ema.csv")
-    missing = [os.path.join(str(data_dir), name)
-               for name, got in (("bursts.jsonl", bursts), ("ema.csv", emas)) if got is None]
+    ``ema.csv`` is read first, so that the burst and context folds
+    (:func:`signals.windowize`) hold only the labeled slots.  Errors are
+    raised in a fixed order: a malformed bursts.jsonl line, then a
+    malformed context.jsonl line, then a malformed ema.csv, then any missing
+    required file; so an ema.csv error is held back until the folds have
+    checked every line.  ``counts``, when given, receives what the run read,
+    kept and took (the featurize manifest's counts and stage times).
+    """
+    path = {name: os.path.join(str(data_dir), name)
+            for name in ("bursts.jsonl", "context.jsonl", "ema.csv", "zones.json")}
+    present = {name: p if os.path.exists(p) else None for name, p in path.items()}
+
+    t0 = time.monotonic()
+    emas, ema_error = None, None
+    if present["ema.csv"]:
+        try:
+            emas = dataset.read_ema_csv(present["ema.csv"])
+        except (StressmonError, OSError) as err:
+            ema_error = err
+    label5 = dataset.ema_labeler(emas or [])
+    records = {}
+    raw_windows = signals.windowize(
+        present["bursts.jsonl"], present["context.jsonl"],
+        lambda user_id, start_ms: label5(user_id, start_ms) is not None, records)
+    if ema_error is not None:
+        raise ema_error
+    missing = [path[name] for name in ("bursts.jsonl", "ema.csv") if not present[name]]
     if missing:
         raise DataFormatError(f"missing required input: {', '.join(missing)}")
-    zones = load_zones(zones_path) if zones_path else read(load_zones, "zones.json") or []
-    schema = ContextSchema(zones=zones)
+    zones_file = zones_path or present["zones.json"]
+    schema = ContextSchema(zones=load_zones(zones_file) if zones_file else [])
 
-    raw_windows = signals.windowize(bursts, snapshots)
+    t1 = time.monotonic()
     windows = dataset.featurize_windows(raw_windows, schema)
-    windows = dataset.label_windows(windows, emas)
-    labeled = [w for w in windows if w.label2 is not None]
-    return dataset.assemble(labeled)
+    t2 = time.monotonic()
+    matrix = dataset.assemble(dataset.label_windows(windows, emas))
+    if counts is not None:
+        counts.update(
+            records={"bursts.jsonl": records["bursts"], "context.jsonl": records["context"],
+                     "ema.csv": len(emas)},
+            labeled_windows=len(raw_windows),
+            labeled_without_ppg=sum(w.ppg is None for w in raw_windows),
+            off_wrist_bursts=sum(w.ppg is not None and signals.off_wrist(w.ppg.samples)
+                                 for w in raw_windows),
+            seconds={"read_s": round(t1 - t0, 3), "filter_hrv_s": round(t2 - t1, 3),
+                     "assemble_s": round(time.monotonic() - t2, 3)})
+    return matrix
 
 
 def cmd_featurize(args) -> int:
     t0 = time.monotonic()
-    matrix = featurize_directory(args.data, args.zones)
+    counts = {}
+    matrix = featurize_directory(args.data, args.zones, counts)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     dataset.write_matrix_csv(matrix, args.out)
+    timings = {"total_s": round(time.monotonic() - t0, 3), **counts.pop("seconds")}
     write_manifest(out_dir, "featurize", None, [args.data],
-                   [args.out, dataset.sidecar_path(args.out)],
-                   {"total_s": round(time.monotonic() - t0, 3)})
+                   [args.out, dataset.sidecar_path(args.out)], timings, counts=counts)
     print(f"featurized {matrix.n_rows} labeled windows -> {args.out}")
     return EXIT_OK
 

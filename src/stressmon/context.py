@@ -10,7 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import encode_json, read_input, read_jsonl, strict_float, strict_int, strict_str
+from .errors import (encode_json, fold_jsonl, read_input, read_jsonl, strict_float, strict_int,
+                     strict_str)
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -148,9 +149,7 @@ def extract_context_features(snapshots, schema):
     """
     latest = {}
     for snap in snapshots:
-        prev = latest.get(snap.sensor)
-        if prev is None or snap.timestamp_ms >= prev.timestamp_ms:
-            latest[snap.sensor] = snap
+        _hold_latest(latest, snap)
 
     features = {}
     for name in CONTEXT_FEATURE_NAMES:
@@ -167,6 +166,16 @@ def extract_context_features(snapshots, schema):
         else:  # passthrough
             features[name] = None if snap.payload is None else float(snap.payload)
     return features
+
+
+def _hold_latest(latest, snap):
+    """Keep ``snap`` in ``latest`` (sensor -> snapshot) unless an entry is newer.
+
+    Of equal times the snapshot given last wins.
+    """
+    prev = latest.get(snap.sensor)
+    if prev is None or snap.timestamp_ms >= prev.timestamp_ms:
+        latest[snap.sensor] = snap
 
 
 # -- file formats -------------------------------------------------------------
@@ -193,6 +202,24 @@ def _snapshot(rec) -> ContextSnapshot:
 def read_context_jsonl(path):
     """Read a context log; raises DataFormatError naming the bad line."""
     return read_jsonl(path, "context record", _snapshot)
+
+
+def fold_context_jsonl(path, key_of, latest) -> int:
+    """Fold a context log into ``latest``: key -> {sensor: latest snapshot}.
+
+    Every line is validated as by :func:`read_context_jsonl`.  A snapshot
+    is held under ``key_of(snapshot)``, or dropped when that is None; of
+    one key and sensor the latest is kept, the later line winning on equal
+    times, as :func:`extract_context_features` chooses.  Returns the number
+    of records read.
+    """
+    def add(rec):
+        snap = _snapshot(rec)
+        key = key_of(snap)
+        if key is not None:
+            _hold_latest(latest.setdefault(key, {}), snap)
+
+    return fold_jsonl(path, "context record", add)
 
 
 def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:

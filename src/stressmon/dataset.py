@@ -30,8 +30,10 @@ DEFAULT_IMPUTE_WEIGHTING = "inverse_distance"
 # Cells (query rows x training rows x features) of one distance block: 2 MB
 # of float64, so memory stays bounded whatever the number of query rows.
 _BLOCK_CELLS = 1 << 18
-# PPG bursts band-passed per call of the filter kernel: about 20 MB of
-# float64 per copy for two-minute bursts.
+# PPG bursts band-passed per call of the filter kernel.  The call's one
+# sample-major buffer, about 20 MB of float64 for two-minute bursts, is the
+# only copy of the held samples featurize makes besides the one burst whose
+# HRV is being computed.
 _FILTER_BLOCK_ROWS = 1024
 
 #: Fixed matrix column order: the 12 HRV features then the 12 context features.
@@ -100,10 +102,14 @@ def featurize_windows(raw_windows, schema: ContextSchema):
     """Band-pass + HRV + context extraction for each raw window.
 
     PPG bursts are band-passed in blocks of at most _FILTER_BLOCK_ROWS
-    bursts of one length, so the filter's working memory is one block's
-    whatever the cohort.  Windows whose PPG burst is too short to filter or
-    yields no plausible beat train keep ``hrv=None`` rather than failing the
-    batch.
+    bursts of one length.  A block's on-wrist samples are copied once, into
+    the filter's buffer (:func:`signals.bandpass_bursts`), and each filtered
+    burst is copied out of it only while its HRV is computed; an off-wrist
+    burst is not filtered, as it is its own result.  So besides the windows
+    given, at most one block's buffer and one burst are live, whatever the
+    cohort: at most two copies of the held PPG samples.  Windows whose PPG
+    burst is too short to filter or yields no plausible beat train keep
+    ``hrv=None`` rather than failing the batch.
     """
     design = signals.default_design()
     by_length = {}
@@ -121,8 +127,10 @@ def featurize_windows(raw_windows, schema: ContextSchema):
             continue
         for start in range(0, len(rows), _FILTER_BLOCK_ROWS):
             block = rows[start:start + _FILTER_BLOCK_ROWS]
-            filtered = signals.bandpass_bursts([raw_windows[i].ppg for i in block], design)
-            for i, burst in zip(block, filtered):
+            # Iterated in place, the filtered bursts and their buffer are
+            # freed before the next block's buffer is made.
+            for i, burst in zip(block, signals.bandpass_bursts(
+                    [raw_windows[i].ppg for i in block], design)):
                 with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
                     hrv[i] = hrv_mod.burst_hrv(burst)
     return [FeatureWindow(user_id=raw.user_id, window_start_ms=raw.start_ms, hrv=features,
@@ -137,11 +145,12 @@ def binarize(label5: int) -> int:
     return 0 if label5 == 1 else 1
 
 
-def label_windows(windows, emas):
-    """Attach each window the earliest same-user EMA at or after its start.
+def ema_labeler(emas):
+    """The labeling rule: ``label5(user_id, start_ms)`` -> Likert answer or None.
 
-    Windows with no subsequent EMA within LABEL_HORIZON_MS stay unlabeled.
-    Returns new FeatureWindow objects; the inputs are not mutated.
+    A window starting at ``start_ms`` is labeled by its user's earliest EMA
+    at or after the start (the first in ``emas`` of equal times), when that
+    EMA comes within LABEL_HORIZON_MS; otherwise it is unlabeled (None).
     """
     by_user = {}
     for ema in emas:
@@ -150,14 +159,28 @@ def label_windows(windows, emas):
         seq.sort(key=lambda e: e.timestamp_ms)
     times = {u: [e.timestamp_ms for e in seq] for u, seq in by_user.items()}
 
+    def label5(user_id, start_ms):
+        seq = by_user.get(user_id)
+        if seq:
+            i = bisect.bisect_left(times[user_id], start_ms)
+            if i < len(seq) and seq[i].timestamp_ms - start_ms <= LABEL_HORIZON_MS:
+                return seq[i].stress_level
+        return None
+
+    return label5
+
+
+def label_windows(windows, emas):
+    """Attach each window the earliest same-user EMA at or after its start.
+
+    Windows with no subsequent EMA within LABEL_HORIZON_MS stay unlabeled
+    (see :func:`ema_labeler`).  Returns new FeatureWindow objects; the
+    inputs are not mutated.
+    """
+    label5_of = ema_labeler(emas)
     labeled = []
     for win in windows:
-        label5 = None
-        seq = by_user.get(win.user_id)
-        if seq:
-            i = bisect.bisect_left(times[win.user_id], win.window_start_ms)
-            if i < len(seq) and seq[i].timestamp_ms - win.window_start_ms <= LABEL_HORIZON_MS:
-                label5 = seq[i].stress_level
+        label5 = label5_of(win.user_id, win.window_start_ms)
         labeled.append(replace(win, label5=label5,
                                label2=None if label5 is None else binarize(label5)))
     return labeled

@@ -142,10 +142,21 @@ def read_input(path, what, parse):
         raise DataFormatError(f"{where}: bad {what}: {err}") from err
 
 
-def read_jsonl(path, what, record):
-    """``record(value)`` for the JSON value of each line; see :func:`read_input`."""
+def fold_jsonl(path, what, record) -> int:
+    """``record(value)`` for the JSON value of each line, keeping no result.
+
+    Returns the number of records read; errors as :func:`read_input`.
+    """
     decode = json.JSONDecoder().decode  # json.loads re-checks its options per call
-    return read_input(path, what, lambda lines: list(map(record, map(decode, lines))))
+    return read_input(path, what,
+                      lambda lines: sum(1 for _ in map(record, map(decode, lines))))
+
+
+def read_jsonl(path, what, record):
+    """The list of ``record(value)`` for the JSON value of each line; see :func:`fold_jsonl`."""
+    records = []
+    fold_jsonl(path, what, lambda value: records.append(record(value)))
+    return records
 
 
 #: Compact JSON text of one value, equal to ``json.dumps(value,

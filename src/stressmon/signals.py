@@ -6,9 +6,10 @@ the zero-phase filter are numpy ports of SciPy's ``signal.butter`` and
 ``signal.filtfilt`` (default odd padding) that keep their operation order,
 so coefficients and filtered samples equal SciPy's bit for bit; only the
 tests that check this import SciPy.  The filter kernel runs many
-equal-length bursts at once, one lane per burst.  Bursts and context
-snapshots are cut into wall-clock 15-minute windows, each expected to hold
-one complete 2-minute PPG burst.
+equal-length bursts at once, one lane per burst.  The burst and context
+files are folded into wall-clock 15-minute windows as they are read, each
+window expected to hold one complete 2-minute PPG burst; only the slots the
+caller keeps (the labeled ones) are held.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (InvalidBand, TooShort, Unstable, encode_json, read_jsonl,
-                     strict_float, strict_int, strict_str)
+from .context import fold_context_jsonl
+from .errors import (InvalidBand, TooShort, Unstable, encode_json, fold_jsonl,
+                     read_jsonl, strict_float, strict_int, strict_str)
 
 PPG_RATE_HZ = 20.0
 BURST_SECONDS = 120.0
@@ -179,15 +181,30 @@ def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:
     Raises TooShort when the burst is under three filter transients
     (``design.min_samples``, about 3 s at the 20 Hz defaults).
     """
-    return bandpass_bursts([burst], design)[0]
+    return next(bandpass_bursts([burst], design))
 
 
-def bandpass_bursts(bursts, design: FilterDesign) -> list:
+def off_wrist(samples) -> bool:
+    """True when every sample is +0.0: the burst of a watch off the wrist.
+
+    The test is on the bits, so a -0.0 sample counts as a reading; the
+    zero-phase filter returns exactly such a burst unchanged.
+    """
+    return not samples.view(np.int64).any()
+
+
+def bandpass_bursts(bursts, design: FilterDesign):
     """Band-pass PPG bursts of one length with one call of the filter kernel.
 
-    Each result equals ``bandpass_filter`` on that burst alone, bit for bit.
-    Raises ValueError for a burst that is not PPG, is off the design rate or
-    differs in length from the first, and TooShort as ``bandpass_filter``.
+    Returns an iterator over the filtered bursts in input order; each equals
+    ``bandpass_filter`` on that burst alone, bit for bit.  All on-wrist
+    bursts are filtered in one sample-major buffer before this returns, and
+    each result's samples are copied out of the buffer when the iterator
+    reaches it, so a caller that drops each result before taking the next
+    holds its input, the buffer and one burst.  An off-wrist burst comes
+    back as itself.  Raises ValueError for a burst that is not PPG, is off
+    the design rate or differs in length from the first, and TooShort as
+    ``bandpass_filter``.
     """
     n = len(bursts[0].samples)
     for burst in bursts:
@@ -199,8 +216,11 @@ def bandpass_bursts(bursts, design: FilterDesign) -> list:
             raise ValueError(f"bursts of one call must have one length: {len(burst.samples)} != {n}")
     if n < design.min_samples:
         raise TooShort(f"burst has {n} samples, need >= {design.min_samples}")
-    filtered = zero_phase_rows([burst.samples for burst in bursts], design)
-    return [replace(burst, samples=row) for burst, row in zip(bursts, filtered)]
+    live = [not off_wrist(burst.samples) for burst in bursts]
+    on_wrist = [burst.samples for burst, on in zip(bursts, live) if on]
+    lanes = iter(_zero_phase_lanes(on_wrist, design).T if on_wrist else ())
+    return (replace(burst, samples=next(lanes).copy()) if on else burst
+            for burst, on in zip(bursts, live))
 
 
 def zero_phase_rows(rows, design: FilterDesign) -> np.ndarray:
@@ -213,29 +233,38 @@ def zero_phase_rows(rows, design: FilterDesign) -> np.ndarray:
     row is extended by an odd reflection of ``pad_samples`` at each end,
     filtered forward from the steady state scaled by its first sample, then
     backward from the steady state scaled by the last forward output.  A row
-    whose samples are all +0.0 (the off-wrist burst) is left as zeros
+    whose samples are all +0.0 (see :func:`off_wrist`) is left as zeros
     without filtering, which is exactly what filtfilt returns for it.
     """
     rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    out = np.zeros((len(rows), len(rows[0])))
+    live = [i for i, row in enumerate(rows) if not off_wrist(row)]
+    if live:
+        out[live] = _zero_phase_lanes([rows[i] for i in live], design).T
+    return out
+
+
+def _zero_phase_lanes(rows, design: FilterDesign) -> np.ndarray:
+    """Equal-length rows filtered as :func:`zero_phase_rows`, sample-major.
+
+    The rows are copied once, straight into the padded buffer the filter
+    runs in place on; the result is the (samples, rows) middle of that
+    buffer, one column per row.
+    """
     n = len(rows[0])
-    out = np.zeros((len(rows), n))
-    live = [i for i, row in enumerate(rows) if row.view(np.int64).any()]
-    if not live:
-        return out
     a0 = design.denominator[0]
     b, a = design.numerator / a0, design.denominator / a0
     pad = design.pad_samples
     # Sample-major: each time step of the filter loops is one contiguous row
-    # holding that sample of every live burst.
-    ext = np.empty((n + 2 * pad, len(live)))
-    ext[pad:pad + n] = np.stack([rows[i] for i in live]).T
+    # holding that sample of every row.
+    ext = np.empty((n + 2 * pad, len(rows)))
+    np.stack(rows, axis=1, out=ext[pad:pad + n])
     ext[:pad] = 2 * ext[pad] - ext[2 * pad:pad:-1]
     ext[pad + n:] = 2 * ext[pad + n - 1] - ext[pad + n - 2:n - 2:-1]
     zi = _steady_state(b, a)[:, None]
     _lfilter_lanes(b, a, ext, zi * ext[0])
     _lfilter_lanes(b, a, ext[::-1], zi * ext[-1])
-    out[live] = ext[pad:pad + n].T
-    return out
+    return ext[pad:pad + n]
 
 
 def _steady_state(b, a):
@@ -287,7 +316,12 @@ def _lfilter_lanes(b, a, x, z):
 
 @dataclass
 class RawWindow:
-    """One 15-minute slot: its PPG burst (if complete) and context."""
+    """One 15-minute slot: its PPG burst (if complete) and context.
+
+    ``snapshots`` holds the slot's context snapshots; :func:`windowize`
+    keeps only each sensor's latest, which is all that feature extraction
+    reads.
+    """
 
     user_id: str
     start_ms: int
@@ -296,37 +330,59 @@ class RawWindow:
     snapshots: list = field(default_factory=list)
 
 
-def windowize(bursts, snapshots):
-    """Cut bursts and context snapshots into 15-minute wall-clock windows.
+def windowize(bursts_path, context_path, keep, counts):
+    """Fold a bursts file and a context log into the kept 15-minute windows.
 
-    The slot grid is aligned to wall-clock multiples of the window length,
-    and a slot becomes a window only when one of its user's records falls
-    in it; windows come per user in increasing start order.  A burst
-    belongs to the slot containing its start time; the first complete PPG
-    burst of a slot (BURST_SAMPLES samples or more) becomes the window's
-    ``ppg``, and every other burst is dropped.  A slot with records but
-    without a complete burst keeps ``ppg`` as None.
+    Each file is read once, in file order, and every line is validated on
+    the one malformed-record path (:func:`errors.read_input`); a path of
+    None reads as an empty file.  The slot grid is aligned to wall-clock
+    multiples of the window length, a record belongs to the slot holding
+    its (start) time, and a slot becomes a window only when a record of its
+    user falls in it and ``keep(user_id, start_ms)`` is true (asked once per
+    slot).  A kept window holds its slot's first complete PPG burst in file
+    order (BURST_SAMPLES samples or more) as ``ppg``, else None, and for
+    each sensor the latest snapshot, the later line winning on equal times.
+    Nothing else is held: accelerometer samples, later bursts and the
+    records of slots not kept are dropped once validated.  Every off-wrist
+    PPG burst of one length shares one read-only zero array.
+
+    Returns the windows per user (users sorted) in increasing start order;
+    ``counts`` receives the records read under ``"bursts"`` and
+    ``"context"``.
     """
-    per_user = {}
-    for burst in bursts:
-        per_user.setdefault(burst.user_id, ([], []))[0].append(burst)
-    for snap in snapshots:
-        per_user.setdefault(snap.user_id, ([], []))[1].append(snap)
+    slots = {}    # (user_id, start_ms) -> RawWindow, or None when not kept
+    latest = {}   # (user_id, start_ms) -> {sensor: snapshot} of a kept slot
+    zeros = {}    # length -> the shared off-wrist samples
 
+    def kept_slot(user_id, time_ms):
+        """The slot's key when it is kept, else None."""
+        key = (user_id, time_ms // WINDOW_MS * WINDOW_MS)
+        if key not in slots:
+            slots[key] = RawWindow(user_id, key[1], key[1] + WINDOW_MS) if keep(*key) else None
+        return None if slots[key] is None else key
+
+    def add_burst(rec):
+        burst = _burst(rec)
+        key = kept_slot(burst.user_id, burst.start_time_ms)
+        n = len(burst.samples)
+        if key is None or slots[key].ppg is not None or burst.channel != "ppg" \
+                or n < BURST_SAMPLES:
+            return
+        if off_wrist(burst.samples):
+            if n not in zeros:
+                zeros[n] = np.zeros(n)
+                zeros[n].flags.writeable = False
+            burst = replace(burst, samples=zeros[n])
+        slots[key].ppg = burst
+
+    counts["bursts"] = fold_jsonl(bursts_path, "burst record", add_burst) if bursts_path else 0
+    counts["context"] = fold_context_jsonl(
+        context_path, lambda snap: kept_slot(snap.user_id, snap.timestamp_ms),
+        latest) if context_path else 0
     windows = []
-    for user_id in sorted(per_user):
-        user_bursts, user_snaps = per_user[user_id]
-        times = [b.start_time_ms for b in user_bursts] + [s.timestamp_ms for s in user_snaps]
-        slots = {start: RawWindow(user_id=user_id, start_ms=start, end_ms=start + WINDOW_MS)
-                 for start in sorted({(t // WINDOW_MS) * WINDOW_MS for t in times})}
-        for burst in user_bursts:
-            win = slots[(burst.start_time_ms // WINDOW_MS) * WINDOW_MS]
-            complete = burst.channel == "ppg" and len(burst.samples) >= BURST_SAMPLES
-            if complete and win.ppg is None:
-                win.ppg = burst
-        for snap in user_snaps:
-            slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS].snapshots.append(snap)
-        windows.extend(slots.values())
+    for key in sorted(k for k, win in slots.items() if win is not None):
+        slots[key].snapshots = list(latest.get(key, {}).values())
+        windows.append(slots[key])
     return windows
 
 

@@ -232,6 +232,47 @@ class TestFeaturize:
         assert rc == cli.EXIT_DATA
         assert "bursts.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ema", [None, "timestamp_ms,user_id,stress_level\n0,u01,9\n"],
+                             ids=["ema_missing", "ema_malformed"])
+    @pytest.mark.parametrize("bad", ["bursts.jsonl", "context.jsonl"])
+    def test_bad_line_reported_before_ema_error(self, tmp_path, capsys, bad, ema):
+        # ema.csv is read first, but its error waits until every burst and
+        # context line is checked, as when the files were read in that order
+        good = {"bursts.jsonl": json.dumps(
+                    {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
+                     "rate_hz": 4.0, "samples": [0.0] * 240}) + "\n",
+                "context.jsonl": json.dumps(
+                    {"user_id": "u01", "timestamp_ms": 0, "sensor": "speed",
+                     "payload": 1.0}) + "\n"}
+        for name, text in good.items():
+            (tmp_path / name).write_text(text + ("{broken\n" if name == bad else ""))
+        if ema is not None:
+            (tmp_path / "ema.csv").write_text(ema)
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "ema.csv" not in err
+
+    def test_malformed_ema_reported_before_missing_bursts(self, tmp_path, capsys):
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n0,u01,9\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "ema.csv:2:" in err and "bursts.jsonl" not in err
+
+    def test_manifest_counts(self, sim_dir, matrix_path):
+        manifest = json.loads((matrix_path.parent / "manifest.json").read_text())
+        counts = manifest["counts"]
+        lines = {name: sum(1 for _ in open(sim_dir / name))
+                 for name in ("bursts.jsonl", "context.jsonl", "ema.csv")}
+        assert counts["records"] == dict(lines, **{"ema.csv": lines["ema.csv"] - 1})
+        assert counts["labeled_windows"] == read_matrix_csv(matrix_path).n_rows
+        assert 0 < counts["off_wrist_bursts"] < counts["labeled_windows"]
+        assert counts["labeled_without_ppg"] == 0
+        assert set(manifest["timings"]) == {"total_s", "read_s", "filter_hrv_s", "assemble_s"}
+
     def test_ppg_rate_off_design_exits_3_with_line(self, tmp_path, capsys):
         accel = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
                  "rate_hz": 4.0, "samples": [0.0] * 240}

@@ -13,7 +13,9 @@ import stressmon
 
 SETTABLE = frozenset({
     "stressmon.cli:write_manifest(config_path)",
+    "stressmon.cli:write_manifest(counts)",
     "stressmon.cli:featurize_directory(zones_path)",
+    "stressmon.cli:featurize_directory(counts)",
     "stressmon.cli:main(argv)",
     "stressmon.context:ContextSchema.zones",
     "stressmon.context:context_record(arrival_ms)",

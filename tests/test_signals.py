@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stressmon import signals
-from stressmon.context import ContextSnapshot
+from stressmon.context import ContextSnapshot, write_context_jsonl
 from stressmon.errors import DataFormatError, InvalidBand, TooShort
 from stressmon.hrv import _centered_mean
 from stressmon.signals import (SensorBurst, bandpass_filter,
@@ -148,53 +148,90 @@ def _snap(user, ts, sensor="speed", payload=1.0):
                            payload=payload)
 
 
+def _windowize(tmp_path, bursts, snaps, keep=lambda user_id, start_ms: True):
+    """windowize over files holding the given records, in the given order."""
+    write_bursts_jsonl(tmp_path / "bursts.jsonl", bursts)
+    write_context_jsonl(tmp_path / "context.jsonl", snaps)
+    counts = {}
+    wins = windowize(str(tmp_path / "bursts.jsonl"), str(tmp_path / "context.jsonl"),
+                     keep, counts)
+    assert counts == {"bursts": len(bursts), "context": len(snaps)}
+    return wins
+
+
 class TestWindowize:
-    def test_single_burst_single_window(self):
+    def test_single_burst_single_window(self, tmp_path):
         t0 = 36_000_000  # 10:00
-        wins = windowize([_burst("u", t0)], [])
+        wins = _windowize(tmp_path, [_burst("u", t0)], [])
         assert len(wins) == 1
         assert wins[0].start_ms == t0 and wins[0].ppg is not None
 
-    def test_straddling_burst_goes_to_start_slot(self):
+    def test_straddling_burst_goes_to_start_slot(self, tmp_path):
         t = 36_000_000 + 14 * 60_000  # 10:14, runs past 10:15
-        wins = windowize([_burst("u", t)], [])
+        wins = _windowize(tmp_path, [_burst("u", t)], [])
         assert wins[0].start_ms == 36_000_000
         assert wins[0].ppg is not None and wins[0].ppg.start_time_ms == t
 
-    def test_empty(self):
-        assert windowize([], []) == []
+    def test_empty(self, tmp_path):
+        assert _windowize(tmp_path, [], []) == []
+        assert windowize(None, None, lambda user_id, start_ms: True, {}) == []
 
-    def test_incomplete_burst_marks_missing(self):
-        wins = windowize([_burst("u", 0, seconds=30.0)], [])
+    def test_incomplete_burst_marks_missing(self, tmp_path):
+        wins = _windowize(tmp_path, [_burst("u", 0, seconds=30.0)], [])
         assert wins[0].ppg is None
 
-    def test_context_attachment(self):
-        wins = windowize([_burst("u", 0)], [_snap("u", 10_000), _snap("u", 900_001)])
+    def test_context_attachment(self, tmp_path):
+        wins = _windowize(tmp_path, [_burst("u", 0)], [_snap("u", 10_000), _snap("u", 900_001)])
         assert len(wins) == 2
         assert len(wins[0].snapshots) == 1 and len(wins[1].snapshots) == 1
 
-    def test_partition_property(self):
+    def test_partition_property(self, tmp_path):
         rng = np.random.default_rng(5)
         bursts = [_burst("a", int(rng.integers(0, 6 * 3_600_000)),
                          seconds=float(rng.choice([30, 120])))
                   for _ in range(25)]
-        snaps = [_snap("a", int(rng.integers(0, 6 * 3_600_000))) for _ in range(40)]
-        wins = windowize(bursts, snaps)
+        snaps = [_snap("a", int(rng.integers(0, 6 * 3_600_000)) // 600_000 * 600_000,
+                       payload=float(i))
+                 for i in range(40)]
+        wins = _windowize(tmp_path, bursts, snaps)
         starts = [w.start_ms for w in wins]
         assert all(a < b for a, b in zip(starts, starts[1:]))
         assert all(start % 900_000 == 0 for start in starts)
         for w in wins:
             if w.ppg is not None:
                 assert w.start_ms <= w.ppg.start_time_ms < w.end_ms
-            for s in w.snapshots:
-                assert w.start_ms <= s.timestamp_ms < w.end_ms
-        assert len(snaps) == sum(len(w.snapshots) for w in wins)
+            # the latest snapshot of the slot, the later record on equal times
+            in_slot = [s for s in snaps if w.start_ms <= s.timestamp_ms < w.end_ms]
+            latest = max(in_slot, key=lambda s: s.timestamp_ms, default=None)
+            if latest is not None:
+                latest = [s for s in in_slot if s.timestamp_ms == latest.timestamp_ms][-1]
+            assert w.snapshots == ([] if latest is None else [latest])
         times = [b.start_time_ms for b in bursts] + [s.timestamp_ms for s in snaps]
         assert set(starts) == {t // 900_000 * 900_000 for t in times}
 
-    def test_users_kept_separate(self):
-        wins = windowize([_burst("a", 0), _burst("b", 0)], [])
+    def test_users_kept_separate(self, tmp_path):
+        wins = _windowize(tmp_path, [_burst("a", 0), _burst("b", 0)], [])
         assert sorted(w.user_id for w in wins) == ["a", "b"]
+
+    def test_only_kept_slots_held(self, tmp_path):
+        bursts = [_burst("a", 0), _burst("a", 900_000), _burst("b", 900_000)]
+        wins = _windowize(tmp_path, bursts, [_snap("a", 1_000_000)],
+                          keep=lambda user_id, start_ms: (user_id, start_ms) == ("a", 900_000))
+        assert [(w.user_id, w.start_ms, len(w.snapshots)) for w in wins] == [("a", 900_000, 1)]
+
+    def test_off_wrist_bursts_share_one_read_only_array(self, tmp_path):
+        flat = [SensorBurst("u", "ppg", t, FS, np.zeros(2400)) for t in (0, 900_000)]
+        wins = _windowize(tmp_path, flat, [])
+        assert wins[0].ppg.samples is wins[1].ppg.samples
+        assert not wins[0].ppg.samples.flags.writeable
+        assert signals.off_wrist(wins[0].ppg.samples)
+
+    def test_negative_zero_burst_stays_live(self, tmp_path):
+        samples = np.zeros(2400)
+        samples[3] = -0.0
+        wins = _windowize(tmp_path, [SensorBurst("u", "ppg", 0, FS, samples)], [])
+        assert not signals.off_wrist(wins[0].ppg.samples)
+        assert wins[0].ppg.samples.flags.writeable
 
 
 class TestTypesAndIo:
