@@ -113,9 +113,10 @@ def featurize_directory(data_dir, zones_path=None, counts=None):
     schema = ContextSchema(zones=load_zones(zones_file) if zones_file else [])
 
     t1 = time.monotonic()
-    windows = dataset.featurize_windows(raw_windows, schema)
+    matrix = dataset.featurize_windows(raw_windows, schema)
     t2 = time.monotonic()
-    matrix = dataset.assemble(dataset.label_windows(windows, emas))
+    # windowize kept only the windows label5 labels, in (user, start) order
+    matrix.labels[:] = [dataset.binarize(label5(w.user_id, w.start_ms)) for w in raw_windows]
     if counts is not None:
         counts.update(
             records={"bursts.jsonl": records["bursts"], "context.jsonl": records["context"],
@@ -224,7 +225,7 @@ def cmd_train_eval(args) -> int:
     report.write(report_json, report_csv)
 
     # Final model on all labeled rows, for downstream explain/personalize.
-    labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+    labeled = matrix.labeled()
     model, _, _ = fit_on_rows(labeled, np.arange(labeled.n_rows), spec, args.seed)
     model_path = os.path.join(args.out, "model.json")
     save_model_json(model_path, model)
@@ -246,8 +247,7 @@ def cmd_explain(args) -> int:
     if len(model.feature_names) > limit:
         raise TooManyFeatures(f"{args.model}: {len(model.feature_names)} features > {limit}; "
                               f"train with --select-top {limit} or fewer")
-    matrix = dataset.read_matrix_csv(args.matrix)
-    labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+    labeled = dataset.read_matrix_csv(args.matrix).labeled()
     if any(c not in labeled.columns for c in model.feature_names):
         raise StressmonError("matrix lacks columns the model was trained on")
     if set(model.feature_names) & set(HRV_FEATURE_NAMES):

@@ -1,11 +1,11 @@
 """Feature-matrix assembly: featurize windows, label from EMAs, impute.
 
-Windows are labeled by the closest subsequent self-report of the same user
-(within an 8-hour horizon), the 5-point Likert answer is binarized
-(1 -> 0, 2..5 -> 1), and missing contextual cells are filled with a
-k-nearest-neighbor weighted average over standardized rows.  One exact
-neighbour search, :func:`nearest_rows`, serves the imputer and the k-NN
-classifier.
+Each window becomes one matrix row.  Windows are labeled by the closest
+subsequent self-report of the same user (within an 8-hour horizon), the
+5-point Likert answer is binarized (1 -> 0, 2..5 -> 1), and missing
+contextual cells are filled with a k-nearest-neighbor weighted average
+over standardized rows.  One exact neighbour search, :func:`nearest_rows`,
+serves the imputer and the k-NN classifier.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -54,18 +54,6 @@ class EmaResponse:
 
 
 @dataclass
-class FeatureWindow:
-    """One 15-minute window's features plus its (optional) label."""
-
-    user_id: str
-    window_start_ms: int
-    hrv: hrv_mod.HrvFeatures | None
-    context: dict
-    label5: int | None = None
-    label2: int | None = None
-
-
-@dataclass
 class FeatureMatrix:
     """Rectangular feature table with a missingness mask, labels and groups."""
 
@@ -86,6 +74,10 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
+    def labeled(self) -> "FeatureMatrix":
+        """The rows that carry a label, in order."""
+        return self.select_rows(np.flatnonzero(~np.isnan(self.labels)))
+
     def select_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx)
         return FeatureMatrix(self.columns, self.values[idx], self.missing[idx],
@@ -98,25 +90,28 @@ class FeatureMatrix:
                              self.labels, list(self.groups), self.window_starts)
 
 
-def featurize_windows(raw_windows, schema: ContextSchema):
-    """Band-pass + HRV + context extraction for each raw window.
+def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
+    """Band-pass + HRV + context extraction: one matrix row per raw window.
 
-    PPG bursts are band-passed in blocks of at most _FILTER_BLOCK_ROWS
-    bursts of one length.  A block's on-wrist samples are copied once, into
-    the filter's buffer (:func:`signals.bandpass_bursts`), and each filtered
-    burst is copied out of it only while its HRV is computed; an off-wrist
-    burst is not filtered, as it is its own result.  So besides the windows
-    given, at most one block's buffer and one burst are live, whatever the
-    cohort: at most two copies of the held PPG samples.  Windows whose PPG
-    burst is too short to filter or yields no plausible beat train keep
-    ``hrv=None`` rather than failing the batch.
+    Rows keep the windows' order and are unlabeled (NaN labels); a feature
+    the window does not yield is NaN and masked.  PPG bursts are band-passed
+    in blocks of at most _FILTER_BLOCK_ROWS bursts of one length.  A block's
+    on-wrist samples are copied once, into the filter's buffer
+    (:func:`signals.bandpass_bursts`), and each filtered burst is copied out
+    of it only while its HRV is computed; an off-wrist burst is not
+    filtered, as it is its own result.  So besides the windows given, at
+    most one block's buffer and one burst are live, whatever the cohort: at
+    most two copies of the held PPG samples.  Windows whose PPG burst is too
+    short to filter or yields no plausible beat train keep their HRV cells
+    missing rather than failing the batch.
     """
+    n_hrv = len(hrv_mod.HRV_FEATURE_NAMES)
+    values = np.full((len(raw_windows), len(FEATURE_COLUMNS)), np.nan)
     design = signals.default_design()
     by_length = {}
     for i, raw in enumerate(raw_windows):
         if raw.ppg is not None:
             by_length.setdefault(len(raw.ppg.samples), []).append(i)
-    hrv = [None] * len(raw_windows)
     for length, rows in by_length.items():
         if length < design.min_samples:
             # Too short to filter: bandpass_filter raises TooShort for each
@@ -132,10 +127,17 @@ def featurize_windows(raw_windows, schema: ContextSchema):
             for i, burst in zip(block, signals.bandpass_bursts(
                     [raw_windows[i].ppg for i in block], design)):
                 with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
-                    hrv[i] = hrv_mod.burst_hrv(burst)
-    return [FeatureWindow(user_id=raw.user_id, window_start_ms=raw.start_ms, hrv=features,
-                          context=extract_context_features(raw.snapshots, schema))
-            for raw, features in zip(raw_windows, hrv)]
+                    values[i, :n_hrv] = astuple(hrv_mod.burst_hrv(burst))
+    for i, raw in enumerate(raw_windows):
+        context = extract_context_features(raw.snapshots, schema)
+        for j, name in enumerate(CONTEXT_FEATURE_NAMES, start=n_hrv):
+            if context[name] is not None:
+                values[i, j] = context[name]
+    return FeatureMatrix(columns=FEATURE_COLUMNS, values=values, missing=np.isnan(values),
+                         labels=np.full(len(raw_windows), np.nan),
+                         groups=[raw.user_id for raw in raw_windows],
+                         window_starts=np.array([raw.start_ms for raw in raw_windows],
+                                                dtype=np.int64))
 
 
 def binarize(label5: int) -> int:
@@ -168,48 +170,6 @@ def ema_labeler(emas):
         return None
 
     return label5
-
-
-def label_windows(windows, emas):
-    """Attach each window the earliest same-user EMA at or after its start.
-
-    Windows with no subsequent EMA within LABEL_HORIZON_MS stay unlabeled
-    (see :func:`ema_labeler`).  Returns new FeatureWindow objects; the
-    inputs are not mutated.
-    """
-    label5_of = ema_labeler(emas)
-    labeled = []
-    for win in windows:
-        label5 = label5_of(win.user_id, win.window_start_ms)
-        labeled.append(replace(win, label5=label5,
-                               label2=None if label5 is None else binarize(label5)))
-    return labeled
-
-
-def assemble(windows) -> FeatureMatrix:
-    """Stack feature windows into a matrix, rows sorted by (user, start)."""
-    ordered = sorted(windows, key=lambda w: (w.user_id, w.window_start_ms))
-    n, d = len(ordered), len(FEATURE_COLUMNS)
-    values = np.full((n, d), np.nan)
-    labels = np.full(n, np.nan)
-    starts = np.zeros(n, dtype=np.int64)
-    groups = []
-    n_hrv = len(hrv_mod.HRV_FEATURE_NAMES)
-    for i, win in enumerate(ordered):
-        groups.append(win.user_id)
-        starts[i] = win.window_start_ms
-        if win.hrv is not None:
-            for j, name in enumerate(hrv_mod.HRV_FEATURE_NAMES):
-                values[i, j] = getattr(win.hrv, name)
-        for j, name in enumerate(CONTEXT_FEATURE_NAMES):
-            v = win.context.get(name)
-            if v is not None:
-                values[i, n_hrv + j] = float(v)
-        if win.label2 is not None:
-            labels[i] = win.label2
-    return FeatureMatrix(columns=FEATURE_COLUMNS, values=values,
-                         missing=np.isnan(values), labels=labels,
-                         groups=groups, window_starts=starts)
 
 
 def drop_rows_missing_block(matrix: FeatureMatrix, columns) -> FeatureMatrix:

@@ -52,7 +52,6 @@ class NnSeries:
 
     intervals_ms: np.ndarray
     end_times_ms: np.ndarray
-    quality: float
 
 
 class BreathingRate(NamedTuple):
@@ -221,8 +220,7 @@ def clean_nn(peaks: PeakTrain) -> NnSeries:
     kept = nn[keep]
     if kept.size < MIN_NN_COUNT:
         raise TooFewIntervals(f"only {kept.size} plausible NN intervals")
-    quality = kept.size / nn.size
-    return NnSeries(intervals_ms=kept, end_times_ms=times[1:][keep], quality=quality)
+    return NnSeries(intervals_ms=kept, end_times_ms=times[1:][keep])
 
 
 def hrv_features(nn, nn_times) -> HrvFeatures:

@@ -143,11 +143,6 @@ def split_users_into_folds(users, folds: int, seed: int):
     return [list(part) for part in np.array_split(shuffled, folds)]
 
 
-def _labeled_view(matrix: FeatureMatrix):
-    keep = np.flatnonzero(~np.isnan(matrix.labels))
-    return matrix.select_rows(keep)
-
-
 def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
     """Fresh-start fit on ``rows`` alone: impute, select features, fit.
 
@@ -197,7 +192,7 @@ def _auto_select(X, y, groups, spec, seed):
 def grouped_cv(matrix: FeatureMatrix, spec: ModelSpec,
                folds: int = DEFAULT_FOLDS, seed: int = 0) -> EvalReport:
     """User-grouped k-fold evaluation with per-fold fresh preprocessing."""
-    labeled = _labeled_view(matrix)
+    labeled = matrix.labeled()
     fold_users = split_users_into_folds(set(labeled.groups), folds, seed)
     groups = np.array(labeled.groups, dtype=object)
     report = EvalReport(spec=spec.describe(), seed=seed)
@@ -234,7 +229,7 @@ def personalization_eval(matrix: FeatureMatrix, target_user: str,
                          spec: ModelSpec, seed: int = 0) -> PersonalizationResult:
     """F1 on the target's first (chronological) half, before and after
     adding the target's second half to the training data."""
-    labeled = _labeled_view(matrix)
+    labeled = matrix.labeled()
     groups = np.array(labeled.groups, dtype=object)
     target_rows = np.flatnonzero(groups == target_user)
     if target_rows.size < 2:

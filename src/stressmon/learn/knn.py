@@ -37,9 +37,6 @@ class KnnModel:
         ones = self.y_train[self._neighbours(X)].sum(axis=1)
         return (2 * ones > self.k).astype(int)
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.y_train[self._neighbours(X)].mean(axis=1)
-
 
 def train_knn(X, y, k: int, feature_names=None) -> KnnModel:
     """Store standardized training data for majority-vote prediction."""

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateLabels, EmptySelection, SelectionTooLarge
+from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, strict_float,
+                      strict_int, strict_str)
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
@@ -409,18 +410,29 @@ def _node_to_dict(node: TreeNode):
     }
 
 
-def _node_from_dict(rec) -> TreeNode:
+def _node_from_dict(rec, n_features) -> TreeNode:
+    """One node of a model file; raises ValueError for a node prediction cannot use.
+
+    A split must name one of the ``n_features`` features and a finite
+    threshold; a leaf must hold a finite probability or value.
+    """
     if rec.get("leaf"):
         counts = rec.get("class_counts")
+        probability, value = (None if rec.get(name) is None else strict_float(rec[name], name)
+                              for name in ("probability", "value"))
+        if probability is None and value is None:
+            raise ValueError("a leaf has neither probability nor value")
         return TreeNode(class_counts=tuple(counts) if counts else None,
-                        probability=rec.get("probability"),
-                        value=rec.get("value"),
+                        probability=probability, value=value,
                         sample_fraction=rec.get("sample_fraction", 0.0))
-    return TreeNode(feature_index=rec["feature_index"], threshold=rec["threshold"],
+    feature = strict_int(rec["feature_index"], "feature_index")
+    if not 0 <= feature < n_features:
+        raise ValueError(f"feature_index {feature} is not one of the {n_features} features")
+    return TreeNode(feature_index=feature, threshold=strict_float(rec["threshold"], "threshold"),
                     impurity_decrease=rec["impurity_decrease"],
                     sample_fraction=rec["sample_fraction"],
-                    left=_node_from_dict(rec["left"]),
-                    right=_node_from_dict(rec["right"]))
+                    left=_node_from_dict(rec["left"], n_features),
+                    right=_node_from_dict(rec["right"], n_features))
 
 
 def model_to_dict(model: TreeEnsembleModel):
@@ -437,13 +449,20 @@ def model_to_dict(model: TreeEnsembleModel):
 
 
 def model_from_dict(rec) -> TreeEnsembleModel:
+    """The model of :func:`model_to_dict`'s record; raises ValueError for a
+    record whose trees could not predict (see :func:`_node_from_dict`)."""
+    names = [strict_str(name, "feature name") for name in rec["feature_names"]]
+    trees = [_node_from_dict(t, len(names)) for t in rec["trees"]]
+    weights = [strict_float(w, "tree weight") for w in rec["tree_weights"]]
+    if len(weights) != len(trees):
+        raise ValueError(f"{len(weights)} tree weights for {len(trees)} trees")
     return TreeEnsembleModel(
         kind=rec["kind"],
-        trees=[_node_from_dict(t) for t in rec["trees"]],
-        tree_weights=list(rec["tree_weights"]),
-        feature_names=list(rec["feature_names"]),
+        trees=trees,
+        tree_weights=weights,
+        feature_names=names,
         hyperparameters=dict(rec["hyperparameters"]),
         seed=rec["seed"],
-        base_score=rec.get("base_score", 0.0),
+        base_score=strict_float(rec.get("base_score", 0.0), "base_score"),
         degenerate=rec.get("degenerate", False),
     )

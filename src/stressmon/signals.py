@@ -157,24 +157,6 @@ def _poly(roots):
     return a
 
 
-def analog_bandpass_gain(design: FilterDesign, freq_hz) -> float:
-    """Analytic forward-backward (zero-phase) gain at a probe frequency.
-
-    Evaluates the analog Butterworth band-pass prototype at the pre-warped
-    frequency, which is exactly what the bilinear design realizes, and
-    squares it for the two passes of :func:`bandpass_filter`.
-    """
-    fs = design.rate_hz
-    warp = lambda f: 2.0 * fs * np.tan(np.pi * f / fs)
-    w = warp(freq_hz)
-    wl, wh = warp(design.low_hz), warp(design.high_hz)
-    if w == 0.0:
-        return 0.0
-    omega = abs(w * w - wl * wh) / ((wh - wl) * w)
-    single = 1.0 / np.sqrt(1.0 + omega ** (2 * design.order))
-    return float(single ** 2)
-
-
 def bandpass_filter(burst: SensorBurst, design: FilterDesign) -> SensorBurst:
     """Apply the band-pass forward and backward (zero phase) to a PPG burst.
 
@@ -223,33 +205,17 @@ def bandpass_bursts(bursts, design: FilterDesign):
             for burst, on in zip(bursts, live))
 
 
-def zero_phase_rows(rows, design: FilterDesign) -> np.ndarray:
-    """Filter equal-length sample rows forward and backward (zero phase).
+def _zero_phase_lanes(rows, design: FilterDesign) -> np.ndarray:
+    """Equal-length rows filtered forward and backward (zero phase), sample-major.
 
-    ``rows`` is a (rows, samples) array or a sequence of equal-length 1-d
-    arrays, each longer than ``design.pad_samples``; the result is a new
-    (rows, samples) float array.  Each row is bit-equal to
+    Each row, longer than ``design.pad_samples``, is filtered bit-equal to
     SciPy's ``signal.filtfilt(b, a, row)`` with its default odd padding: the
     row is extended by an odd reflection of ``pad_samples`` at each end,
     filtered forward from the steady state scaled by its first sample, then
-    backward from the steady state scaled by the last forward output.  A row
-    whose samples are all +0.0 (see :func:`off_wrist`) is left as zeros
-    without filtering, which is exactly what filtfilt returns for it.
-    """
-    rows = [np.asarray(row, dtype=np.float64) for row in rows]
-    out = np.zeros((len(rows), len(rows[0])))
-    live = [i for i, row in enumerate(rows) if not off_wrist(row)]
-    if live:
-        out[live] = _zero_phase_lanes([rows[i] for i in live], design).T
-    return out
-
-
-def _zero_phase_lanes(rows, design: FilterDesign) -> np.ndarray:
-    """Equal-length rows filtered as :func:`zero_phase_rows`, sample-major.
-
-    The rows are copied once, straight into the padded buffer the filter
-    runs in place on; the result is the (samples, rows) middle of that
-    buffer, one column per row.
+    backward from the steady state scaled by the last forward output.  The
+    rows are copied once, straight into the padded buffer the filter runs in
+    place on; the result is the (samples, rows) middle of that buffer, one
+    column per row.
     """
     n = len(rows[0])
     a0 = design.denominator[0]

@@ -381,7 +381,7 @@ class TestTrainEval:
                          "--select-top", "auto", "--folds", "3", "--seed", "5",
                          "--out", str(out)]) == 0
         matrix = cli._restrict_features(read_matrix_csv(matrix_path), "all")
-        labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+        labeled = matrix.labeled()
         completed = knn_impute(labeled)
         spec = ModelSpec(kind="rf", depth=3, n_trees=10, select_top="auto")
         cols = _auto_select(completed.values, completed.labels.astype(int),
@@ -564,7 +564,7 @@ class TestExplain:
         monkeypatch.setattr(dataset.KnnImputer, "transform", transform)
         names = json.loads((eval_dir / "model.json").read_text())["feature_names"]
         matrix = read_matrix_csv(matrix_path)
-        labeled = matrix.select_rows(np.flatnonzero(~np.isnan(matrix.labels)))
+        labeled = matrix.labeled()
         labeled = dataset.drop_rows_missing_block(labeled, HRV_FEATURE_NAMES)
         view = dataset.knn_impute(labeled).select_columns(names)
         rng = np.random.default_rng([3, 11])
@@ -598,6 +598,35 @@ class TestExplain:
         assert rc == cli.EXIT_DATA
         assert "bad_model.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["feature_index_99", "string_threshold",
+                                      "names_shorter_than_trees", "leaf_without_output",
+                                      "weights_not_one_per_tree"])
+    def test_unusable_trees_exit_3_naming_the_model(self, eval_dir, matrix_path, tmp_path,
+                                                     capsys, case):
+        rec = json.loads((eval_dir / "model.json").read_text())
+        nodes = [node for tree in rec["trees"] for node in _walk(tree)]
+        splits = [node for node in nodes if not node.get("leaf")]
+        if case == "feature_index_99":
+            splits[0]["feature_index"] = 99
+        elif case == "string_threshold":
+            splits[0]["threshold"] = "0.5"
+        elif case == "names_shorter_than_trees":
+            rec["feature_names"] = rec["feature_names"][
+                :max(node["feature_index"] for node in splits)]
+        elif case == "leaf_without_output":
+            leaf = next(node for node in nodes if node.get("leaf"))
+            leaf.pop("probability", None)
+            leaf.pop("value", None)
+        else:
+            rec["tree_weights"].pop()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(rec))
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--max-rows", "2", "--background", "4", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {model}: bad model file: ")
+        assert not (tmp_path / "e").exists()
+
     def test_knn_model_exit(self, matrix_path, tmp_path, capsys):
         out = tmp_path / "knn"
         assert cli.main(["train-eval", "--matrix", str(matrix_path),
@@ -607,6 +636,14 @@ class TestExplain:
                        "--background", "4", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
         assert "tree" in capsys.readouterr().err
+
+
+def _walk(node):
+    """Every node of a model file's tree, the root first."""
+    yield node
+    if not node.get("leaf"):
+        yield from _walk(node["left"])
+        yield from _walk(node["right"])
 
 
 class TestPersonalize:

@@ -1,16 +1,15 @@
-"""Labeling, binarization, assembly, the k-NN search and k-NN imputation."""
+"""Labeling, binarization, matrix rows, the k-NN search and k-NN imputation."""
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stressmon import dataset
-from stressmon.context import CONTEXT_FEATURE_NAMES
-from stressmon.dataset import (EmaResponse, FeatureMatrix, FeatureWindow,
-                               KnnImputer, assemble, binarize, knn_impute,
-                               label_windows, nearest_rows, read_ema_csv, read_matrix_csv,
-                               write_ema_csv, write_matrix_csv)
+from stressmon import dataset, signals
+from stressmon.context import CONTEXT_FEATURE_NAMES, ContextSchema, ContextSnapshot
+from stressmon.dataset import (EmaResponse, FeatureMatrix, KnnImputer, binarize,
+                               ema_labeler, featurize_windows, knn_impute, nearest_rows,
+                               read_ema_csv, read_matrix_csv, write_ema_csv, write_matrix_csv)
 from stressmon.errors import DataFormatError, EmptyColumn, OutOfRange
 from stressmon.hrv import HRV_FEATURE_NAMES
 
@@ -76,67 +75,78 @@ class TestBinarize:
         assert binary.count(1) == 303
 
 
-def _window(user, start, label5=None):
-    return FeatureWindow(user_id=user, window_start_ms=start, hrv=None,
-                         context={}, label5=label5,
-                         label2=None if label5 is None else binarize(label5))
-
-
 class TestLabelWindows:
+    """The labeling rule, :func:`ema_labeler`, that featurize keeps windows by."""
+
     def test_closest_subsequent(self):
-        win = _window("u", 36_000_000)
         emas = [EmaResponse("u", 36_000_000 + 20 * 60_000, 3),
                 EmaResponse("u", 36_000_000 + 60 * 60_000, 1)]
-        out = label_windows([win], emas)
-        assert out[0].label5 == 3 and out[0].label2 == 1
+        label5 = ema_labeler(emas)("u", 36_000_000)
+        assert label5 == 3 and binarize(label5) == 1
 
     def test_after_last_ema_unlabeled(self):
-        out = label_windows([_window("u", 100_000_000)],
-                            [EmaResponse("u", 50_000_000, 2)])
-        assert out[0].label5 is None and out[0].label2 is None
+        assert ema_labeler([EmaResponse("u", 50_000_000, 2)])("u", 100_000_000) is None
 
     def test_exact_boundary_inclusive(self):
-        out = label_windows([_window("u", 36_000_000)],
-                            [EmaResponse("u", 36_000_000, 5)])
-        assert out[0].label5 == 5
+        assert ema_labeler([EmaResponse("u", 36_000_000, 5)])("u", 36_000_000) == 5
 
     def test_horizon(self):
-        out = label_windows([_window("u", 0)],
-                            [EmaResponse("u", 9 * 3600 * 1000, 2)])
-        assert out[0].label5 is None
+        assert ema_labeler([EmaResponse("u", 9 * 3600 * 1000, 2)])("u", 0) is None
 
     def test_never_other_user_or_earlier(self):
         rng = np.random.default_rng(3)
-        wins = [_window("a", int(rng.integers(0, 10 ** 7))) for _ in range(30)]
+        starts = [int(rng.integers(0, 10 ** 7)) for _ in range(30)]
         emas = ([EmaResponse("a", int(rng.integers(0, 10 ** 7)), 2) for _ in range(10)]
                 + [EmaResponse("b", int(rng.integers(0, 10 ** 7)), 5) for _ in range(10)])
         a_times = sorted(e.timestamp_ms for e in emas if e.user_id == "a")
-        for win in label_windows(wins, emas):
-            if win.label5 is not None:
-                assert win.label5 == 2  # only user-a EMAs, all level 2
-                assert any(t >= win.window_start_ms for t in a_times)
+        label5 = ema_labeler(emas)
+        for start in starts:
+            if label5("a", start) is not None:
+                assert label5("a", start) == 2  # only user-a EMAs, all level 2
+                assert any(t >= start for t in a_times)
 
     def test_inputs_not_mutated(self):
-        win = _window("u", 0)
-        label_windows([win], [EmaResponse("u", 10, 4)])
-        assert win.label5 is None
+        emas = [EmaResponse("u", 10, 4), EmaResponse("u", 5, 1)]
+        assert ema_labeler(emas)("u", 0) == 1
+        assert emas == [EmaResponse("u", 10, 4), EmaResponse("u", 5, 1)]
+
+
+def _raw(user, start, ppg=None, snapshots=()):
+    return signals.RawWindow(user, start, start + signals.WINDOW_MS, ppg=ppg,
+                             snapshots=list(snapshots))
 
 
 class TestAssemble:
+    """The matrix rows :func:`featurize_windows` writes, one per window."""
+
     def test_groups_and_order(self):
-        wins = [_window(u, s, label5=1) for u in ("u2", "u1") for s in (900_000, 0, 1_800_000)]
-        m = assemble(wins)
-        assert m.groups == ["u1"] * 3 + ["u2"] * 3
-        assert list(m.window_starts[:3]) == [0, 900_000, 1_800_000]
+        raw = [_raw(u, s) for u in ("u2", "u1") for s in (900_000, 0, 1_800_000)]
+        m = featurize_windows(raw, ContextSchema(zones=[]))
+        assert m.groups == ["u2"] * 3 + ["u1"] * 3
+        assert list(m.window_starts) == [900_000, 0, 1_800_000] * 2
         assert m.columns == tuple(HRV_FEATURE_NAMES) + tuple(CONTEXT_FEATURE_NAMES)
+        assert np.isnan(m.labels).all() and m.labeled().n_rows == 0
 
     def test_missing_hrv_masked(self):
-        m = assemble([_window("u", 0, label5=2)])
-        assert m.missing[0, :12].all()
+        snap = ContextSnapshot("u", 60_000, "screen_status", 1.0)
+        m = featurize_windows([_raw("u", 0, snapshots=[snap])], ContextSchema(zones=[]))
+        assert m.missing[0, :12].all() and np.isnan(m.values[0, :12]).all()
+        col = m.columns.index("screen_status")
+        assert m.values[0, col] == 1.0 and m.missing[0].sum() == 23
 
     def test_empty(self):
-        m = assemble([])
-        assert m.n_rows == 0 and len(m.columns) == 24
+        m = featurize_windows([], ContextSchema(zones=[]))
+        assert m.n_rows == 0 and m.values.shape == (0, 24) and len(m.columns) == 24
+
+
+class TestLabeledRows:
+    def test_keeps_labeled_rows_in_order(self):
+        m = _matrix([[1.0], [2.0], [3.0], [4.0]], labels=[np.nan, 1, 0, np.nan],
+                    groups=["a", "b", "c", "d"])
+        labeled = m.labeled()
+        assert labeled.groups == ["b", "c"] and labeled.values[:, 0].tolist() == [2.0, 3.0]
+        assert labeled.labels.tolist() == [1.0, 0.0]
+        assert labeled.window_starts.tolist() == [1, 2]
 
 
 def nearest_oracle(z_train, z_query, k, exclude=None):
@@ -289,7 +299,7 @@ class TestCsvFormats:
         assert (tmp_path / "m.csv.meta.json").exists()
 
     def test_empty_matrix_roundtrip(self, tmp_path):
-        m = assemble([])
+        m = featurize_windows([], ContextSchema(zones=[]))
         path = tmp_path / "empty.csv"
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)

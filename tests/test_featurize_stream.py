@@ -1,8 +1,8 @@
 """Label-first streaming featurize against the load-everything composition.
 
 ``reference_matrix`` featurizes the load-everything way: read every
-record, cut every occupied slot into a window, featurize every window,
-label them and keep the labeled ones.
+record, cut every occupied slot into a window, featurize every window into
+a matrix row, label the rows and keep the labeled ones.
 ``cli.featurize_directory`` must write the same matrix bytes, while holding
 only the labeled slots' PPG bursts and latest context.
 """
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from stressmon import signals
 from stressmon.cli import featurize_directory
 from stressmon.context import ContextSchema, ContextSnapshot, context_record, read_context_jsonl
-from stressmon.dataset import (EmaResponse, assemble, featurize_windows, label_windows,
+from stressmon.dataset import (EmaResponse, binarize, ema_labeler, featurize_windows,
                                read_ema_csv, write_ema_csv, write_matrix_csv)
 from stressmon.signals import RawWindow, SensorBurst, burst_record, read_bursts_jsonl
 from stressmon.sim import ParticipantParams, SimConfig, run_simulation, synth_ppg
@@ -55,17 +55,22 @@ def reference_windowize(bursts, snapshots):
 
 
 def reference_labeled(data_dir):
-    """(labeled feature windows, their raw windows) of a data directory."""
+    """(matrix of the labeled windows, those raw windows) of a data directory."""
     context = os.path.join(data_dir, "context.jsonl")
     raw = reference_windowize(read_bursts_jsonl(os.path.join(data_dir, "bursts.jsonl")),
                               read_context_jsonl(context) if os.path.exists(context) else [])
-    windows = label_windows(featurize_windows(raw, ContextSchema(zones=[])),
-                            read_ema_csv(os.path.join(data_dir, "ema.csv")))
-    return [(w, r) for w, r in zip(windows, raw) if w.label2 is not None]
+    label5 = ema_labeler(read_ema_csv(os.path.join(data_dir, "ema.csv")))
+    matrix = featurize_windows(raw, ContextSchema(zones=[]))
+    for i, win in enumerate(raw):
+        level = label5(win.user_id, win.start_ms)
+        if level is not None:
+            matrix.labels[i] = binarize(level)
+    keep = np.flatnonzero(~np.isnan(matrix.labels))
+    return matrix.select_rows(keep), [raw[i] for i in keep]
 
 
 def reference_matrix(data_dir):
-    return assemble([w for w, _ in reference_labeled(data_dir)])
+    return reference_labeled(data_dir)[0]
 
 
 def matrix_bytes(matrix, path):
@@ -177,7 +182,7 @@ def test_featurize_peak_memory_bounded_by_labeled_ppg(tmp_path):
     run_simulation(cfg, tmp_path)
     # the reference also loads every module featurize reaches, so imports
     # are not traced below
-    ppg_bytes = sum(r.ppg.samples.nbytes for _, r in reference_labeled(str(tmp_path))
+    ppg_bytes = sum(r.ppg.samples.nbytes for r in reference_labeled(str(tmp_path))[1]
                     if r.ppg is not None and not signals.off_wrist(r.ppg.samples))
     assert ppg_bytes > 1_000_000
     tracemalloc.start()

@@ -14,7 +14,8 @@ from scipy.signal import butter, filtfilt
 
 import stressmon
 from stressmon import dataset, hrv, signals
-from stressmon.context import ContextSchema, extract_context_features
+from stressmon.context import (CONTEXT_FEATURE_NAMES, ContextSchema, ContextSnapshot,
+                               extract_context_features)
 from stressmon.errors import (InsufficientSpan, NoPlausiblePeaks, TooFewIntervals, TooShort,
                               Unstable)
 from stressmon.sim import synth_ppg
@@ -31,6 +32,13 @@ def bits(x):
 
 def scipy_rows(rows, design):
     return np.stack([filtfilt(design.numerator, design.denominator, row) for row in rows])
+
+
+def bandpass_rows(rows, design):
+    """The rows as PPG bursts at the design's rate, band-passed by one
+    ``bandpass_bursts`` call, stacked back into rows."""
+    bursts = [signals.SensorBurst("u", "ppg", 0, design.rate_hz, row) for row in rows]
+    return np.stack([burst.samples for burst in signals.bandpass_bursts(bursts, design)])
 
 
 @pytest.mark.parametrize("order", range(1, 7))
@@ -60,7 +68,7 @@ def test_kernel_bit_equal_to_filtfilt_on_random_rows(order, low, high, rate):
     rng = np.random.default_rng(order)
     for n in (design.min_samples, 257, 2400):
         rows = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(7, n))
-        assert np.array_equal(bits(signals.zero_phase_rows(rows, design)),
+        assert np.array_equal(bits(bandpass_rows(rows, design)),
                               bits(scipy_rows(rows, design)))
 
 
@@ -68,8 +76,7 @@ def test_one_row_batch_and_bandpass_filter_bit_equal():
     design = signals.default_design()
     burst, _ = synth_ppg(72.0, 120, FS, 0.08, seed=3)
     ref = filtfilt(design.numerator, design.denominator, burst.samples)
-    assert np.array_equal(bits(signals.zero_phase_rows(burst.samples[None, :], design)[0]),
-                          bits(ref))
+    assert np.array_equal(bits(bandpass_rows([burst.samples], design)[0]), bits(ref))
     assert np.array_equal(bits(signals.bandpass_filter(burst, design).samples), bits(ref))
 
 
@@ -79,10 +86,13 @@ def test_zero_and_constant_rows_mixed_with_live_rows():
     rows = np.stack([np.zeros(400), rng.normal(size=400), np.full(400, 3.25),
                      np.zeros(400), np.full(400, -0.0), np.full(400, -2.0),
                      np.r_[np.zeros(200), rng.normal(size=200)]])
-    out = signals.zero_phase_rows(rows, design)
+    out = bandpass_rows(rows, design)
     assert np.array_equal(bits(out), bits(scipy_rows(rows, design)))
     assert not bits(out[[0, 3]]).any()          # all +0.0, skipped by the kernel
-    only_zeros = signals.zero_phase_rows(np.zeros((2, 400)), design)
+    bursts = [signals.SensorBurst("u", "ppg", 0, FS, row) for row in rows]
+    back = list(signals.bandpass_bursts(bursts, design))
+    assert [b is a for a, b in zip(bursts, back)] == [True, False, False, True] + [False] * 3
+    only_zeros = bandpass_rows(np.zeros((2, 400)), design)
     assert np.array_equal(bits(only_zeros), bits(scipy_rows(np.zeros((2, 400)), design)))
 
 
@@ -94,7 +104,7 @@ def test_kernel_matches_filtfilt_property(n, n_rows, data):
     values = st.one_of(st.just(0.0), st.just(-0.0), st.just(1.0),
                        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
     rows = np.array([data.draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n_rows)])
-    assert np.array_equal(bits(signals.zero_phase_rows(rows, design)),
+    assert np.array_equal(bits(bandpass_rows(rows, design)),
                           bits(scipy_rows(rows, design)))
 
 
@@ -118,9 +128,9 @@ def _window(samples, start_ms):
 
 
 def one_at_a_time(raw_windows, schema):
-    """featurize_windows as it was: one band-pass call per window."""
+    """featurize_windows as it was: one band-pass call per window, rows by name."""
     design = signals.default_design()
-    out = []
+    rows = []
     for raw in raw_windows:
         features = None
         if raw.ppg is not None:
@@ -128,10 +138,12 @@ def one_at_a_time(raw_windows, schema):
                 features = hrv.burst_hrv(signals.bandpass_filter(raw.ppg, design))
             except (TooShort, NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
                 features = None
-        out.append(dataset.FeatureWindow(
-            raw.user_id, raw.start_ms, features,
-            extract_context_features(raw.snapshots, schema)))
-    return out
+        context = extract_context_features(raw.snapshots, schema)
+        rows.append([np.nan if features is None else getattr(features, name)
+                     for name in hrv.HRV_FEATURE_NAMES]
+                    + [np.nan if context[name] is None else context[name]
+                       for name in CONTEXT_FEATURE_NAMES])
+    return np.array(rows, dtype=float)
 
 
 @pytest.mark.parametrize("block_rows", [2, 1024])
@@ -144,10 +156,16 @@ def test_featurize_blocks_equal_one_burst_at_a_time(monkeypatch, block_rows):
     samples.append(np.ones(40))                  # too short to filter
     windows = [_window(s, k * signals.WINDOW_MS) for k, s in enumerate(samples)]
     windows.insert(3, _window(None, 99 * signals.WINDOW_MS))
+    windows[1].snapshots = [ContextSnapshot("u01", windows[1].start_ms, "screen_status", 1.0),
+                            ContextSnapshot("u01", windows[1].start_ms, "battery_level", 30.0)]
     schema = ContextSchema(zones=[])
     got = dataset.featurize_windows(windows, schema)
-    assert [repr(w) for w in got] == [repr(w) for w in one_at_a_time(windows, schema)]
-    assert sum(w.hrv is not None for w in got) == 5
+    assert np.array_equal(bits(got.values), bits(one_at_a_time(windows, schema)))
+    assert np.array_equal(got.missing, np.isnan(got.values))
+    assert got.groups == ["u01"] * len(windows)
+    assert got.window_starts.tolist() == [w.start_ms for w in windows]
+    assert (~got.missing[:, :len(hrv.HRV_FEATURE_NAMES)]).all(axis=1).sum() == 5
+    assert (~got.missing[:, len(hrv.HRV_FEATURE_NAMES):]).sum() == 2
 
 
 def test_featurize_imports_no_scipy(tmp_path):

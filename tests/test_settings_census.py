@@ -19,8 +19,6 @@ SETTABLE = frozenset({
     "stressmon.cli:main(argv)",
     "stressmon.context:ContextSchema.zones",
     "stressmon.context:context_record(arrival_ms)",
-    "stressmon.dataset:FeatureWindow.label5",
-    "stressmon.dataset:FeatureWindow.label2",
     "stressmon.dataset:nearest_rows(exclude)",
     "stressmon.dataset:KnnImputer.__init__(k)",
     "stressmon.dataset:KnnImputer.__init__(weighting)",

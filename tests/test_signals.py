@@ -57,12 +57,6 @@ class TestDesign:
         d = default_design()
         assert np.all(np.abs(np.roots(d.denominator)) < 1.0)
 
-    def test_package_oracle_matches_independent(self):
-        d = default_design()
-        for f in (0.05, 0.7, 1.5, 3.5, 4.5):
-            assert signals.analog_bandpass_gain(d, f) == pytest.approx(
-                analog_gain_oracle(3, 0.7, 3.5, FS, f), rel=1e-12)
-
 
 class TestBandpassFilter:
     def test_dc_rejected(self):
