@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones
-from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
+from .errors import DataFormatError, EmptyColumn, StressmonError, TooManyFeatures, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
                     model_to_dict, personalization_eval)
@@ -261,7 +261,10 @@ def cmd_explain(args) -> int:
     explain_rows = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
     # Distances use every column of every labeled row, so the imputer is fit
     # on all of them; only the sampled rows are read, so only they are filled.
-    imputer = dataset.KnnImputer().fit(labeled.values, labeled.missing)
+    try:
+        imputer = dataset.KnnImputer().fit(labeled.values, labeled.missing)
+    except EmptyColumn as err:
+        raise EmptyColumn(labeled.columns[err.column]) from None
     sampled = np.union1d(bg_rows, explain_rows)
     completed = imputer.transform(labeled.values[sampled], labeled.missing[sampled],
                                   exclude=sampled)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (encode_json, fold_jsonl, read_input, read_jsonl, strict_float, strict_int,
-                     strict_str)
+                     strict_str, strict_time_ms)
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -189,7 +189,7 @@ def _snapshot(rec) -> ContextSnapshot:
     """
     sensor, payload = rec["sensor"], rec["payload"]
     snap = ContextSnapshot(strict_str(rec["user_id"], "user_id"),
-                           strict_int(rec["timestamp_ms"], "timestamp_ms"), sensor, payload)
+                           strict_time_ms(rec["timestamp_ms"], "timestamp_ms"), sensor, payload)
     if sensor == "location":
         if type(payload) is not list or len(payload) < 2:
             raise TypeError(f"location payload must list lat and lon, got {payload!r}")

@@ -22,7 +22,7 @@ from . import hrv as hrv_mod
 from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
 from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
-                     TooFewIntervals, TooShort, read_input, strict_str)
+                     TooFewIntervals, TooShort, read_input, strict_str, strict_time_ms)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -236,7 +236,7 @@ class KnnImputer:
         observed = ~missing
         if not observed.any(axis=0).all():
             bad = int(np.flatnonzero(~observed.any(axis=0))[0])
-            raise EmptyColumn(f"column {bad} has no observed values")
+            raise EmptyColumn(bad)
         counts = observed.sum(axis=0)
         filled = np.where(missing, 0.0, values)
         self.col_means_ = filled.sum(axis=0) / counts
@@ -356,7 +356,8 @@ def read_matrix_csv(path) -> FeatureMatrix:
 def read_ema_csv(path):
     """Read EMA answers; raises DataFormatError naming the bad line."""
     return read_input(path, "EMA record", lambda lines: [
-        EmaResponse(strict_str(row["user_id"], "user_id"), int(row["timestamp_ms"]),
+        EmaResponse(strict_str(row["user_id"], "user_id"),
+                    strict_time_ms(int(row["timestamp_ms"]), "timestamp_ms"),
                     int(row["stress_level"]))
         for row in csv.DictReader(lines)])
 

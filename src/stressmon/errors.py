@@ -52,7 +52,14 @@ class OutOfRange(StressmonError, ValueError):
 
 
 class EmptyColumn(StressmonError):
-    """A feature column has no observed values to impute from."""
+    """A feature column has no observed values to impute from.
+
+    ``column`` is the column's index, or its name where the caller knows it.
+    """
+
+    def __init__(self, column):
+        super().__init__(f"column {column!r} has no observed values")
+        self.column = column
 
 
 # -- learning ----------------------------------------------------------------
@@ -176,6 +183,19 @@ def strict_int(value, name) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def strict_time_ms(value, name) -> int:
+    """An epoch time in ms: a :func:`strict_int` in 0..2**63-1.
+
+    The start of such a time's 15-minute window is in that range too, so it
+    fits the int64 the matrix stores it in; a time outside it raises
+    ValueError naming ``name``, not an OverflowError once read.
+    """
+    time_ms = strict_int(value, name)
+    if not 0 <= time_ms < 2 ** 63:
+        raise ValueError(f"{name} must be in 0..2**63-1, got {time_ms}")
+    return time_ms
 
 
 def is_number(value) -> bool:

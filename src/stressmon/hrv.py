@@ -28,9 +28,6 @@ MIN_NN_COUNT = 5
 BR_GRID_HZ = 4.0
 BR_BAND_HZ = (0.1, 0.4)
 BR_MIN_SPAN_S = 30.0
-# Relative slack of detect_peaks' level screen, whose own rounding error is
-# near 1e-15.
-_SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,19 +82,10 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
     [40, 180] BPM with the lowest NN standard deviation wins; of equal
     deviations the lowest level wins.
 
-    The levels are screened, then re-checked.  The screen takes each
-    level's mean NN interval from the span between its first and last peak
-    and its SD from one weighted ``bincount`` over all levels.  A level is
-    re-checked when its screened rate lies within a relative
-    ``_SCREEN_TOL`` of a BPM bound, or when its rate is clearly in bounds
-    and its screened SD exceeds the smallest such SD by at most
-    ``_SCREEN_TOL`` times that SD plus the 1500-ms longest plausible mean
-    interval (the absolute part covers SDs near zero).  The re-check runs
-    in level order with the per-level arithmetic of a plain search
-    (``np.diff``, ``mean``, ``std``, strict ``<``) and skips a level whose
-    peaks equal those of the level re-checked before it.  The screen's
-    rounding error is far below the tolerance, so the winner is the plain
-    search's, ties and near-ties included.
+    Every level is searched in level order with plain per-level arithmetic
+    (``np.diff``, ``mean``, ``std``, strict ``<``).  A level with fewer than
+    two peaks is skipped, and so is one whose peaks equal the previous
+    level's: it would give the same rate and SD and lose the strict ``<``.
 
     Raises NoPlausiblePeaks when no level yields a plausible rate.
     """
@@ -111,32 +99,13 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
     baseline = _centered_mean(x, max(1, int(round(BASELINE_SECONDS * fs))))
 
     peaks, level = _level_peaks(x, baseline, amp)
-    n_levels = len(RAISE_LEVELS_PERMILLE)
-    bounds = np.searchsorted(level, np.arange(n_levels + 1))
-    m = np.diff(bounds) - 1                       # NN intervals per level
-    has_nn = m >= 1
-    inner = level[1:] == level[:-1]
-    gap_level = level[1:][inner]
-    gaps = np.diff(peaks)[inner]
-    span = np.bincount(gap_level, gaps, minlength=n_levels)
-    mean = np.divide(span * (1000.0 / fs), m, out=np.zeros(n_levels), where=has_nn)
-    bpm = np.divide(60_000.0, mean, out=np.zeros(n_levels), where=has_nn)
-    dev = gaps * (1000.0 / fs) - mean[gap_level]
-    var = np.bincount(gap_level, dev * dev, minlength=n_levels)
-    sd = np.sqrt(np.divide(var, m, out=np.zeros(n_levels), where=has_nn))
-
-    tol = _SCREEN_TOL
-    inside = has_nn & (bpm >= BPM_MIN * (1.0 - tol)) & (bpm <= BPM_MAX * (1.0 + tol))
-    clear = inside & (bpm > BPM_MIN * (1.0 + tol)) & (bpm < BPM_MAX * (1.0 - tol))
-    low = sd.min(initial=np.inf, where=clear)
-    recheck = inside & (~clear | (sd <= low + tol * (low + 60_000.0 / BPM_MIN)))
-
+    bounds = np.searchsorted(level, np.arange(len(RAISE_LEVELS_PERMILLE) + 1))
     best_sd = np.inf
     best_idx = prev = None
-    for k in np.flatnonzero(recheck):
-        idx = peaks[bounds[k]:bounds[k + 1]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = peaks[lo:hi]
         key = idx.tobytes()
-        if key == prev:
+        if idx.size < 2 or key == prev:
             continue
         prev = key
         nn = np.diff(idx) * (1000.0 / fs)
@@ -229,7 +198,8 @@ def hrv_features(nn, nn_times) -> HrvFeatures:
     ``nn`` are interval lengths in ms, ``nn_times`` the epoch ms at which
     each interval ends (used only by the breathing-rate estimate).  When
     the series spans under 30 s the breathing rate is NaN and flagged
-    low-confidence; the other eleven features are always computed.
+    low-confidence; the other eleven features are always computed, from at
+    least ``MIN_NN_COUNT`` intervals and so at least four differences.
     """
     nn = np.asarray(nn, dtype=float)
     nn_times = np.asarray(nn_times, dtype=float)
@@ -239,7 +209,7 @@ def hrv_features(nn, nn_times) -> HrvFeatures:
     d = np.diff(nn)
     var_nn = float(nn.var())
     var_d = float(d.var())
-    sd1 = float(np.sqrt(d.var() / 2.0)) if d.size else 0.0
+    sd1 = float(np.sqrt(var_d / 2.0))
     sd2 = float(np.sqrt(max(0.0, 2.0 * var_nn - var_d / 2.0)))
     try:
         br = estimate_br(nn, nn_times)
@@ -249,10 +219,10 @@ def hrv_features(nn, nn_times) -> HrvFeatures:
         bpm=60_000.0 / ibi,
         ibi=ibi,
         sdnn=float(nn.std()),
-        sdsd=float(d.std()) if d.size else 0.0,
-        rmssd=float(np.sqrt(np.mean(d ** 2))) if d.size else 0.0,
-        pnn20=float(np.mean(np.abs(d) > 20.0)) if d.size else 0.0,
-        pnn50=float(np.mean(np.abs(d) > 50.0)) if d.size else 0.0,
+        sdsd=float(d.std()),
+        rmssd=float(np.sqrt(np.mean(d ** 2))),
+        pnn20=float(np.mean(np.abs(d) > 20.0)),
+        pnn50=float(np.mean(np.abs(d) > 50.0)),
         hr_mad=float(np.median(np.abs(nn - np.median(nn)))),
         sd1=sd1,
         sd2=sd2,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..dataset import (DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix,
                        KnnImputer)
-from ..errors import (InsufficientTargetData, LengthMismatch, TooFewGroups)
+from ..errors import EmptyColumn, InsufficientTargetData, LengthMismatch, TooFewGroups
 from .knn import train_knn
 from .trees import select_top_features, train_boosted, train_random_forest
 
@@ -99,13 +99,10 @@ class EvalReport:
 
 def f1_score(y_true, y_pred) -> float:
     """2PR/(P+R) with F1 = 0 when precision + recall = 0."""
-    y_true = np.asarray(y_true).astype(int)
-    y_pred = np.asarray(y_pred).astype(int)
-    if y_true.shape != y_pred.shape:
-        raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
+    if np.shape(y_true) != np.shape(y_pred):
+        raise LengthMismatch(f"{np.shape(y_true)} vs {np.shape(y_pred)}")
+    counts = _confusion(y_true, y_pred)
+    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -150,7 +147,10 @@ def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
     and completes any other rows for prediction; ``selected`` lists the
     column indices the model reads.
     """
-    imputer = KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
+    try:
+        imputer = KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
+    except EmptyColumn as err:
+        raise EmptyColumn(matrix.columns[err.column]) from None
     X = imputer.transform(matrix.values[rows], matrix.missing[rows],
                           exclude=np.arange(len(rows)))
     y = matrix.labels[rows].astype(int)

@@ -450,8 +450,15 @@ def model_to_dict(model: TreeEnsembleModel):
 
 def model_from_dict(rec) -> TreeEnsembleModel:
     """The model of :func:`model_to_dict`'s record; raises ValueError for a
-    record whose trees could not predict (see :func:`_node_from_dict`)."""
+    record whose trees could not predict (see :func:`_node_from_dict`), or
+    whose feature names are empty or repeated (each name picks the matrix
+    column its feature is read from)."""
     names = [strict_str(name, "feature name") for name in rec["feature_names"]]
+    if not names:
+        raise ValueError("feature_names is empty")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"feature names repeated: {repeated}")
     trees = [_node_from_dict(t, len(names)) for t in rec["trees"]]
     weights = [strict_float(w, "tree weight") for w in rec["tree_weights"]]
     if len(weights) != len(trees):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .context import fold_context_jsonl
 from .errors import (InvalidBand, TooShort, Unstable, encode_json, fold_jsonl,
-                     read_jsonl, strict_float, strict_int, strict_str)
+                     read_jsonl, strict_float, strict_str, strict_time_ms)
 
 PPG_RATE_HZ = 20.0
 BURST_SECONDS = 120.0
@@ -357,7 +357,7 @@ def windowize(bursts_path, context_path, keep, counts):
 def _burst(rec) -> SensorBurst:
     """One bursts.jsonl record; a PPG burst is sampled at the filter design rate."""
     burst = SensorBurst(strict_str(rec["user_id"], "user_id"), rec["channel"],
-                        strict_int(rec["start_time_ms"], "start_time_ms"),
+                        strict_time_ms(rec["start_time_ms"], "start_time_ms"),
                         strict_float(rec["rate_hz"], "rate_hz"), rec["samples"])
     # count_nonzero is one C call; .all() adds a Python wrapper to every record
     if np.count_nonzero(np.isfinite(burst.samples)) != len(burst.samples):

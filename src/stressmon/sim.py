@@ -107,9 +107,6 @@ _OVERRIDE_FLAGS = ("invert_context", "neutral_context", "screen_coupled",
 class NetworkParams:
     wifi_outages_ms: tuple = ()          # absolute (start, end) pairs
 
-    def wifi_up(self, t_ms: int) -> bool:
-        return not any(s <= t_ms < e for s, e in self.wifi_outages_ms)
-
     def outage_end_after(self, t_ms: int) -> int:
         for s, e in self.wifi_outages_ms:
             if s <= t_ms < e:
@@ -576,7 +573,7 @@ class _Simulation:
         arrivals = []
         for slot in range(self.cfg.days * SLOTS_PER_DAY):
             sent = slot * SLOT_MS + int(BURST_SECONDS * 1000)
-            up = self.cfg.network.wifi_up(sent)
+            up = self.cfg.network.outage_end_after(sent) == sent
             arrivals.append((sent + (WIFI_LATENCY_MS if up else BLUETOOTH_LATENCY_MS), slot))
         return sorted(arrivals)
 

@@ -273,6 +273,26 @@ class TestFeaturize:
         assert counts["labeled_without_ppg"] == 0
         assert set(manifest["timings"]) == {"total_s", "read_s", "filter_hrv_s", "assemble_s"}
 
+    @pytest.mark.parametrize("bad", ["bursts.jsonl", "context.jsonl", "ema.csv"])
+    @pytest.mark.parametrize("time_ms", [10 ** 30, 2 ** 63, -1])
+    def test_time_out_of_range_exits_3_with_line(self, tmp_path, capsys, bad, time_ms):
+        # the matrix stores window starts as int64: a time must be in 0..2**63-1
+        def at(name):
+            return time_ms if name == bad else 0
+        (tmp_path / "bursts.jsonl").write_text(json.dumps(
+            {"user_id": "u01", "channel": "accel_x", "start_time_ms": at("bursts.jsonl"),
+             "rate_hz": 4.0, "samples": [0.0] * 240}) + "\n")
+        (tmp_path / "context.jsonl").write_text(json.dumps(
+            {"user_id": "u01", "timestamp_ms": at("context.jsonl"), "sensor": "speed",
+             "payload": 1.0}) + "\n")
+        (tmp_path / "ema.csv").write_text(
+            f"timestamp_ms,user_id,stress_level\n{at('ema.csv')},u01,3\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        line = 2 if bad == "ema.csv" else 1
+        assert f"{bad}:{line}: bad " in capsys.readouterr().err
+
     def test_ppg_rate_off_design_exits_3_with_line(self, tmp_path, capsys):
         accel = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
                  "rate_hz": 4.0, "samples": [0.0] * 240}
@@ -407,6 +427,20 @@ class TestTrainEval:
                        "--n-trees", "5", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
         assert f"bad.csv:{lineno}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-eval", "explain"])
+    def test_empty_column_named(self, matrix_path, eval_dir, tmp_path, capsys, command):
+        matrix = read_matrix_csv(matrix_path)
+        speed = matrix.columns.index("speed")
+        matrix.values[:, speed] = np.nan
+        matrix.missing[:, speed] = True
+        empty = tmp_path / "empty_speed.csv"
+        write_matrix_csv(matrix, empty)
+        argv = (["train-eval", "--folds", "3", "--n-trees", "5"] if command == "train-eval"
+                else ["explain", "--model", str(eval_dir / "model.json")])
+        rc = cli.main(argv + ["--matrix", str(empty), "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert "column 'speed' has no observed values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,code", [
         (["--depth", "0"], 2), (["--k", "0"], 2), (["--n-trees", "0"], 2),
@@ -600,7 +634,8 @@ class TestExplain:
 
     @pytest.mark.parametrize("case", ["feature_index_99", "string_threshold",
                                       "names_shorter_than_trees", "leaf_without_output",
-                                      "weights_not_one_per_tree"])
+                                      "weights_not_one_per_tree", "no_feature_names",
+                                      "feature_name_repeated"])
     def test_unusable_trees_exit_3_naming_the_model(self, eval_dir, matrix_path, tmp_path,
                                                      capsys, case):
         rec = json.loads((eval_dir / "model.json").read_text())
@@ -613,6 +648,12 @@ class TestExplain:
         elif case == "names_shorter_than_trees":
             rec["feature_names"] = rec["feature_names"][
                 :max(node["feature_index"] for node in splits)]
+        elif case == "no_feature_names":
+            # one leaf reads no feature, so only the empty names are at fault
+            rec.update(feature_names=[], trees=[{"leaf": True, "probability": 0.5}],
+                       tree_weights=[1.0])
+        elif case == "feature_name_repeated":
+            rec["feature_names"][1] = rec["feature_names"][0]
         elif case == "leaf_without_output":
             leaf = next(node for node in nodes if node.get("leaf"))
             leaf.pop("probability", None)
