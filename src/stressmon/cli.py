@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones
-from .errors import DataFormatError, EmptyColumn, StressmonError, TooManyFeatures, read_input
+from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
 from .hrv import HRV_FEATURE_NAMES
-from .learn import (ModelSpec, fit_on_rows, grouped_cv, knn, model_from_dict,
-                    model_to_dict, personalization_eval)
+from .learn import (ModelSpec, fit_on_rows, grouped_cv, model_from_dict, model_to_dict,
+                    personalization_eval)
 from .learn.evaluate import DEFAULT_FOLDS
 from .learn.trees import TreeEnsembleModel
 from .sim import SimConfig, run_simulation
@@ -162,11 +162,17 @@ def _read_features(path, which):
     naming the file and the columns.
     """
     matrix = dataset.read_matrix_csv(path)
-    lacking = [c for c in _FEATURE_SETS[which] if c not in matrix.columns]
-    if lacking:
-        raise DataFormatError(f"{path}: --features {which} needs columns the matrix "
-                              f"lacks: {', '.join(lacking)}")
+    _require_columns(path, matrix, _FEATURE_SETS[which], f"--features {which}")
     return _restrict_features(matrix, which)
+
+
+def _require_columns(path, matrix, needed, reader):
+    """A DataFormatError naming the matrix file and the lacking columns,
+    when ``matrix`` lacks one of the columns ``needed`` by ``reader``."""
+    lacking = [c for c in needed if c not in matrix.columns]
+    if lacking:
+        raise DataFormatError(f"{path}: {reader} needs columns the matrix lacks: "
+                              f"{', '.join(lacking)}")
 
 
 def _restrict_features(matrix, which):
@@ -192,25 +198,11 @@ def save_model_json(path, model):
         fh.write("\n")
 
 
-def _model(rec):
-    kind = rec["kind"]
-    if kind == "knn":
-        params = rec["knn"]
-        return knn.KnnModel(kind="knn", k=rec["hyperparameters"]["k"],
-                            z_train=np.asarray(params["z_train"]),
-                            y_train=np.asarray(params["y_train"], dtype=int),
-                            mean=np.asarray(params["mean"]),
-                            std=np.asarray(params["std"]),
-                            feature_names=list(rec["feature_names"]),
-                            hyperparameters=dict(rec["hyperparameters"]))
-    if kind not in ("random_forest", "boosted"):
-        raise ValueError(f"unknown model kind {kind!r}")
-    return model_from_dict(rec)
-
-
 def load_model_json(path):
-    """Read a model written by save_model_json; raises DataFormatError naming it."""
-    return read_input(path, "model file", lambda lines: _model(json.loads("".join(lines))))
+    """The tree model of a file written by save_model_json; a knn model or a
+    malformed file raises DataFormatError naming it (see model_from_dict)."""
+    return read_input(path, "model file",
+                      lambda lines: model_from_dict(json.loads("".join(lines))))
 
 
 def cmd_train_eval(args) -> int:
@@ -242,14 +234,12 @@ def cmd_train_eval(args) -> int:
 def cmd_explain(args) -> int:
     t0 = time.monotonic()
     model = load_model_json(args.model)
-    explain_mod.require_tree_model(model)
     limit = explain_mod.MAX_EXACT_FEATURES
     if len(model.feature_names) > limit:
         raise TooManyFeatures(f"{args.model}: {len(model.feature_names)} features > {limit}; "
                               f"train with --select-top {limit} or fewer")
     labeled = dataset.read_matrix_csv(args.matrix).labeled()
-    if any(c not in labeled.columns for c in model.feature_names):
-        raise StressmonError("matrix lacks columns the model was trained on")
+    _require_columns(args.matrix, labeled, model.feature_names, f"the model {args.model}")
     if set(model.feature_names) & set(HRV_FEATURE_NAMES):
         labeled = dataset.drop_rows_missing_block(labeled, HRV_FEATURE_NAMES)
 
@@ -261,10 +251,7 @@ def cmd_explain(args) -> int:
     explain_rows = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
     # Distances use every column of every labeled row, so the imputer is fit
     # on all of them; only the sampled rows are read, so only they are filled.
-    try:
-        imputer = dataset.KnnImputer().fit(labeled.values, labeled.missing)
-    except EmptyColumn as err:
-        raise EmptyColumn(labeled.columns[err.column]) from None
+    imputer = dataset.fit_imputer(labeled, np.arange(n))
     sampled = np.union1d(bg_rows, explain_rows)
     completed = imputer.transform(labeled.values[sampled], labeled.missing[sampled],
                                   exclude=sampled)

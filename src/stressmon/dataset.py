@@ -22,7 +22,8 @@ from . import hrv as hrv_mod
 from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
 from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
-                     TooFewIntervals, TooShort, read_input, strict_str, strict_time_ms)
+                     TooFewIntervals, TooShort, read_input, strict_str, strict_time_ms,
+                     strict_unique)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -278,6 +279,15 @@ class KnnImputer:
         return out
 
 
+def fit_imputer(matrix: FeatureMatrix, rows) -> KnnImputer:
+    """A default KnnImputer fit on ``rows`` of ``matrix``; the EmptyColumn
+    of a column with no observed value there names the column."""
+    try:
+        return KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
+    except EmptyColumn as err:
+        raise EmptyColumn(matrix.columns[err.column]) from None
+
+
 def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
                weighting: str = DEFAULT_IMPUTE_WEIGHTING) -> FeatureMatrix:
     """Complete a matrix in place of its missing cells; see KnnImputer."""
@@ -320,14 +330,15 @@ def sidecar_path(csv_path):
 def _matrix(lines) -> FeatureMatrix:
     """The FeatureMatrix of a matrix CSV's lines.
 
-    Every row has the header's cell count, a non-empty user id and a label
-    that is empty (unlabeled), ``0`` or ``1``.
+    The header names each feature column once.  Every row has the
+    header's cell count, a non-empty user id, a window start in 0..2**63-1
+    and a label that is empty (unlabeled), ``0`` or ``1``.
     """
     reader = csv.reader(lines)
     header = next(reader, [])
     if header[:3] != ["user_id", "window_start_ms", "label"]:
         raise ValueError(f"unexpected header {header[:3]}")
-    columns = tuple(header[3:])
+    columns = tuple(strict_unique(header[3:], "column names"))
     groups, starts, labels, rows = [], [], [], []
     for row in reader:
         if len(row) != len(header):
@@ -339,7 +350,7 @@ def _matrix(lines) -> FeatureMatrix:
         if not all(map(math.isfinite, filter(None, cells))):
             raise ValueError(f"cells must be finite numbers or empty, got {row[3:]}")
         groups.append(strict_str(row[0], "user_id"))
-        starts.append(int(row[1]))
+        starts.append(strict_time_ms(int(row[1]), "window_start_ms"))
         labels.append(float(row[2]) if row[2] else np.nan)
         rows.append(cells)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))

@@ -216,3 +216,13 @@ def strict_str(value, name) -> str:
     if type(value) is str and value:
         return value
     raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+
+
+def strict_unique(names, what) -> list:
+    """``names`` as a list; a repeated name raises ValueError naming ``what``,
+    since each name picks the one column its values are read from."""
+    names = list(names)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{what} repeated: {repeated}")
+    return names

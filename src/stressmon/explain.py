@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBackground, NotATreeModel, TooManyFeatures
+from .learn.trees import TREE_KINDS
 
 MAX_EXACT_FEATURES = 16
 # Synthetic rows per predict_proba call: enough that an 8-feature row over 64
@@ -40,11 +41,6 @@ class Explanation:
     @property
     def prediction(self) -> float:
         return self.base_value + float(self.shap_values.sum())
-
-
-def require_tree_model(model):
-    if getattr(model, "kind", None) not in ("random_forest", "boosted"):
-        raise NotATreeModel("exact Shapley explanation needs a tree-based model")
 
 
 def coalition_value_table(model, row: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -70,10 +66,12 @@ def coalition_value_table(model, row: np.ndarray, background: np.ndarray) -> np.
 def shap_values(model, row, background_rows) -> Explanation:
     """Exact interventional Shapley values by coalition enumeration.
 
-    Raises TooManyFeatures beyond 16 features and EmptyBackground when no
+    Raises NotATreeModel for a model whose kind is not one of TREE_KINDS,
+    TooManyFeatures beyond 16 features and EmptyBackground when no
     reference rows are given.
     """
-    require_tree_model(model)
+    if getattr(model, "kind", None) not in TREE_KINDS:
+        raise NotATreeModel("exact Shapley explanation needs a tree-based model")
     row = np.asarray(row, dtype=float).ravel()
     background = np.asarray(background_rows, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..dataset import (DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix,
-                       KnnImputer)
-from ..errors import EmptyColumn, InsufficientTargetData, LengthMismatch, TooFewGroups
+from ..dataset import DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix, fit_imputer
+from ..errors import InsufficientTargetData, LengthMismatch, TooFewGroups
 from .knn import train_knn
 from .trees import select_top_features, train_boosted, train_random_forest
 
@@ -40,11 +39,7 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "depth": self.depth, "k": self.k,
-                "n_trees": self.n_trees, "rounds": self.rounds,
-                "learning_rate": self.learning_rate,
-                "select_top": self.select_top,
-                "impute_k": DEFAULT_IMPUTE_K,
+        return {**asdict(self), "impute_k": DEFAULT_IMPUTE_K,
                 "impute_weighting": DEFAULT_IMPUTE_WEIGHTING}
 
 
@@ -78,9 +73,7 @@ class EvalReport:
             "model": self.spec,
             "seed": self.seed,
             "mean_f1": self.mean_f1,
-            "folds": [{"fold": f.fold, "f1": f.f1, "test_users": f.test_users,
-                       "selected_features": f.selected_features,
-                       "confusion": f.confusion} for f in self.folds],
+            "folds": [asdict(f) for f in self.folds],
         }
 
     def write(self, json_path, csv_path):
@@ -147,10 +140,7 @@ def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
     and completes any other rows for prediction; ``selected`` lists the
     column indices the model reads.
     """
-    try:
-        imputer = KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
-    except EmptyColumn as err:
-        raise EmptyColumn(matrix.columns[err.column]) from None
+    imputer = fit_imputer(matrix, rows)
     X = imputer.transform(matrix.values[rows], matrix.missing[rows],
                           exclude=np.arange(len(rows)))
     y = matrix.labels[rows].astype(int)
@@ -163,6 +153,15 @@ def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
     model = fit_model(spec, X[:, selected], y, seed,
                       feature_names=[matrix.columns[i] for i in selected])
     return model, imputer, selected
+
+
+def _held_out(matrix: FeatureMatrix, train_rows, test_rows, spec: ModelSpec, seed: int):
+    """``(y_true, y_pred, selected)`` on ``test_rows`` of a :func:`fit_on_rows`
+    on ``train_rows``."""
+    model, imputer, selected = fit_on_rows(matrix, train_rows, spec, seed)
+    X_te = imputer.transform(matrix.values[test_rows], matrix.missing[test_rows])
+    return (matrix.labels[test_rows].astype(int), model.predict(X_te[:, selected]),
+            selected)
 
 
 def _auto_select(X, y, groups, spec, seed):
@@ -197,16 +196,9 @@ def grouped_cv(matrix: FeatureMatrix, spec: ModelSpec,
     groups = np.array(labeled.groups, dtype=object)
     report = EvalReport(spec=spec.describe(), seed=seed)
     for f, test_users in enumerate(fold_users):
-        test_set = set(test_users)
-        train_set = set(labeled.groups) - test_set
-        assert not (train_set & test_set), "train/test users overlap"
-        test_rows = np.flatnonzero(np.isin(groups, list(test_set)))
-        train_rows = np.flatnonzero(~np.isin(groups, list(test_set)))
-        fold_seed = 1009 * seed + f
-        model, imputer, selected = fit_on_rows(labeled, train_rows, spec, fold_seed)
-        X_te = imputer.transform(labeled.values[test_rows], labeled.missing[test_rows])
-        y_te = labeled.labels[test_rows].astype(int)
-        y_pred = model.predict(X_te[:, selected])
+        is_test = np.isin(groups, test_users)
+        y_te, y_pred, selected = _held_out(labeled, np.flatnonzero(~is_test),
+                                           np.flatnonzero(is_test), spec, 1009 * seed + f)
         report.folds.append(FoldResult(
             fold=f, f1=f1_score(y_te, y_pred), test_users=sorted(test_users),
             selected_features=[labeled.columns[i] for i in selected],
@@ -221,8 +213,7 @@ class PersonalizationResult:
     f1_after: float
 
     def to_dict(self) -> dict:
-        return {"user": self.user, "f1_before": self.f1_before,
-                "f1_after": self.f1_after}
+        return asdict(self)
 
 
 def personalization_eval(matrix: FeatureMatrix, target_user: str,
@@ -241,12 +232,12 @@ def personalization_eval(matrix: FeatureMatrix, target_user: str,
     test_rows = target_rows[:n_test]
     extra_rows = target_rows[n_test:]
     other_rows = np.flatnonzero(groups != target_user)
-
-    y_te = labeled.labels[test_rows].astype(int)
-    scores = []
-    for train_rows in (other_rows, np.sort(np.concatenate([other_rows, extra_rows]))):
-        model, imputer, selected = fit_on_rows(labeled, train_rows, spec, seed)
-        X_te = imputer.transform(labeled.values[test_rows], labeled.missing[test_rows])
-        scores.append(f1_score(y_te, model.predict(X_te[:, selected])))
+    if other_rows.size == 0:
+        raise InsufficientTargetData(
+            f"user {target_user!r} is the only user with labeled windows; "
+            "no other user's are left to train on")
+    scores = [f1_score(*_held_out(labeled, train_rows, test_rows, spec, seed)[:2])
+              for train_rows in (other_rows,
+                                 np.sort(np.concatenate([other_rows, extra_rows])))]
     return PersonalizationResult(user=target_user, f1_before=scores[0],
                                  f1_after=scores[1])

@@ -7,6 +7,7 @@ import numpy as np
 
 from ..dataset import nearest_rows
 from ..errors import KTooLarge
+from .trees import _validate_training_inputs
 
 
 @dataclass
@@ -40,17 +41,11 @@ class KnnModel:
 
 def train_knn(X, y, k: int, feature_names=None) -> KnnModel:
     """Store standardized training data for majority-vote prediction."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y).astype(int)
-    if np.isnan(X).any():
-        raise ValueError("training matrix contains missing values; impute first")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary 0/1")
+    X, y, names = _validate_training_inputs(X, y, feature_names)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > X.shape[0]:
         raise KTooLarge(f"k={k} exceeds {X.shape[0]} training rows")
-    names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(X.shape[1])]
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, strict_float,
-                      strict_int, strict_str)
+                      strict_int, strict_str, strict_unique)
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
@@ -46,6 +46,8 @@ DEFAULT_BOOST_ROUNDS = 100
 DEFAULT_BOOST_DEPTH = 6
 DEFAULT_BOOST_RATE = 0.3
 BOOST_L2 = 1.0
+#: The model kinds of TreeEnsembleModel, the only ones a model file may hold.
+TREE_KINDS = ("random_forest", "boosted")
 
 
 @dataclass
@@ -77,7 +79,7 @@ class TreeNode:
 class TreeEnsembleModel:
     """A trained forest or boosted-tree model over named features."""
 
-    kind: str                      # "random_forest" | "boosted"
+    kind: str                      # one of TREE_KINDS
     trees: list
     tree_weights: list
     feature_names: list
@@ -220,7 +222,9 @@ def _grow_classification_tree(XT, y, rows, depth_left, rng, max_features, n_root
     return node
 
 
-def _validate_training_inputs(X, y):
+def _validate_training_inputs(X, y, feature_names):
+    """``(X, y, names)``, names ``f0, f1, ...`` by default; raises ValueError
+    unless X is (n, d) without missing values and y holds n 0/1 labels."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -229,27 +233,25 @@ def _validate_training_inputs(X, y):
         raise ValueError("training matrix contains missing values; impute first")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary 0/1")
-    return X, y.astype(int)
+    names = (list(feature_names) if feature_names is not None
+             else [f"f{i}" for i in range(X.shape[1])])
+    return X, y.astype(int), names
 
 
 def _degenerate_model(kind, y, feature_names, hyperparameters, seed):
+    """A one-leaf model of ``y``'s one label: the forest's leaf holds it as a
+    probability, the boosted base score as a log-odds of 0.99 or 0.01."""
     warnings.warn(DegenerateLabels(
         f"all labels are {int(y[0])}; returning a constant predictor"))
-    n = len(y)
-    if kind == "boosted":
-        leaf = TreeNode(class_counts=(n - y.sum(), y.sum()), value=0.0,
-                        sample_fraction=1.0)
-        base = math.log(0.99 / 0.01) * (1 if y[0] == 1 else -1)
-        return TreeEnsembleModel(kind=kind, trees=[leaf], tree_weights=[1.0],
-                                 feature_names=feature_names,
-                                 hyperparameters=hyperparameters, seed=seed,
-                                 base_score=base, degenerate=True)
-    leaf = TreeNode(class_counts=(n - y.sum(), y.sum()),
-                    probability=float(y[0]), sample_fraction=1.0)
+    boosted = kind == "boosted"
+    leaf = TreeNode(class_counts=(len(y) - y.sum(), y.sum()), sample_fraction=1.0,
+                    probability=None if boosted else float(y[0]),
+                    value=0.0 if boosted else None)
+    base = math.log(0.99 / 0.01) * (1 if y[0] == 1 else -1) if boosted else 0.0
     return TreeEnsembleModel(kind=kind, trees=[leaf], tree_weights=[1.0],
                              feature_names=feature_names,
                              hyperparameters=hyperparameters, seed=seed,
-                             degenerate=True)
+                             base_score=base, degenerate=True)
 
 
 def train_random_forest(X, y, depth, n_trees: int = DEFAULT_N_TREES,
@@ -259,11 +261,10 @@ def train_random_forest(X, y, depth, n_trees: int = DEFAULT_N_TREES,
     Every tree draws its bootstrap and per-node ceil(sqrt(d)) feature
     candidates from an independent stream keyed by (seed, tree index).
     """
-    X, y = _validate_training_inputs(X, y)
+    X, y, names = _validate_training_inputs(X, y, feature_names)
     if depth < 1 or n_trees < 1:
         raise ValueError("depth and n_trees must be >= 1")
     n, d = X.shape
-    names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(d)]
     hp = {"depth": int(depth), "n_trees": int(n_trees)}
     if len(np.unique(y)) < 2:
         return _degenerate_model("random_forest", y, names, hp, seed)
@@ -321,11 +322,10 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
     and replaces leaf values with the Newton step
     sum(residuals) / (sum p(1-p) + 1.0).
     """
-    X, y = _validate_training_inputs(X, y)
+    X, y, names = _validate_training_inputs(X, y, feature_names)
     if rounds < 1 or depth < 1 or learning_rate <= 0:
         raise ValueError("rounds, depth and learning_rate must be positive")
-    n, d = X.shape
-    names = list(feature_names) if feature_names is not None else [f"f{i}" for i in range(d)]
+    n = X.shape[0]
     hp = {"rounds": int(rounds), "depth": int(depth),
           "learning_rate": float(learning_rate)}
     if len(np.unique(y)) < 2:
@@ -450,21 +450,25 @@ def model_to_dict(model: TreeEnsembleModel):
 
 def model_from_dict(rec) -> TreeEnsembleModel:
     """The model of :func:`model_to_dict`'s record; raises ValueError for a
-    record whose trees could not predict (see :func:`_node_from_dict`), or
-    whose feature names are empty or repeated (each name picks the matrix
-    column its feature is read from)."""
-    names = [strict_str(name, "feature name") for name in rec["feature_names"]]
+    record whose kind is not one of TREE_KINDS, that holds no tree, whose
+    trees could not predict (see :func:`_node_from_dict`), or whose feature
+    names are empty or repeated (each name picks the matrix column its
+    feature is read from)."""
+    kind = rec["kind"]
+    if kind not in TREE_KINDS:
+        raise ValueError(f"kind {kind!r} is not a tree model ({' or '.join(TREE_KINDS)})")
+    names = strict_unique([strict_str(name, "feature name") for name in rec["feature_names"]],
+                          "feature names")
     if not names:
         raise ValueError("feature_names is empty")
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"feature names repeated: {repeated}")
     trees = [_node_from_dict(t, len(names)) for t in rec["trees"]]
+    if not trees:
+        raise ValueError("trees is empty")
     weights = [strict_float(w, "tree weight") for w in rec["tree_weights"]]
     if len(weights) != len(trees):
         raise ValueError(f"{len(weights)} tree weights for {len(trees)} trees")
     return TreeEnsembleModel(
-        kind=rec["kind"],
+        kind=kind,
         trees=trees,
         tree_weights=weights,
         feature_names=names,

@@ -1,5 +1,4 @@
 """Shared fixtures: a small simulated study reused across test modules."""
-import numpy as np
 import pytest
 
 from stressmon.cli import featurize_directory
@@ -25,20 +24,3 @@ def small_matrix(small_study):
     out, _ = small_study
     return featurize_directory(out)
 
-
-def make_grouped_classification(n_users=10, rows_per_user=40, d=6, seed=0,
-                                informative=(0, 1), noise=0.3):
-    """Separable per-user data with shared informative features.
-
-    Returns (X, y, groups) where y depends on the sum of the informative
-    columns, identically for every user.
-    """
-    rng = np.random.default_rng(seed)
-    X, y, groups = [], [], []
-    for u in range(n_users):
-        Xu = rng.normal(size=(rows_per_user, d))
-        score = Xu[:, list(informative)].sum(axis=1) + rng.normal(0, noise, rows_per_user)
-        X.append(Xu)
-        y.append((score > 0).astype(int))
-        groups.extend([f"user{u:02d}"] * rows_per_user)
-    return np.vstack(X), np.concatenate(y), groups

@@ -185,7 +185,7 @@ def test_c07_grouped_cv_integrity():
         flat = [u for part in folds for u in part]
         assert sorted(flat) == users          # disjoint cover
         assert all(part for part in folds)
-    from conftest import make_grouped_classification
+    from test_learn_eval import make_grouped_classification
     from test_learn_eval import as_matrix
     X, y, groups = make_grouped_classification(n_users=9, rows_per_user=30, seed=3)
     matrix = as_matrix(X, y, groups)

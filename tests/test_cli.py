@@ -409,7 +409,8 @@ class TestTrainEval:
         model = json.loads((out / "model.json").read_text())
         assert model["feature_names"] == [completed.columns[i] for i in cols]
 
-    @pytest.mark.parametrize("edit", ["short_row", "label_2", "label_half"])
+    @pytest.mark.parametrize("edit", ["short_row", "label_2", "label_half", "start_10**30",
+                                      "start_2**63", "start_-5"])
     def test_bad_matrix_row_exits_3_with_line(self, matrix_path, tmp_path, capsys,
                                               edit):
         lines = matrix_path.read_text().splitlines()
@@ -418,6 +419,9 @@ class TestTrainEval:
         cells = lines[lineno - 1].split(",")
         if edit == "short_row":
             cells = cells[:-2]
+        elif edit.startswith("start_"):  # window starts are int64 epoch times
+            cells[1] = {"start_10**30": str(10 ** 30), "start_2**63": str(2 ** 63),
+                        "start_-5": "-5"}[edit]
         else:
             cells[2] = "2" if edit == "label_2" else "0.5"
         lines[lineno - 1] = ",".join(cells)
@@ -426,7 +430,20 @@ class TestTrainEval:
         rc = cli.main(["train-eval", "--matrix", str(bad), "--folds", "3",
                        "--n-trees", "5", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
-        assert f"bad.csv:{lineno}:" in capsys.readouterr().err
+        assert f"bad.csv:{lineno}: bad matrix CSV: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-eval", "explain"])
+    def test_repeated_column_name_exits_3(self, matrix_path, eval_dir, tmp_path, capsys,
+                                          command):
+        header, rest = matrix_path.read_text().split("\n", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header.replace(",ibi,", ",bpm,") + "\n" + rest)
+        argv = (["train-eval", "--folds", "3", "--n-trees", "5"] if command == "train-eval"
+                else ["explain", "--model", str(eval_dir / "model.json")])
+        rc = cli.main(argv + ["--matrix", str(bad), "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {bad}:1: bad matrix CSV: column names repeated: ['bpm']\n")
 
     @pytest.mark.parametrize("command", ["train-eval", "explain"])
     def test_empty_column_named(self, matrix_path, eval_dir, tmp_path, capsys, command):
@@ -635,7 +652,7 @@ class TestExplain:
     @pytest.mark.parametrize("case", ["feature_index_99", "string_threshold",
                                       "names_shorter_than_trees", "leaf_without_output",
                                       "weights_not_one_per_tree", "no_feature_names",
-                                      "feature_name_repeated"])
+                                      "feature_name_repeated", "no_trees", "knn_kind"])
     def test_unusable_trees_exit_3_naming_the_model(self, eval_dir, matrix_path, tmp_path,
                                                      capsys, case):
         rec = json.loads((eval_dir / "model.json").read_text())
@@ -654,6 +671,10 @@ class TestExplain:
                        tree_weights=[1.0])
         elif case == "feature_name_repeated":
             rec["feature_names"][1] = rec["feature_names"][0]
+        elif case == "no_trees":
+            rec.update(trees=[], tree_weights=[])
+        elif case == "knn_kind":
+            rec["kind"] = "knn"
         elif case == "leaf_without_output":
             leaf = next(node for node in nodes if node.get("leaf"))
             leaf.pop("probability", None)
@@ -668,6 +689,23 @@ class TestExplain:
         assert capsys.readouterr().err.startswith(f"error: {model}: bad model file: ")
         assert not (tmp_path / "e").exists()
 
+    def test_matrix_lacking_model_columns_named(self, eval_dir, matrix_path, tmp_path,
+                                                capsys):
+        model = eval_dir / "model.json"
+        names = json.loads(model.read_text())["feature_names"]
+        header, rest = matrix_path.read_text().split("\n", 1)
+        cells = header.split(",")
+        for name in names[:2]:
+            cells[cells.index(name)] = name + "_renamed"
+        bad = tmp_path / "renamed.csv"
+        bad.write_text(",".join(cells) + "\n" + rest)
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(bad),
+                       "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {bad}: the model {model} needs columns the matrix lacks: "
+            f"{names[0]}, {names[1]}\n")
+
     def test_knn_model_exit(self, matrix_path, tmp_path, capsys):
         out = tmp_path / "knn"
         assert cli.main(["train-eval", "--matrix", str(matrix_path),
@@ -676,7 +714,9 @@ class TestExplain:
                        "--matrix", str(matrix_path), "--max-rows", "2",
                        "--background", "4", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
-        assert "tree" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tree" in err
+        assert err.startswith(f"error: {out / 'model.json'}: bad model file: ")
 
 
 def _walk(node):
@@ -701,6 +741,18 @@ class TestPersonalize:
         rc = cli.main(["personalize", "--matrix", str(matrix_path),
                        "--user", "nobody", "--out", str(tmp_path / "p")])
         assert rc == cli.EXIT_DATA
+
+    def test_only_user_exits_3(self, matrix_path, tmp_path, capsys):
+        matrix = read_matrix_csv(matrix_path)
+        alone = tmp_path / "u01.csv"
+        write_matrix_csv(matrix.select_rows(
+            [i for i, user in enumerate(matrix.groups) if user == "u01"]), alone)
+        rc = cli.main(["personalize", "--matrix", str(alone), "--user", "u01",
+                       "--out", str(tmp_path / "p")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: user 'u01' is the only user with labeled windows; "
+            "no other user's are left to train on\n")
 
 
 class TestIdempotence:

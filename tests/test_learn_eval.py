@@ -2,13 +2,30 @@
 import numpy as np
 import pytest
 
-from conftest import make_grouped_classification
 from stressmon.dataset import FeatureMatrix
 from stressmon.errors import (InsufficientTargetData, KTooLarge,
                               LengthMismatch, TooFewGroups)
 from stressmon.learn import (ModelSpec, f1_score, grouped_cv,
                              personalization_eval, split_users_into_folds,
                              train_knn)
+
+
+def make_grouped_classification(n_users=10, rows_per_user=40, d=6, seed=0,
+                                informative=(0, 1), noise=0.3):
+    """Separable per-user data with shared informative features.
+
+    Returns (X, y, groups) where y depends on the sum of the informative
+    columns, identically for every user.
+    """
+    rng = np.random.default_rng(seed)
+    X, y, groups = [], [], []
+    for u in range(n_users):
+        Xu = rng.normal(size=(rows_per_user, d))
+        score = Xu[:, list(informative)].sum(axis=1) + rng.normal(0, noise, rows_per_user)
+        X.append(Xu)
+        y.append((score > 0).astype(int))
+        groups.extend([f"user{u:02d}"] * rows_per_user)
+    return np.vstack(X), np.concatenate(y), groups
 
 
 def as_matrix(X, y, groups):

@@ -216,3 +216,41 @@ class TestGoldenModels:
         X, y = self.golden_matrix()
         model = train_boosted(X, y, rounds=20, depth=4, seed=3)
         assert self.digest(model) == self.BOOSTED_SHA256
+
+    #: model_to_dict JSON (sort_keys) of one-label fits on a 4 x 2 matrix, as
+    #: written when the forest and boosted constant models were built apart.
+    DEGENERATE_JSON = {
+        ("random_forest", 1):
+            '{"base_score": 0.0, "degenerate": true, "feature_names": ["f0", "f1"],'
+            ' "hyperparameters": {"depth": 3, "n_trees": 7}, "kind": "random_forest",'
+            ' "seed": 5, "tree_weights": [1.0], "trees": [{"class_counts": [0, 4],'
+            ' "leaf": true, "probability": 1.0, "sample_fraction": 1.0}]}',
+        ("boosted", 1):
+            '{"base_score": 4.59511985013459, "degenerate": true,'
+            ' "feature_names": ["f0", "f1"], "hyperparameters": {"depth": 2,'
+            ' "learning_rate": 0.3, "rounds": 4}, "kind": "boosted", "seed": 5,'
+            ' "tree_weights": [1.0], "trees": [{"class_counts": [0, 4], "leaf": true,'
+            ' "sample_fraction": 1.0, "value": 0.0}]}',
+        ("random_forest", 0):
+            '{"base_score": 0.0, "degenerate": true, "feature_names": ["f0", "f1"],'
+            ' "hyperparameters": {"depth": 3, "n_trees": 7}, "kind": "random_forest",'
+            ' "seed": 5, "tree_weights": [1.0], "trees": [{"class_counts": [4, 0],'
+            ' "leaf": true, "probability": 0.0, "sample_fraction": 1.0}]}',
+        ("boosted", 0):
+            '{"base_score": -4.59511985013459, "degenerate": true,'
+            ' "feature_names": ["f0", "f1"], "hyperparameters": {"depth": 2,'
+            ' "learning_rate": 0.3, "rounds": 4}, "kind": "boosted", "seed": 5,'
+            ' "tree_weights": [1.0], "trees": [{"class_counts": [4, 0], "leaf": true,'
+            ' "sample_fraction": 1.0, "value": 0.0}]}',
+    }
+
+    @pytest.mark.parametrize("kind,label", sorted(DEGENERATE_JSON))
+    def test_degenerate(self, kind, label):
+        import json
+        X, y = np.arange(8.0).reshape(4, 2), np.full(4, label)
+        with pytest.warns(DegenerateLabels):
+            model = (train_random_forest(X, y, depth=3, n_trees=7, seed=5)
+                     if kind == "random_forest"
+                     else train_boosted(X, y, rounds=4, depth=2, seed=5))
+        text = json.dumps(model_to_dict(model), sort_keys=True)
+        assert text == self.DEGENERATE_JSON[kind, label]
