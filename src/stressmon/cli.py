@@ -198,6 +198,18 @@ def save_model_json(path, model):
         fh.write("\n")
 
 
+def _node_count(model) -> int:
+    """Split and leaf nodes over a tree model's trees; a knn model has none."""
+    stack = list(model.trees) if isinstance(model, TreeEnsembleModel) else []
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += 1
+        if not node.is_leaf:
+            stack += (node.left, node.right)
+    return count
+
+
 def load_model_json(path):
     """The tree model of a file written by save_model_json; a knn model or a
     malformed file raises DataFormatError naming it (see model_from_dict)."""
@@ -209,7 +221,9 @@ def cmd_train_eval(args) -> int:
     t0 = time.monotonic()
     matrix = _read_features(args.matrix, args.features)
     spec = _model_spec(args)
+    t1 = time.monotonic()
     report = grouped_cv(matrix, spec, folds=args.folds, seed=args.seed)
+    t2 = time.monotonic()
 
     os.makedirs(args.out, exist_ok=True)
     report_json = os.path.join(args.out, "report.json")
@@ -218,13 +232,17 @@ def cmd_train_eval(args) -> int:
 
     # Final model on all labeled rows, for downstream explain/personalize.
     labeled = matrix.labeled()
+    t3 = time.monotonic()
     model, _, _ = fit_on_rows(labeled, np.arange(labeled.n_rows), spec, args.seed)
+    t4 = time.monotonic()
     model_path = os.path.join(args.out, "model.json")
     save_model_json(model_path, model)
 
     write_manifest(args.out, "train_eval", args.seed, [args.matrix],
                    [report_json, report_csv, model_path],
-                   {"total_s": round(time.monotonic() - t0, 3)})
+                   {"total_s": round(time.monotonic() - t0, 3),
+                    "grouped_cv_s": round(t2 - t1, 3), "final_fit_s": round(t4 - t3, 3)},
+                   counts={"final_model_nodes": _node_count(model)})
     fold_txt = " ".join(f"{f:.3f}" for f in report.fold_f1s)
     print(f"{args.model} ({args.features}) mean F1 = {report.mean_f1:.3f} "
           f"over folds [{fold_txt}] -> {args.out}")

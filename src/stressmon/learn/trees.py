@@ -8,30 +8,53 @@ fit squared-error regression trees to logistic-loss residuals with Newton
 leaf values.  All randomness flows from per-tree generator streams keyed
 by (seed, tree_index), so results are independent of evaluation order.
 
-Both ensembles find splits with one scanner, :func:`_best_split`.  It
-takes a node's candidate columns as a feature-major (k, m) block, each
-row already sorted, and scores the separating cuts of every row in one
-pass of 2-D array operations; only the impurity statistic differs (class
-counts for Gini, residual sums for squared error).  The sorted order
-comes from:
+Both ensembles find splits with one scanner, :func:`_scan`.  It takes a
+flat run of segments, each one candidate column of one node with the
+node's values sorted ascending, and scores every cut between two distinct
+neighbours of a segment in one pass; each node keeps its first maximum in
+(candidate, threshold) order, the tie-breaks of a per-feature scan.  Only
+the impurity statistic differs (class counts for Gini, residual sums for
+squared error).
 
-* forest: each node stably sorts just its k = ceil(sqrt(d)) candidate
-  columns over its bootstrap rows.  Pre-sorting all d columns per tree
-  costs more, because every node would then partition d lists to scan k;
-* boosting: every round fits the same rows, so the columns are stably
-  sorted once per ensemble and the (d, m) order block is stably
-  partitioned down each tree, so no node sorts anything.
+The forest grows all of its trees in lockstep.  Each tree keeps a
+depth-first stack of the nodes it may still split; at every step each
+live tree pops one node and draws its ceil(sqrt(d)) candidate columns,
+and all the popped nodes are scanned together.  A split pushes its right
+child before its left, so every tree pops, and draws from its own
+(seed, tree) stream, in the preorder of a depth-first recursion: batching
+moves no draw.  A child that is a leaf by rule (no depth left, or one
+class only) is never pushed; its class counts come from the winning
+cut's prefix count.  The columns are ranked once per forest, and the
+segments of a scan are sorted by one integer sort of ``segment * n +
+rank``.  Cuts fall only between distinct values, so a node's result
+depends on its rows as a multiset: neither the order of equal values
+nor the order in which a child inherits its rows (that of its parent's
+split column) changes it.  The label prefix counts are integers, so one running sum over all
+segments, less its value before each segment, is exact.  One scanner
+call takes at most ``_SCAN_CELLS`` cells (values of a node's candidate
+columns), so memory stays bounded at any forest size; a step's nodes are
+scanned in chunks under that cap, and a node's result does not depend on
+its chunk.
 
-Taking the first maximum over the cuts listed row by row keeps the
-tie-breaks of a per-feature scan: the earliest candidate, then the lowest
-threshold.  Stable sorts and partitions keep its order of summation too,
-so boosting's residual sums, and the models, match it to the last bit.
+Boosting scans one node at a time: every round fits the same rows, so the
+columns are stably sorted once per ensemble, the (d, m) order block is
+stably partitioned down each tree, and its d rows are the node's
+segments.  Its prefix sums are floats and run along each block row, as
+a running sum over all segments would not subtract back to them bit for
+bit.
+
+The models match a per-feature, per-node search to the last bit.  Every
+child impurity is an elementwise array expression, as it was there; each
+node's parent impurity is computed on Python floats, like the numpy
+scalar it was, because an array's ``p ** 2`` can differ from a scalar's in
+the last bit (53 positives of 223 rows do).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +71,9 @@ DEFAULT_BOOST_RATE = 0.3
 BOOST_L2 = 1.0
 #: The model kinds of TreeEnsembleModel, the only ones a model file may hold.
 TREE_KINDS = ("random_forest", "boosted")
+#: Most cells (values of a node's candidate columns) one scanner call takes;
+#: the forest scans each step's nodes in chunks that stay under it.
+_SCAN_CELLS = 1 << 16
 
 
 @dataclass
@@ -123,58 +149,204 @@ def _tree_leaf_outputs(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gini(pos: np.ndarray, n: np.ndarray):
+def _gini(pos, n):
     p = pos / n
     return 1.0 - p ** 2 - (1.0 - p) ** 2
 
 
-def _best_split(xs, decrease_at):
-    """Best (decrease, block row, threshold) of a sorted block, or None.
+def _scan(xs, starts, seg_node, decrease_at):
+    """Best cut of each node in a flat run of sorted segments.
 
-    ``xs`` is a feature-major (k, m) block whose rows are the node's
-    candidate columns, each sorted ascending.  ``decrease_at(row, at)``
-    gives the weighted impurity decrease of cutting block row ``row``
-    after its ``at``-th value.  Only cuts whose midpoint separates the two
-    neighbours are scored.  They are listed row by row, so the first
-    maximum keeps the earliest row, then the lowest threshold.
+    ``xs`` holds the segments back to back, each sorted ascending, and
+    ``starts`` where each one begins.  ``seg_node`` names the node of each
+    segment; it is nondecreasing, so a node's segments (its candidate
+    columns) lie together.  ``decrease_at(cut, seg)`` gives the weighted
+    impurity decrease of cutting segment ``seg`` after flat position
+    ``cut``.  Only cuts whose midpoint separates two neighbours of one
+    segment are scored.  Each node keeps the first maximum of its cuts in
+    flat order, so the earliest segment, then the lowest threshold, wins.
+
+    Returns ``(node, seg, cut, decrease, threshold)`` arrays with one entry
+    per node whose best decrease exceeds MIN_IMPURITY_DECREASE.
     """
-    hi = xs[:, 1:]
-    thrs = 0.5 * (xs[:, :-1] + hi)
+    hi = xs[1:]
+    thrs = 0.5 * (xs[:-1] + hi)
     # equal neighbours give thrs == hi; midpoints of near-adjacent floats
     # can round up to hi too and would leave a child empty
-    row, at = np.nonzero(thrs < hi)
-    if row.size == 0:
-        return None
-    decrease = decrease_at(row, at)
-    i = int(decrease.argmax())
-    if not decrease[i] > MIN_IMPURITY_DECREASE:
-        return None
-    return float(decrease[i]), int(row[i]), float(thrs[row[i], at[i]])
+    separates = thrs < hi
+    separates[starts[1:] - 1] = False
+    cut = np.flatnonzero(separates)
+    if cut.size == 0:
+        return cut, cut, cut, thrs[:0], thrs[:0]
+    seg = np.searchsorted(starts, cut, side="right") - 1
+    decrease = decrease_at(cut, seg)
+    node = seg_node[seg]
+    if node[0] == node[-1]:         # one node, as in boosting
+        win = decrease.argmax(keepdims=True)
+    else:
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        best = np.maximum.reduceat(decrease, first)
+        hits = np.flatnonzero(decrease == np.repeat(best, np.diff(first, append=node.size)))
+        win = hits[np.searchsorted(hits, first)]
+    win = win[decrease[win] > MIN_IMPURITY_DECREASE]
+    return node[win], seg[win], cut[win], decrease[win], thrs[cut[win]]
 
 
-def _gini_decrease(ys, n_root):
-    """``decrease_at`` for the Gini criterion over a sorted (k, m) label block."""
-    m = ys.shape[1]
-    total_pos = ys[0].sum()
-    parent = float(_gini(np.array(total_pos, dtype=float), np.array(float(m))))
-    cum_pos = np.cumsum(ys, axis=1)
+class _Presorted(NamedTuple):
+    """Each column of a forest's training matrix sorted once, flattened
+    column-major: entry ``f * n + r`` of ``row``, ``x`` and ``y`` is the
+    row at rank ``r`` of column ``f``, its value and its label, and entry
+    ``f * n + i`` of ``rank`` is the rank of row ``i`` in column ``f``."""
 
-    def decrease_at(row, at):
-        left_n = (at + 1).astype(float)
-        left_pos = cum_pos[row, at].astype(float)
-        right_n = m - left_n
-        right_pos = total_pos - left_pos
+    n: int
+    rank: np.ndarray
+    row: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _presort(XT, y) -> _Presorted:
+    d, n = XT.shape
+    order = np.argsort(XT, axis=1).astype(np.int32)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32), axis=1)
+    return _Presorted(n, rank.ravel(), order.ravel(),
+                      np.take_along_axis(XT, order, axis=1).ravel(),
+                      y[order].astype(np.int8).ravel())
+
+
+def _split_forest_nodes(cols, rows, candidates, positives, n_root):
+    """Best Gini split of each forest node, or None.
+
+    Node ``i`` holds the bootstrap rows ``rows[i]`` (``positives[i]`` of
+    them labeled 1) and draws the candidate columns ``candidates[i]``; all
+    nodes draw the same number.  The nodes are scanned in chunks of at most
+    _SCAN_CELLS cells (a node larger than that goes alone), and no node's
+    result depends on the chunk it falls in.  A split is ``(decrease,
+    feature, threshold, left_rows, right_rows, left_positives)``.
+    """
+    k = candidates[0].size
+    results, first, cells = [], 0, 0
+    for i, r in enumerate(rows):
+        if cells and cells + k * r.size > _SCAN_CELLS:
+            results += _split_forest_chunk(cols, rows[first:i], candidates[first:i],
+                                           positives[first:i], n_root)
+            first, cells = i, 0
+        cells += k * r.size
+    return results + _split_forest_chunk(cols, rows[first:], candidates[first:],
+                                         positives[first:], n_root)
+
+
+def _split_forest_chunk(cols, rows, candidates, positives, n_root):
+    n = cols.n
+    k = candidates[0].size
+    sizes = [r.size for r in rows]
+    m = np.array(sizes)
+    seg_len = np.repeat(m, k)
+    starts = np.cumsum(seg_len) - seg_len
+    seg_node = np.repeat(np.arange(len(rows)), k)
+    features = np.concatenate(candidates)
+    # one segment per (node, candidate): its rows ordered by the
+    # candidate's rank, so the values come out sorted
+    feature_base = np.repeat(features * n, seg_len)
+    seg_base = np.repeat(np.arange(features.size) * n, seg_len)
+    keys = seg_base + cols.rank[feature_base + np.concatenate([r for r in rows for _ in range(k)])]
+    keys.sort()
+    flat = keys - seg_base + feature_base
+    xs = cols.x[flat]
+    ys = cols.y[flat]
+    # integer prefix counts: a segment's own prefix is exact after subtracting
+    # everything before it
+    cum = np.cumsum(ys)
+    before = cum[starts] - ys[starts]
+    # the parent's impurity on Python floats, as the per-node search took it
+    # on numpy scalars: an array's ``** 2`` may differ in the last bit
+    parent = np.array([_gini(p, s) for p, s in zip(positives, sizes)])
+    scale = np.array([s / n_root for s in sizes])
+    pos = np.array(positives)
+
+    def decrease_at(cut, seg):
+        node = seg_node[seg]
+        size = m[node]
+        left_n = (cut - starts[seg] + 1).astype(float)
+        left_pos = (cum[cut] - before[seg]).astype(float)
+        right_n = size - left_n
+        right_pos = pos[node] - left_pos
         weighted = (left_n * _gini(left_pos, left_n)
-                    + right_n * _gini(right_pos, right_n)) / m
-        return (parent - weighted) * (m / n_root)
-    return decrease_at
+                    + right_n * _gini(right_pos, right_n)) / size
+        return (parent[node] - weighted) * scale[node]
+
+    node, seg, cut, decrease, thrs = _scan(xs, starts, seg_node, decrease_at)
+    left_n = cut - starts[seg] + 1
+    left_pos = cum[cut] - before[seg]
+    # the winning segments' rows, in the order of their split column
+    won = m[node]
+    offset = np.cumsum(won) - won
+    split_rows = cols.row[flat[np.arange(won.sum()) + np.repeat(starts[seg] - offset, won)]]
+    results = [None] * len(rows)
+    for i, f, thr, dec, o, s, ln, lp in zip(node.tolist(), features[seg].tolist(), thrs.tolist(),
+                                             decrease.tolist(), offset.tolist(), won.tolist(),
+                                             left_n.tolist(), left_pos.tolist()):
+        results[i] = (dec, f, thr, split_rows[o:o + ln], split_rows[o + ln:o + s], lp)
+    return results
+
+
+def _class_leaf(positives, size, n_root):
+    return TreeNode(class_counts=(size - positives, positives), probability=positives / size,
+                    sample_fraction=size / n_root)
+
+
+def _push_splittable(stack, node, rows, depth_left):
+    """Put a node on its tree's stack unless it is a leaf by rule: no depth
+    left, or one class only (which covers fewer than two rows)."""
+    n0, n1 = node.class_counts
+    if depth_left > 0 and n0 > 0 and n1 > 0:
+        stack.append((node, rows, depth_left))
+
+
+def _grow_forest(XT, y, depth, n_trees, seed):
+    """The roots of a forest's trees, grown in lockstep (see the module docstring)."""
+    d, n = XT.shape
+    k = math.ceil(math.sqrt(d))
+    cols = _presort(XT, y)
+    roots, growing = [], []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        rows = rng.integers(0, n, size=n).astype(np.int32)
+        root = _class_leaf(int(y[rows].sum()), n, n)
+        roots.append(root)
+        stack = []
+        _push_splittable(stack, root, rows, depth)
+        growing.append((rng, stack))
+    while growing := [(rng, stack) for rng, stack in growing if stack]:
+        nodes = [stack.pop() for _, stack in growing]
+        candidates = [rng.choice(d, size=k, replace=False) for rng, _ in growing]
+        splits = _split_forest_nodes(cols, [rows for _, rows, _ in nodes], candidates,
+                                     [node.class_counts[1] for node, _, _ in nodes], n)
+        for (_, stack), (node, _, depth_left), split in zip(growing, nodes, splits):
+            if split is None:
+                continue
+            decrease, f, thr, left_rows, right_rows, left_pos = split
+            n1 = node.class_counts[1]
+            node.feature_index, node.threshold, node.impurity_decrease = f, thr, decrease
+            node.class_counts = node.probability = None
+            node.left = _class_leaf(left_pos, left_rows.size, n)
+            node.right = _class_leaf(n1 - left_pos, right_rows.size, n)
+            # right first, so the left subtree draws first: each tree's draws
+            # keep the preorder of a depth-first recursion
+            _push_splittable(stack, node.right, right_rows, depth_left - 1)
+            _push_splittable(stack, node.left, left_rows, depth_left - 1)
+    return roots
 
 
 def _sse_decrease(rs, rr, n_root):
-    """``decrease_at`` for squared error over a sorted (k, m) residual block.
+    """``decrease_at`` for squared error over a (d, m) residual block whose
+    rows are the segments, each in its column's sorted order.
 
     ``rr`` holds the node's residuals in row order; the parent sums are
-    taken over it so they do not depend on any column's sort order.
+    taken over it so they do not depend on any column's sort order.  The
+    prefix sums run along each block row, as a global running sum would
+    not subtract back to them bit for bit.
     """
     m = rr.size
     sum_all = rr.sum()
@@ -182,44 +354,32 @@ def _sse_decrease(rs, rr, n_root):
     csum = np.cumsum(rs, axis=1)
     csq = np.cumsum(rs ** 2, axis=1)
 
-    def decrease_at(row, at):
-        left_n = (at + 1).astype(float)
-        left_sum = csum[row, at]
-        left_sq = csq[row, at]
+    def decrease_at(cut, seg):
+        left_n = (cut - seg * m + 1).astype(float)
+        left_sum = csum.ravel()[cut]
+        left_sq = csq.ravel()[cut]
         right_n = m - left_n
         right_sum = sum_all - left_sum
-        right_sq = csq[row, -1] - left_sq
+        right_sq = csq[seg, -1] - left_sq
         sse_children = (left_sq - left_sum ** 2 / left_n
                         + right_sq - right_sum ** 2 / right_n)
         return (sse_parent - sse_children) / n_root
     return decrease_at
 
 
-def _grow_classification_tree(XT, y, rows, depth_left, rng, max_features, n_root):
-    n1 = int(y[rows].sum())
-    n0 = rows.size - n1
-    leaf = TreeNode(class_counts=(n0, n1), probability=n1 / rows.size,
-                    sample_fraction=rows.size / n_root)
-    if depth_left == 0 or n0 == 0 or n1 == 0 or rows.size < 2:
-        return leaf
-    d = XT.shape[0]
-    candidates = rng.choice(d, size=min(d, max_features), replace=False)
-    block = XT[candidates[:, None], rows]
-    order = np.argsort(block, axis=1, kind="stable")
-    xs = np.take_along_axis(block, order, axis=1)
-    best = _best_split(xs, _gini_decrease(y[rows][order], n_root))
-    if best is None:
-        return leaf
-    decrease, j, thr = best
-    f = int(candidates[j])
-    go_left = XT[f, rows] <= thr
-    node = TreeNode(feature_index=f, threshold=thr, impurity_decrease=decrease,
-                    sample_fraction=rows.size / n_root)
-    node.left = _grow_classification_tree(XT, y, rows[go_left], depth_left - 1,
-                                          rng, max_features, n_root)
-    node.right = _grow_classification_tree(XT, y, rows[~go_left], depth_left - 1,
-                                           rng, max_features, n_root)
-    return node
+def _sse_split(XT, r, rows, order, n_root):
+    """Best (decrease, feature, threshold) of a boosting node, or None.
+
+    ``order`` is the (d, rows.size) block of the node's rows sorted by each
+    feature; its d rows are the node's segments, one per feature.
+    """
+    d, m = order.shape
+    xs = np.take_along_axis(XT, order, axis=1)
+    _, seg, _, decrease, thrs = _scan(xs.ravel(), np.arange(0, d * m, m), np.zeros(d, int),
+                                      _sse_decrease(r[order], r[rows], n_root))
+    if seg.size == 0:
+        return None
+    return float(decrease[0]), int(seg[0]), float(thrs[0])
 
 
 def _validate_training_inputs(X, y, feature_names):
@@ -264,32 +424,22 @@ def train_random_forest(X, y, depth, n_trees: int = DEFAULT_N_TREES,
     X, y, names = _validate_training_inputs(X, y, feature_names)
     if depth < 1 or n_trees < 1:
         raise ValueError("depth and n_trees must be >= 1")
-    n, d = X.shape
     hp = {"depth": int(depth), "n_trees": int(n_trees)}
     if len(np.unique(y)) < 2:
         return _degenerate_model("random_forest", y, names, hp, seed)
-    max_features = math.ceil(math.sqrt(d))
-    XT = np.ascontiguousarray(X.T)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        rows = rng.integers(0, n, size=n)
-        trees.append(_grow_classification_tree(XT, y, rows, depth, rng,
-                                               max_features, n_root=n))
+    trees = _grow_forest(np.ascontiguousarray(X.T), y, depth, n_trees, seed)
     return TreeEnsembleModel(kind="random_forest", trees=trees,
                              tree_weights=[1.0 / n_trees] * n_trees,
                              feature_names=names, hyperparameters=hp, seed=seed)
 
 
-def _grow_regression_tree(XT, r, h, rows, order, depth_left, n_root):
+def _grow_regression_tree(XT, r, h, rows, order, depth_left, n_root, out):
     """``rows`` ascending; ``order`` is the (d, rows.size) block of those
-    rows sorted by each feature, partitioned down from the ensemble's sort."""
-    if depth_left == 0 or rows.size < 2:
-        return _newton_leaf(r, h, rows, n_root)
-    xs = np.take_along_axis(XT, order, axis=1)
-    best = _best_split(xs, _sse_decrease(r[order], r[rows], n_root))
+    rows sorted by each feature, partitioned down from the ensemble's sort.
+    Each leaf writes its value into ``out`` at its rows."""
+    best = None if depth_left == 0 or rows.size < 2 else _sse_split(XT, r, rows, order, n_root)
     if best is None:
-        return _newton_leaf(r, h, rows, n_root)
+        return _newton_leaf(r, h, rows, n_root, out)
     decrease, f, thr = best
     go_left = XT[f, rows] <= thr
     is_left = np.zeros(XT.shape[1], dtype=bool)
@@ -300,15 +450,16 @@ def _grow_regression_tree(XT, r, h, rows, order, depth_left, n_root):
                     sample_fraction=rows.size / n_root)
     node.left = _grow_regression_tree(XT, r, h, rows[go_left],
                                       order[to_left].reshape(d, -1),
-                                      depth_left - 1, n_root)
+                                      depth_left - 1, n_root, out)
     node.right = _grow_regression_tree(XT, r, h, rows[~go_left],
                                        order[~to_left].reshape(d, -1),
-                                       depth_left - 1, n_root)
+                                       depth_left - 1, n_root, out)
     return node
 
 
-def _newton_leaf(r, h, rows, n_root):
+def _newton_leaf(r, h, rows, n_root, out):
     value = r[rows].sum() / (h[rows].sum() + BOOST_L2)
+    out[rows] = value
     return TreeNode(value=float(value), sample_fraction=rows.size / n_root)
 
 
@@ -334,15 +485,16 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
     order = np.argsort(XT, axis=1, kind="stable")
     score = np.zeros(n)
     rows = np.arange(n)
+    out = np.empty(n)
     trees = []
     for _ in range(rounds):
         p = 1.0 / (1.0 + np.exp(-score))
         residual = y - p
         hessian = p * (1.0 - p)
-        tree = _grow_regression_tree(XT, residual, hessian, rows, order, depth,
-                                     n_root=n)
-        trees.append(tree)
-        score += learning_rate * _tree_leaf_outputs(tree, X)
+        # every row reaches one leaf, so the leaves fill all of ``out``
+        trees.append(_grow_regression_tree(XT, residual, hessian, rows, order, depth,
+                                           n, out))
+        score += learning_rate * out
     return TreeEnsembleModel(kind="boosted", trees=trees,
                              tree_weights=[learning_rate] * rounds,
                              feature_names=names, hyperparameters=hp,

@@ -370,6 +370,23 @@ class TestTrainEval:
         assert (eval_dir / "report.csv").exists()
         assert (eval_dir / "model.json").exists()
 
+    def test_manifest_timings_and_node_count(self, eval_dir, matrix_path, tmp_path):
+        def walk(node):
+            return 1 if node.get("leaf") else 1 + walk(node["left"]) + walk(node["right"])
+
+        manifest = json.loads((eval_dir / "manifest.json").read_text())
+        assert set(manifest["timings"]) == {"total_s", "grouped_cv_s", "final_fit_s"}
+        assert 0 <= manifest["timings"]["final_fit_s"] <= manifest["timings"]["total_s"]
+        model = json.loads((eval_dir / "model.json").read_text())
+        nodes = sum(walk(tree) for tree in model["trees"])
+        assert nodes > len(model["trees"])
+        assert manifest["counts"] == {"final_model_nodes": nodes}
+        out = tmp_path / "knn"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path), "--model", "knn",
+                         "--folds", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"] == {"final_model_nodes": 0}
+
     def test_selected_features_count(self, eval_dir):
         report = json.loads((eval_dir / "report.json").read_text())
         for fold in report["folds"]:

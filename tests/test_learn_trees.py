@@ -1,6 +1,7 @@
 """Forest, boosting, importances and feature selection."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stressmon.errors import DegenerateLabels, EmptySelection
 from stressmon.learn import (TreeEnsembleModel, TreeNode, gini_importance,
@@ -52,6 +53,20 @@ class TestRandomForest:
             train_random_forest(X, y + 1, depth=3)
         with pytest.raises(ValueError):
             train_random_forest(X, y, depth=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(1, 12),
+           depth=st.integers(1, 6), data=st.data())
+    def test_first_trees_equal_a_smaller_forest(self, seed, n_trees, depth, data):
+        # trees grow together, each from its own (seed, tree) stream: a tree
+        # is the same whatever the number of trees grown beside it
+        t = data.draw(st.integers(1, n_trees))
+        X, y = separable(n=90, d=7, seed=8)
+        X[:, 1] = np.round(X[:, 1])
+        y[::7] = 1 - y[::7]
+        big = model_to_dict(train_random_forest(X, y, depth=depth, n_trees=n_trees, seed=seed))
+        small = model_to_dict(train_random_forest(X, y, depth=depth, n_trees=t, seed=seed))
+        assert big["trees"][:t] == small["trees"]
 
     def test_prediction_invariant_to_tree_order(self):
         X, y = separable(seed=6)

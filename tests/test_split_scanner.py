@@ -1,16 +1,19 @@
-"""The 2-D split scanner against the per-feature scanners it replaced.
+"""The segmented split scanner against the per-feature scanners it replaced.
 
 ``gini_oracle`` and ``sse_oracle`` are the forest's and boosting's former
 split searches: one stable argsort, cut, mask and argmax per feature.  The
 scanner must return the very same (decrease, feature, threshold) tuple,
 compared with ``==``, on inputs full of ties, constant columns, duplicated
-bootstrap rows and near-adjacent floats.
+bootstrap rows and near-adjacent floats, for one node or many at once.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stressmon.learn.trees import (MIN_IMPURITY_DECREASE, _best_split, _gini,
-                                   _gini_decrease, _sse_decrease)
+from stressmon.learn import model_to_dict, train_boosted, train_random_forest, trees
+from stressmon.learn.trees import (MIN_IMPURITY_DECREASE, _gini, _presort,
+                                   _split_forest_nodes, _sse_split)
 
 
 def gini_oracle(X, y, rows, candidates, n_root):
@@ -85,15 +88,10 @@ def sse_oracle(X, r, rows, n_root):
 
 
 def gini_scan(X, y, rows, candidates, n_root):
-    """What a forest node does: sort only the candidate columns."""
-    block = np.ascontiguousarray(X.T)[candidates[:, None], rows]
-    order = np.argsort(block, axis=1, kind="stable")
-    xs = np.take_along_axis(block, order, axis=1)
-    best = _best_split(xs, _gini_decrease(y[rows][order], n_root))
-    if best is None:
-        return None
-    decrease, j, thr = best
-    return decrease, int(candidates[j]), thr
+    """What a forest node does: one node through the forest's chunked scan."""
+    split, = _split_forest_nodes(_presort(np.ascontiguousarray(X.T), y), [rows],
+                                 [candidates], [int(y[rows].sum())], n_root)
+    return None if split is None else split[:3]
 
 
 def sse_scan(X, r, rows, n_root):
@@ -101,8 +99,7 @@ def sse_scan(X, r, rows, n_root):
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
     order = order[np.isin(order, rows)].reshape(X.shape[1], -1)
-    xs = np.take_along_axis(XT, order, axis=1)
-    return _best_split(xs, _sse_decrease(r[order], r[rows], n_root))
+    return _sse_split(XT, r, rows, order, n_root)
 
 
 ONE = 1.0
@@ -159,6 +156,93 @@ def boosting_nodes(draw):
         rows = np.arange(n)
     n_root = draw(st.integers(rows.size, 3 * rows.size))
     return X, r, rows, n_root
+
+
+@st.composite
+def forest_steps(draw):
+    """Several nodes of one forest step, and a scan cap that may cut them
+    into chunks anywhere."""
+    X = draw(matrices())
+    n, d = X.shape
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    k = draw(st.integers(1, d))
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(2, 2 * n))
+        rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        nodes.append((rows, np.array(draw(st.permutations(range(d)))[:k])))
+    largest = max(rows.size for rows, _ in nodes)
+    n_root = draw(st.integers(largest, 3 * largest))
+    cells = draw(st.integers(1, k * sum(rows.size for rows, _ in nodes)))
+    return X, y, nodes, n_root, cells
+
+
+def scan_step(X, y, nodes, n_root, cells):
+    with mock.patch.object(trees, "_SCAN_CELLS", cells):
+        return _split_forest_nodes(_presort(np.ascontiguousarray(X.T), y),
+                                   [rows for rows, _ in nodes], [c for _, c in nodes],
+                                   [int(y[rows].sum()) for rows, _ in nodes], n_root)
+
+
+def check_step(X, y, nodes, n_root, cells):
+    splits = scan_step(X, y, nodes, n_root, cells)
+    assert len(splits) == len(nodes)
+    for (rows, candidates), split in zip(nodes, splits):
+        expected = gini_oracle(X, y, rows, candidates, n_root)
+        assert (None if split is None else split[:3]) == expected
+        if split is not None:
+            _, f, thr, left, right, left_pos = split
+            go_left = X[rows, f] <= thr
+            assert np.array_equal(np.sort(left), np.sort(rows[go_left]))
+            assert np.array_equal(np.sort(right), np.sort(rows[~go_left]))
+            assert left_pos == y[left].sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_steps())
+def test_many_nodes_in_one_scan_match_oracle(step):
+    check_step(*step)
+
+
+def test_parent_impurity_of_53_in_223_is_the_scalar_one():
+    # the array path rounds this parent Gini one bit lower than the scalar
+    # path the oracle (and the former scanner) took
+    assert _gini(np.array([53.0]), np.array([223.0]))[0] != \
+        _gini(np.array(53.0), np.array(223.0))
+    rng = np.random.default_rng(7066)
+    X = rng.normal(size=(223, 5))
+    X[:, 1] = np.round(X[:, 1])
+    y = np.zeros(223, dtype=int)
+    y[rng.choice(223, size=53, replace=False)] = 1
+    nodes = [(np.arange(223), np.array([0, 1, 2])),
+             (rng.integers(0, 223, size=223), np.array([4, 3, 0])),
+             (np.arange(223)[::-1], np.array([1, 2, 3]))]
+    for cells in (3 * 223, 3 * 223 + 1, 10 ** 6):   # one node a chunk, ..., one chunk
+        check_step(X, y, nodes, 223, cells)
+
+
+def test_no_scan_exceeds_the_cap_unless_one_node_does(monkeypatch):
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(300, 10))
+    X[:, ::2] = np.round(X[:, ::2] * 2) / 2
+    y = ((X[:, 0] + rng.normal(size=300)) > 0).astype(int)
+    forest = model_to_dict(train_random_forest(X, y, depth=4, n_trees=8, seed=3))
+    boosted = model_to_dict(train_boosted(X, y, rounds=3, depth=3, seed=3))
+    calls = []
+    scan = trees._scan
+
+    def spy(xs, starts, seg_node, decrease_at):
+        calls.append((xs.size, int(seg_node[-1]) + 1))
+        return scan(xs, starts, seg_node, decrease_at)
+
+    cap = 2000          # a forest root is 4 x 300 cells, a boosting root 10 x 300
+    monkeypatch.setattr(trees, "_scan", spy)
+    monkeypatch.setattr(trees, "_SCAN_CELLS", cap)
+    assert model_to_dict(train_random_forest(X, y, depth=4, n_trees=8, seed=3)) == forest
+    assert model_to_dict(train_boosted(X, y, rounds=3, depth=3, seed=3)) == boosted
+    assert all(size <= cap or nodes == 1 for size, nodes in calls)
+    assert any(size > cap for size, _ in calls)
+    assert any(nodes > 1 for _, nodes in calls)
 
 
 @settings(max_examples=300, deadline=None)
