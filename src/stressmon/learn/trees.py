@@ -181,7 +181,7 @@ def _scan(xs, starts, seg_node, decrease_at):
     seg = np.searchsorted(starts, cut, side="right") - 1
     decrease = decrease_at(cut, seg)
     node = seg_node[seg]
-    if node[0] == node[-1]:         # one node, as in boosting
+    if node[0] == node[-1]:         # one node (boosting): argmax is its first maximum
         win = decrease.argmax(keepdims=True)
     else:
         first = np.flatnonzero(np.diff(node, prepend=-1))
