@@ -249,8 +249,9 @@ def parse_zones(raw) -> list:
     """
     if not isinstance(raw, (list, tuple)):
         raise TypeError(f"zones must be a list, got {type(raw).__name__}")
-    return [GeoZone(code=strict_int(z["code"], "zone code"), lat=float(z["lat"]),
-                    lon=float(z["lon"]), radius_m=float(z["radius_m"]))
+    return [GeoZone(code=strict_int(z["code"], "zone code"),
+                    lat=strict_float(z["lat"], "zone lat"), lon=strict_float(z["lon"], "zone lon"),
+                    radius_m=strict_float(z["radius_m"], "zone radius_m"))
             for z in raw]
 
 

@@ -7,7 +7,10 @@ timer.  When Wi-Fi is out, watch data falls back to a slower Bluetooth
 relay and context snapshots buffer until the outage ends.  A synthetic
 participant's latent two-state stress process drives heart rate, context
 patterns and EMA answers; the latent trace is exported only so tests can
-check against ground truth.
+check against ground truth.  Four context sensors can track that state:
+location, device-off time, device-on time and screen status each draw from
+the participant's (stressed, calm) pair of parameters for the sensor, and
+each ``per_user`` habit sets the pairs of the sensors it names.
 
 The study protocol and the participant model are module constants: the
 network latencies, the sEMA evaluation period, the wear hours, the
@@ -135,7 +138,10 @@ class SimConfig:
     * ``per_user``: user id (``u01``, ``u02``, ...) -> an object of
       overrides: the numbers ``baseline_bpm`` and ``stress_bpm_delta``, and
       the booleans ``invert_context``, ``neutral_context``,
-      ``screen_coupled`` and ``device_on_coupled``;
+      ``screen_coupled`` and ``device_on_coupled``.  Each habit sets a
+      (stressed, calm) parameter pair: invert swaps and neutral blends the
+      pairs of location and device-off time (neutral wins if both are set);
+      the coupled flags make screen status and device-on time track stress;
     * ``zones``: the study geofences, a list of ``{code, lat, lon, radius_m}``.
 
     Any other key, at any level, is a ConfigError.
@@ -164,9 +170,15 @@ class SimConfig:
         if not (len(bpm_range) == 2 and all(map(is_number, bpm_range))
                 and 0 < bpm_range[0] <= bpm_range[1]):
             raise ConfigError("baseline_bpm_range must be two increasing positive numbers")
+        if not self.zones:
+            raise ConfigError("zones must list at least one zone")
         for window in self.network.wifi_outages_ms:
-            if not (len(window) == 2 and all(map(is_number, window))
-                    and window[0] < window[1]):
+            try:
+                start, end = (strict_int(t, "wifi outage bound") for t in window)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(
+                    f"wifi outage intervals must be [start, end] of integer ms: {err}") from err
+            if start >= end:
                 raise ConfigError("wifi outage intervals must be [start, end] with end > start")
         self._validate_per_user()
         return self
@@ -278,7 +290,6 @@ def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
 
 @dataclass
 class SimResult:
-    out_dir: str
     paths: dict
     counts: dict
 
@@ -295,7 +306,6 @@ class _Participant:
         lo, hi = p.baseline_bpm_range
         self.baseline_bpm = float(over.get("baseline_bpm", rng.uniform(lo, hi)))
         self.bpm_phase = float(rng.uniform(0, 2 * math.pi))
-        self.invert_context = bool(over.get("invert_context", False))
         jit = WEAR_JITTER_MINUTES * 60_000
         self.wear_windows = []
         for day in range(cfg.days):
@@ -305,27 +315,7 @@ class _Participant:
         self._build_stress(cfg, np.random.default_rng([cfg.seed, index, 1]))
         self._build_blackouts(cfg, rng)
         self.delta = float(over.get("stress_bpm_delta", p.stress_bpm_delta))
-        self.screen_coupled = bool(over.get("screen_coupled", False))
-        self.device_on_coupled = bool(over.get("device_on_coupled", False))
-        self.neutral_context = bool(over.get("neutral_context", False))
-        if self.neutral_context:
-            # context does not track this user's stress at all
-            blend = tuple(0.5 * (a + b) for a, b in
-                          zip(STRESS_LOCATION_PROBS, CALM_LOCATION_PROBS))
-            span = (min(STRESS_DEVICE_OFF_RANGE[0], CALM_DEVICE_OFF_RANGE[0]),
-                    max(STRESS_DEVICE_OFF_RANGE[1], CALM_DEVICE_OFF_RANGE[1]))
-            self.stressed_location_probs = self.calm_location_probs = blend
-            self.stressed_device_off = self.calm_device_off = span
-        elif self.invert_context:
-            self.stressed_location_probs = CALM_LOCATION_PROBS
-            self.calm_location_probs = STRESS_LOCATION_PROBS
-            self.stressed_device_off = CALM_DEVICE_OFF_RANGE
-            self.calm_device_off = STRESS_DEVICE_OFF_RANGE
-        else:
-            self.stressed_location_probs = STRESS_LOCATION_PROBS
-            self.calm_location_probs = CALM_LOCATION_PROBS
-            self.stressed_device_off = STRESS_DEVICE_OFF_RANGE
-            self.calm_device_off = CALM_DEVICE_OFF_RANGE
+        self._build_context_rules(over)
 
     def _build_stress(self, cfg, rng):
         leave_stress = min(1.0, SLOT_MS / 60_000 / STRESS_DWELL_MINUTES)
@@ -362,6 +352,35 @@ class _Participant:
                     start = day * DAY_MS + int(rng.uniform(6, 18) * 3_600_000)
                     self.blackouts[name].append(
                         (start, start + int(rng.uniform(2, 5) * 3_600_000)))
+
+    def _build_context_rules(self, over):
+        """``{sensor: (stressed, calm)}`` for the four sensors that can track stress.
+
+        Location pairs zone probabilities, the others (low, high) ranges; a
+        sensor that does not track the user's stress holds one value twice.
+        ``neutral_context`` wins over ``invert_context`` when both are set.
+        """
+        location = (STRESS_LOCATION_PROBS, CALM_LOCATION_PROBS)
+        device_off = (STRESS_DEVICE_OFF_RANGE, CALM_DEVICE_OFF_RANGE)
+        if over.get("neutral_context"):
+            # context does not track this user's stress at all
+            blend = tuple(0.5 * (a + b) for a, b in zip(*location))
+            span = (min(lo for lo, _ in device_off), max(hi for _, hi in device_off))
+            location, device_off = (blend, blend), (span, span)
+        elif over.get("invert_context"):
+            location, device_off = location[::-1], device_off[::-1]
+        self.context_rules = {
+            "location": location, "device_off": device_off,
+            # personal habits: long phone sessions and compulsive checking under stress
+            "device_on": (((25.0, 60.0), (0.5, 8.0)) if over.get("device_on_coupled")
+                          else ((0.5, 25.0),) * 2),
+            "screen_status": ((2, 4), (0, 2)) if over.get("screen_coupled") else ((0, 4),) * 2,
+        }
+
+    def context_rule(self, sensor: str, t_ms: int):
+        """The parameter ``sensor`` draws from at ``t_ms``: its stressed or its calm one."""
+        stressed, calm = self.context_rules[sensor]
+        return stressed if self.stressed(t_ms) else calm
 
     def worn(self, t_ms: int) -> bool:
         day = min(len(self.wear_windows) - 1, max(0, t_ms // DAY_MS))
@@ -411,19 +430,15 @@ class _Simulation:
                                PPG_RATE_HZ, PPG_NOISE,
                                seed=[cfg.seed, user.index, 2, slot_index, 1])
             samples = np.round(ppg.samples, 3)
+            base, noise = (0.10, 0.15, 0.98), 0.08
         else:
-            # LED gated off-wrist: idle channel reads a constant zero
+            # LED gated off-wrist: idle channel reads a constant zero; the watch lies still
             samples = np.zeros(BURST_SAMPLES)
+            base, noise = (0.0, 0.0, 1.0), 0.0005
         ppg = SensorBurst(user_id=user.user_id, channel="ppg", start_time_ms=slot_ms,
                           rate_hz=PPG_RATE_HZ, samples=samples)
         arng = np.random.default_rng([cfg.seed, user.index, 3, slot_index])
         n = int(ACCEL_SECONDS * ACCEL_RATE_HZ)
-        if worn:
-            base = (0.10, 0.15, 0.98)
-            noise = 0.08
-        else:
-            base = (0.0, 0.0, 1.0)
-            noise = 0.0005
         accel = [SensorBurst(user_id=user.user_id, channel=f"accel_{axis}",
                              start_time_ms=slot_ms, rate_hz=ACCEL_RATE_HZ,
                              samples=np.round(base[k] + arng.normal(0, noise, n), 4))
@@ -454,18 +469,9 @@ class _Simulation:
         elif sensor == "speed":
             def value(t_ms):
                 return 0.0 if rng.random() < 0.5 else round(min(8.0, abs(rng.normal(1.2, 1.0))), 2)
-        elif sensor == "device_off":
+        elif sensor in ("device_off", "device_on"):
             def value(t_ms):
-                lo, hi = user.stressed_device_off if user.stressed(t_ms) else user.calm_device_off
-                return round(rng.uniform(lo, hi), 1)
-        elif sensor == "device_on" and user.device_on_coupled:
-            # personal habit: long phone sessions while stressed
-            def value(t_ms):
-                lo, hi = (25.0, 60.0) if user.stressed(t_ms) else (0.5, 8.0)
-                return round(rng.uniform(lo, hi), 1)
-        elif sensor == "device_on":
-            def value(t_ms):
-                return round(rng.uniform(0.5, 25.0), 1)
+                return round(rng.uniform(*user.context_rule(sensor, t_ms)), 1)
         elif sensor == "air_pressure":
             def value(t_ms):
                 return round(1008.0 + 6.0 * math.sin(2 * math.pi * t_ms / DAY_MS)
@@ -485,21 +491,14 @@ class _Simulation:
         elif sensor == "wind_speed":
             def value(t_ms):
                 return round(min(14.0, abs(rng.normal(3.0, 2.5))), 2)
-        elif sensor == "screen_status" and user.screen_coupled:
-            # personal habit: compulsive phone checking under stress
-            def value(t_ms):
-                if user.stressed(t_ms):
-                    return int(2 + rng.integers(0, 2))
-                return int(rng.integers(0, 2))
         elif sensor == "screen_status":
             def value(t_ms):
-                return int(rng.integers(0, 4))
+                return int(rng.integers(*user.context_rule(sensor, t_ms)))
         else:
             # location: zone choice coupled to the latent stress state
             def value(t_ms):
-                probs = (user.stressed_location_probs if user.stressed(t_ms)
-                         else user.calm_location_probs)
-                return self._location_payload(int(rng.choice(4, p=probs)), rng)
+                zone = int(rng.choice(4, p=user.context_rule(sensor, t_ms)))
+                return self._location_payload(zone, rng)
         return value
 
     def _context_stream(self, user: _Participant, s_idx: int):
@@ -521,18 +520,15 @@ class _Simulation:
             t += int(rng.uniform(60_000, 300_000))
 
     def _location_payload(self, zone_code: int, rng):
-        if zone_code in self.zone_by_code:
-            z = self.zone_by_code[zone_code]
-            r = 0.9 * z.radius_m * math.sqrt(rng.random())
-            theta = rng.uniform(0, 2 * math.pi)
-            lat = z.lat + (r * math.cos(theta)) / 111_320.0
-            lon = z.lon + (r * math.sin(theta)) / (111_320.0 * math.cos(math.radians(z.lat)))
+        zone = self.zone_by_code.get(zone_code)
+        if zone is not None:
+            anchor, dist = zone, 0.9 * zone.radius_m * math.sqrt(rng.random())
         else:
-            anchor = self.cfg.zones[0]
-            dist = rng.uniform(5_000, 15_000)
-            theta = rng.uniform(0, 2 * math.pi)
-            lat = anchor.lat + (dist * math.cos(theta)) / 111_320.0
-            lon = anchor.lon + (dist * math.sin(theta)) / (111_320.0 * math.cos(math.radians(anchor.lat)))
+            # outside (3) or a code with no zone: 5-15 km from the first zone
+            anchor, dist = self.cfg.zones[0], rng.uniform(5_000, 15_000)
+        theta = rng.uniform(0, 2 * math.pi)
+        lat = anchor.lat + (dist * math.cos(theta)) / 111_320.0
+        lon = anchor.lon + (dist * math.sin(theta)) / (111_320.0 * math.cos(math.radians(anchor.lat)))
         return [round(lat, 6), round(lon, 6), round(float(rng.uniform(10, 60)), 1)]
 
     # -- output files ------------------------------------------------------------
@@ -553,7 +549,7 @@ class _Simulation:
         with _create(paths["latent"]) as fh:
             self._write_latent(fh)
         dump_zones(paths["zones"], list(self.cfg.zones))
-        return SimResult(out_dir=str(self.out_dir), paths=paths, counts=self.counts)
+        return SimResult(paths=paths, counts=self.counts)
 
     def _write_context(self, fh):
         """Write context.jsonl: every stream generated on its own, then merged."""

@@ -104,6 +104,7 @@ class TestSimulate:
         ({"tz_offset_ms": 0.5}, "tz_offset_ms"), ({"n_users": [2]}, "n_users"),
         ({"zones": [{"code": 0.9, "lat": 0, "lon": 0, "radius_m": 1}]}, "zone code"),
         ({"zones": [{"code": True, "lat": 0, "lon": 0, "radius_m": 1}]}, "zone code"),
+        ({"network": {"wifi_outages_ms": [[0, 1_800_000.5]]}}, "wifi outage bound"),
     ])
     def test_non_integer_config_value_exits_3_naming_key(self, tmp_path, capsys, raw, named):
         # int() would truncate these to 2 users, 1 day, seed 5, offset 0 and zone 0 or 1
@@ -113,6 +114,21 @@ class TestSimulate:
         assert rc == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"{named} must be an integer" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw,named", [
+        ({"zones": [{"code": 0, "lat": 33.64, "lon": -117.84, "radius_m": float("nan")}]},
+         "zone radius_m must be a finite number"),
+        ({"zones": []}, "zones must list at least one zone"),
+    ], ids=["nan_radius", "no_zones"])
+    def test_bad_zones_exit_3_naming_key(self, tmp_path, capsys, raw, named):
+        # unchecked, a NaN radius writes NaN locations and an empty list fails on zones[0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 
@@ -190,8 +206,13 @@ class TestFeaturize:
         "{not json", "", "{}", "[1]", '[{"code": 0, "lat": 1.0}]',
         '[{"code": 5, "lat": 0, "lon": 0, "radius_m": 1}]',
         '[{"code": 0, "lat": 1%s, "lon": 0, "radius_m": 1}]' % ("0" * 400),
+        '[{"code": 0, "lat": 33.64, "lon": -117.84, "radius_m": NaN}]',
+        '[{"code": 0, "lat": 1e400, "lon": 0, "radius_m": 1}]',
+        '[{"code": 0, "lat": "33.6", "lon": 0, "radius_m": 1}]',
+        '[{"code": 0, "lat": 0, "lon": true, "radius_m": 1}]',
     ], ids=["bad_json", "empty", "object", "not_objects", "missing_key",
-            "bad_code", "float_overflow"])
+            "bad_code", "float_overflow", "nan_radius", "infinite_lat", "string_lat",
+            "bool_lon"])
     def test_malformed_zones_exits_3_naming_file(self, tmp_path, capsys, text):
         (tmp_path / "bursts.jsonl").write_text("")
         (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")

@@ -197,6 +197,47 @@ class TestGoldenOutageOrder:
         assert outputs[name] == self.SHA256[name]
 
 
+class TestGoldenHabitCombinations:
+    """Bytes that pin which habit override wins when flags combine.
+
+    u01 sets both invert and neutral context (neutral wins), u02 inverts
+    context with both coupled habits on, u03 has neutral context with both
+    coupled habits on, and u04 has none.  The digests were recorded with the
+    simulator that kept each flag as a participant attribute, before the
+    flags became one (stressed, calm) pair per context sensor.
+    """
+
+    CONFIG = {"n_users": 4, "days": 2, "seed": 17, "tz_offset_ms": 3_600_000,
+              "network": {"wifi_outages_ms": [[30_000_000, 40_000_000]]},
+              "per_user": {"u01": {"invert_context": True, "neutral_context": True},
+                           "u02": {"invert_context": True, "screen_coupled": True,
+                                   "device_on_coupled": True},
+                           "u03": {"neutral_context": True, "screen_coupled": True,
+                                   "device_on_coupled": True}}}
+    SHA256 = {
+        "bursts.jsonl": "0c2fbc8ad17e08a0158946027996e1eab81756262e4586b2e30a2ec2bc632804",
+        "context.jsonl": "1a7f1b4580bfbebc1e0238357c166c282e18c2751c8691022e6e6f9bbfe55e2a",
+        "ema.csv": "825a9f19234529c47acbe4c41b9b928679dfb0a0ccff5180ed99b99552ff075f",
+        "triggers.jsonl": "6ae47606632626ef80e751f96b39ca3c573a6cd3cc1c3d8fe6a02e5d25c4bda9",
+        "latent.csv": "bbab84bcb3ffe1718362029e9c4202caaf779347afd77a355ebcaf7ad1c54cce",
+        "zones.json": "b477949946e407119af97983846cf219b32b8a784640347afa1e601d265e44b9",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden_habits")
+        (root / "config.json").write_text(json.dumps(self.CONFIG))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--config", str(root / "config.json"),
+                             "--out", str(root / "sim")]) == 0
+        return {name: hashlib.sha256((root / "sim" / name).read_bytes()).hexdigest()
+                for name in self.SHA256}
+
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_simulate_file(self, outputs, name):
+        assert outputs[name] == self.SHA256[name]
+
+
 class TestGoldenDeliveryEdges:
     """Bytes that pin burst, sEMA and EMA order where delivery times meet.
 
@@ -343,6 +384,17 @@ class TestConfig:
             SimConfig.from_dict({"participants": {"baseline_bpm_range": [70.0]}})
         with pytest.raises(ConfigError, match="wifi outage"):
             SimConfig.from_dict({"network": {"wifi_outages_ms": [[5]]}})
+        with pytest.raises(ConfigError, match="wifi outage bound must be an integer"):
+            SimConfig.from_dict({"network": {"wifi_outages_ms": [[0, 1_800_000.5]]}})
+        for radius, lat in [(float("nan"), 33.64), (float("inf"), 33.64), (1.0, "33.6"),
+                            (True, 33.64)]:
+            with pytest.raises(ConfigError, match="zone (radius_m|lat) must be a finite"):
+                SimConfig.from_dict({"zones": [{"code": 0, "lat": lat, "lon": -117.84,
+                                                "radius_m": radius}]})
+        with pytest.raises(ConfigError, match="zones must list at least one zone"):
+            SimConfig.from_dict({"zones": []})
+        with pytest.raises(ConfigError, match="zones must list at least one zone"):
+            SimConfig(zones=()).validate()
         for per_user, named in [
                 ({"u01": 5}, "'u01' must be an object"),
                 ({"u01": {"invert_contxt": True}}, "'u01' key 'invert_contxt'"),
