@@ -291,7 +291,9 @@ def cmd_explain(args) -> int:
     explain_mod.write_beeswarm_csv(beeswarm_path, records)
     write_manifest(args.out, "explain", args.seed, [args.model, args.matrix],
                    [ranking_path, beeswarm_path],
-                   {"total_s": round(time.monotonic() - t0, 3)})
+                   {"total_s": round(time.monotonic() - t0, 3)},
+                   counts={"rows_explained": len(rows), "background_rows": len(background),
+                           "features": len(model.feature_names)})
     top = ", ".join(f"{name}={value:.4f}" for name, value in ranking[:5])
     print(f"mean |SHAP| ranking: {top} -> {args.out}")
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 Raw AWARE-style snapshots (battery, weather, location, screen, ...) are
 reduced to small integer features by cut-off binning, weather-text lookup
-and circular geofencing.
+and circular geofencing.  Featurize folds the log into plain values: a kept
+window holds each sensor's latest payload, and only that is binned.
 """
 from __future__ import annotations
 
@@ -138,86 +139,75 @@ def assign_location(lat, lon, zones):
     return best
 
 
-def extract_context_features(snapshots, schema):
-    """Turn the snapshots of one 15-minute window into the numeric features.
+def extract_context_features(latest, schema):
+    """Turn the context of one 15-minute window into the numeric features.
 
-    For each sensor the last snapshot in the window wins; sensors with no
-    snapshot produce None.  Binned sensors go through :func:`discretize`,
-    weather through :func:`map_weather`, location through
-    :func:`assign_location`; battery_adaptor and screen_status pass through
-    unchanged.
+    ``latest`` maps a sensor to its latest payload in the window (as
+    :func:`fold_context_jsonl` keeps it); an absent sensor or a null payload
+    produces None.  Binned sensors go through :func:`discretize`, weather
+    through :func:`map_weather`, location through :func:`assign_location`;
+    battery_adaptor and screen_status pass through unchanged.
     """
-    latest = {}
-    for snap in snapshots:
-        _hold_latest(latest, snap)
-
     features = {}
     for name in CONTEXT_FEATURE_NAMES:
-        snap = latest.get(name)
-        if snap is None:
+        payload = latest.get(name)
+        if payload is None:
             features[name] = None
         elif name in CUTOFFS:
-            features[name] = discretize(snap.payload, CUTOFFS[name])
+            features[name] = discretize(payload, CUTOFFS[name])
         elif name == "weather":
-            features[name] = map_weather(snap.payload)
+            features[name] = map_weather(payload)
         elif name == "location":
-            lat, lon = float(snap.payload[0]), float(snap.payload[1])
-            features[name] = assign_location(lat, lon, schema.zones)
+            features[name] = assign_location(float(payload[0]), float(payload[1]), schema.zones)
         else:  # passthrough
-            features[name] = None if snap.payload is None else float(snap.payload)
+            features[name] = float(payload)
     return features
-
-
-def _hold_latest(latest, snap):
-    """Keep ``snap`` in ``latest`` (sensor -> snapshot) unless an entry is newer.
-
-    Of equal times the snapshot given last wins.
-    """
-    prev = latest.get(snap.sensor)
-    if prev is None or snap.timestamp_ms >= prev.timestamp_ms:
-        latest[snap.sensor] = snap
 
 
 # -- file formats -------------------------------------------------------------
 
-def _snapshot(rec) -> ContextSnapshot:
-    """One context.jsonl record.
+def _record(rec):
+    """``(user_id, timestamp_ms, sensor, payload)`` of one context.jsonl record.
 
     A location payload lists a finite latitude and longitude; weather may be
     anything (:func:`map_weather`); any other payload is a finite number or
     null (missing).
     """
     sensor, payload = rec["sensor"], rec["payload"]
-    snap = ContextSnapshot(strict_str(rec["user_id"], "user_id"),
-                           strict_time_ms(rec["timestamp_ms"], "timestamp_ms"), sensor, payload)
+    user_id = strict_str(rec["user_id"], "user_id")
+    time_ms = strict_time_ms(rec["timestamp_ms"], "timestamp_ms")
+    if sensor not in SENSORS:
+        raise ValueError(f"unknown context sensor {sensor!r}")
     if sensor == "location":
         if type(payload) is not list or len(payload) < 2:
             raise TypeError(f"location payload must list lat and lon, got {payload!r}")
         strict_float(payload[0], "latitude"), strict_float(payload[1], "longitude")
     elif sensor != "weather" and payload is not None:
         strict_float(payload, f"{sensor} payload")
-    return snap
+    return user_id, time_ms, sensor, payload
 
 
 def read_context_jsonl(path):
     """Read a context log; raises DataFormatError naming the bad line."""
-    return read_jsonl(path, "context record", _snapshot)
+    return read_jsonl(path, "context record", lambda rec: ContextSnapshot(*_record(rec)))
 
 
 def fold_context_jsonl(path, key_of, latest) -> int:
-    """Fold a context log into ``latest``: key -> {sensor: latest snapshot}.
+    """Fold a context log into ``latest``: key -> {sensor: (time_ms, payload)}.
 
-    Every line is validated as by :func:`read_context_jsonl`.  A snapshot
-    is held under ``key_of(snapshot)``, or dropped when that is None; of
-    one key and sensor the latest is kept, the later line winning on equal
-    times, as :func:`extract_context_features` chooses.  Returns the number
-    of records read.
+    Every line is validated as by :func:`read_context_jsonl`, but no
+    snapshot object is built.  A record is held under ``key_of(user_id,
+    time_ms)``, or dropped when that is None; of one key and sensor only the
+    latest is kept, the later line winning on equal times.  Returns the
+    number of records read.
     """
     def add(rec):
-        snap = _snapshot(rec)
-        key = key_of(snap)
+        user_id, time_ms, sensor, payload = _record(rec)
+        key = key_of(user_id, time_ms)
         if key is not None:
-            _hold_latest(latest.setdefault(key, {}), snap)
+            held = latest.setdefault(key, {})
+            if sensor not in held or time_ms >= held[sensor][0]:
+                held[sensor] = (time_ms, payload)
 
     return fold_jsonl(path, "context record", add)
 

@@ -130,7 +130,7 @@ def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
                 with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
                     values[i, :n_hrv] = astuple(hrv_mod.burst_hrv(burst))
     for i, raw in enumerate(raw_windows):
-        context = extract_context_features(raw.snapshots, schema)
+        context = extract_context_features(raw.context, schema)
         for j, name in enumerate(CONTEXT_FEATURE_NAMES, start=n_hrv):
             if context[name] is not None:
                 values[i, j] = context[name]

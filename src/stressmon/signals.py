@@ -9,7 +9,8 @@ tests that check this import SciPy.  The filter kernel runs many
 equal-length bursts at once, one lane per burst.  The burst and context
 files are folded into wall-clock 15-minute windows as they are read, each
 window expected to hold one complete 2-minute PPG burst; only the slots the
-caller keeps (the labeled ones) are held.
+caller keeps (the labeled ones) are held, each with its first complete PPG
+burst and each context sensor's latest payload.
 """
 from __future__ import annotations
 
@@ -284,16 +285,15 @@ def _lfilter_lanes(b, a, x, z):
 class RawWindow:
     """One 15-minute slot: its PPG burst (if complete) and context.
 
-    ``snapshots`` holds the slot's context snapshots; :func:`windowize`
-    keeps only each sensor's latest, which is all that feature extraction
-    reads.
+    ``context`` maps each sensor seen in the slot to its latest payload
+    (:func:`windowize`), which is all that feature extraction reads.
     """
 
     user_id: str
     start_ms: int
     end_ms: int
     ppg: SensorBurst | None = None
-    snapshots: list = field(default_factory=list)
+    context: dict = field(default_factory=dict)
 
 
 def windowize(bursts_path, context_path, keep, counts):
@@ -306,8 +306,9 @@ def windowize(bursts_path, context_path, keep, counts):
     its (start) time, and a slot becomes a window only when a record of its
     user falls in it and ``keep(user_id, start_ms)`` is true (asked once per
     slot).  A kept window holds its slot's first complete PPG burst in file
-    order (BURST_SAMPLES samples or more) as ``ppg``, else None, and for
-    each sensor the latest snapshot, the later line winning on equal times.
+    order (BURST_SAMPLES samples or more) as ``ppg``, else None, and as
+    ``context`` each sensor's latest payload, the later line winning on
+    equal times.
     Nothing else is held: accelerometer samples, later bursts and the
     records of slots not kept are dropped once validated.  Every off-wrist
     PPG burst of one length shares one read-only zero array.
@@ -317,7 +318,7 @@ def windowize(bursts_path, context_path, keep, counts):
     ``"context"``.
     """
     slots = {}    # (user_id, start_ms) -> RawWindow, or None when not kept
-    latest = {}   # (user_id, start_ms) -> {sensor: snapshot} of a kept slot
+    latest = {}   # (user_id, start_ms) -> {sensor: (time_ms, payload)} of a kept slot
     zeros = {}    # length -> the shared off-wrist samples
 
     def kept_slot(user_id, time_ms):
@@ -342,12 +343,11 @@ def windowize(bursts_path, context_path, keep, counts):
         slots[key].ppg = burst
 
     counts["bursts"] = fold_jsonl(bursts_path, "burst record", add_burst) if bursts_path else 0
-    counts["context"] = fold_context_jsonl(
-        context_path, lambda snap: kept_slot(snap.user_id, snap.timestamp_ms),
-        latest) if context_path else 0
+    counts["context"] = fold_context_jsonl(context_path, kept_slot, latest) if context_path else 0
     windows = []
     for key in sorted(k for k, win in slots.items() if win is not None):
-        slots[key].snapshots = list(latest.get(key, {}).values())
+        slots[key].context = {sensor: payload
+                              for sensor, (_, payload) in latest.pop(key, {}).items()}
         windows.append(slots[key])
     return windows
 

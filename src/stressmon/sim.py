@@ -172,6 +172,7 @@ class SimConfig:
             raise ConfigError("baseline_bpm_range must be two increasing positive numbers")
         if not self.zones:
             raise ConfigError("zones must list at least one zone")
+        outages = []
         for window in self.network.wifi_outages_ms:
             try:
                 start, end = (strict_int(t, "wifi outage bound") for t in window)
@@ -180,6 +181,9 @@ class SimConfig:
                     f"wifi outage intervals must be [start, end] of integer ms: {err}") from err
             if start >= end:
                 raise ConfigError("wifi outage intervals must be [start, end] with end > start")
+            outages.append((start, end))
+        # an integral float bound is kept as the int, so arrival times print as ints
+        self.network.wifi_outages_ms = tuple(outages)
         self._validate_per_user()
         return self
 

@@ -314,6 +314,23 @@ class TestFeaturize:
         line = 2 if bad == "ema.csv" else 1
         assert f"{bad}:{line}: bad " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("user_id", ["u01", 7])
+    def test_unknown_context_sensor_exits_3_with_line(self, tmp_path, capsys, user_id):
+        # the user id is checked before the sensor, so a line bad in both names user_id
+        records = [{"user_id": "u01", "timestamp_ms": 0, "sensor": "speed", "payload": 1.0},
+                   {"user_id": user_id, "timestamp_ms": 60_000, "sensor": "heartbeat",
+                    "payload": 1.0}]
+        (tmp_path / "context.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "context.jsonl:2:" in err
+        if user_id == "u01":
+            assert "unknown context sensor 'heartbeat'" in err
+        else:
+            assert "user_id" in err and "unknown context sensor" not in err
+
     def test_ppg_rate_off_design_exits_3_with_line(self, tmp_path, capsys):
         accel = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
                  "rate_hz": 4.0, "samples": [0.0] * 240}
@@ -540,6 +557,9 @@ class TestExplain:
         beeswarm = (out / "beeswarm.csv").read_text().strip().splitlines()
         assert beeswarm[0] == "row,feature,shap,feature_value"
         assert len(beeswarm) == 1 + 6 * 5
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts == {"rows_explained": 6, "background_rows": 24, "features": 5}
+        assert counts["rows_explained"] * counts["features"] == len(beeswarm) - 1
 
     def test_too_many_features_exit(self, matrix_path, tmp_path, capsys):
         # a model over all 24 columns cannot be explained exactly

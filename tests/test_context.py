@@ -8,7 +8,7 @@ import pytest
 from stressmon.context import (CONTEXT_FEATURE_NAMES, CUTOFFS, WEATHER_CODES,
                                ContextSchema, ContextSnapshot, GeoZone, assign_location,
                                discretize, dump_zones, extract_context_features,
-                               haversine_m, load_zones, map_weather,
+                               fold_context_jsonl, haversine_m, load_zones, map_weather,
                                read_context_jsonl, write_context_jsonl)
 from stressmon.errors import DataFormatError
 
@@ -77,38 +77,46 @@ def _snap(sensor, payload, ts=1000, user="u"):
 class TestExtract:
     def test_battery_binned(self):
         schema = ContextSchema(zones=ZONES)
-        out = extract_context_features([_snap("battery_level", 72)], schema)
+        out = extract_context_features({"battery_level": 72}, schema)
         assert out["battery_level"] == 3
 
     def test_absent_sensor_missing(self):
-        out = extract_context_features([_snap("battery_level", 50)],
+        out = extract_context_features({"battery_level": 50, "speed": None},
                                        ContextSchema(zones=ZONES))
-        assert out["weather"] is None
+        assert out["weather"] is None and out["speed"] is None
 
     def test_screen_passthrough(self):
-        out = extract_context_features([_snap("screen_status", 2)],
+        out = extract_context_features({"screen_status": 2},
                                        ContextSchema(zones=ZONES))
         assert out["screen_status"] == 2.0
 
-    def test_last_snapshot_wins(self):
-        snaps = [_snap("speed", 0.5, ts=100), _snap("speed", 6.0, ts=200)]
-        out = extract_context_features(snaps, ContextSchema(zones=ZONES))
+    def test_last_snapshot_wins(self, tmp_path):
+        # the fold keeps each sensor's latest payload, the later line on
+        # equal times; extraction only bins what it kept
+        path = tmp_path / "context.jsonl"
+        write_context_jsonl(path, [_snap("speed", 6.0, ts=200), _snap("speed", 0.5, ts=100),
+                                   _snap("battery_level", 30, ts=100),
+                                   _snap("battery_level", 5, ts=100)])
+        latest = {}
+        assert fold_context_jsonl(path, lambda user_id, time_ms: user_id, latest) == 4
+        assert latest == {"u": {"speed": (200, 6.0), "battery_level": (100, 5)}}
+        out = extract_context_features({s: p for s, (_, p) in latest["u"].items()},
+                                       ContextSchema(zones=ZONES))
         assert out["speed"] == 3  # 6 m/s is above every cut-off
+        assert out["battery_level"] == 0
 
     def test_location_payload(self):
-        snaps = [_snap("location", [ZONES[1].lat, ZONES[1].lon, 20.0])]
-        out = extract_context_features(snaps, ContextSchema(zones=ZONES))
+        out = extract_context_features({"location": [ZONES[1].lat, ZONES[1].lon, 20.0]},
+                                       ContextSchema(zones=ZONES))
         assert out["location"] == 1
 
     def test_never_invents_values(self):
         rng = np.random.default_rng(0)
         sensors = ["battery_level", "speed", "wind_speed", "screen_status"]
-        snaps = [_snap(s, float(rng.uniform(0, 60)), ts=int(rng.integers(0, 1000)))
-                 for s in rng.choice(sensors, size=6)]
-        out = extract_context_features(snaps, ContextSchema(zones=ZONES))
-        present = {s.sensor for s in snaps}
+        latest = {str(s): float(rng.uniform(0, 60)) for s in rng.choice(sensors, size=6)}
+        out = extract_context_features(latest, ContextSchema(zones=ZONES))
         for name in CONTEXT_FEATURE_NAMES:
-            if name not in present:
+            if name not in latest:
                 assert out[name] is None
 
 

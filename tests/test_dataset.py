@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressmon import dataset, signals
-from stressmon.context import CONTEXT_FEATURE_NAMES, ContextSchema, ContextSnapshot
+from stressmon.context import CONTEXT_FEATURE_NAMES, ContextSchema
 from stressmon.dataset import (EmaResponse, FeatureMatrix, KnnImputer, binarize,
                                ema_labeler, featurize_windows, knn_impute, nearest_rows,
                                read_ema_csv, read_matrix_csv, write_ema_csv, write_matrix_csv)
@@ -111,9 +111,9 @@ class TestLabelWindows:
         assert emas == [EmaResponse("u", 10, 4), EmaResponse("u", 5, 1)]
 
 
-def _raw(user, start, ppg=None, snapshots=()):
+def _raw(user, start, ppg=None, context=None):
     return signals.RawWindow(user, start, start + signals.WINDOW_MS, ppg=ppg,
-                             snapshots=list(snapshots))
+                             context=context or {})
 
 
 class TestAssemble:
@@ -128,8 +128,8 @@ class TestAssemble:
         assert np.isnan(m.labels).all() and m.labeled().n_rows == 0
 
     def test_missing_hrv_masked(self):
-        snap = ContextSnapshot("u", 60_000, "screen_status", 1.0)
-        m = featurize_windows([_raw("u", 0, snapshots=[snap])], ContextSchema(zones=[]))
+        m = featurize_windows([_raw("u", 0, context={"screen_status": 1.0})],
+                              ContextSchema(zones=[]))
         assert m.missing[0, :12].all() and np.isnan(m.values[0, :12]).all()
         col = m.columns.index("screen_status")
         assert m.values[0, col] == 1.0 and m.missing[0].sum() == 23

@@ -28,8 +28,10 @@ WINDOW_MS = signals.WINDOW_MS
 def reference_windowize(bursts, snapshots):
     """Every occupied slot of every user as a window, from records in memory.
 
-    A slot's window takes its first complete PPG burst in record order and
-    every context snapshot that falls in it.
+    A slot's window takes its first complete PPG burst in record order and,
+    of each sensor, the payload of its latest snapshot in the slot: the
+    snapshots are stably sorted by time, so the later record wins on equal
+    times.
     """
     per_user = {}
     for burst in bursts:
@@ -48,8 +50,9 @@ def reference_windowize(bursts, snapshots):
             complete = burst.channel == "ppg" and len(burst.samples) >= signals.BURST_SAMPLES
             if complete and win.ppg is None:
                 win.ppg = burst
-        for snap in user_snaps:
-            slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS].snapshots.append(snap)
+        for snap in sorted(user_snaps, key=lambda s: s.timestamp_ms):
+            win = slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS]
+            win.context[snap.sensor] = snap.payload
         windows.extend(slots.values())
     return windows
 
@@ -162,6 +165,16 @@ def test_two_complete_bursts_in_one_slot_keep_the_first_line(tmp_path):
     assert counts == {"bursts": 2, "context": 0}
     assert matrix_bytes(featurize_directory(tmp_path), tmp_path / "m.csv") == \
         matrix_bytes(reference_matrix(str(tmp_path)), tmp_path / "r.csv")
+
+
+def test_featurize_builds_no_snapshot_object(tmp_path, monkeypatch):
+    run_simulation(SimConfig(n_users=1, days=1, seed=3), tmp_path)
+    built = []
+    monkeypatch.setattr(ContextSnapshot, "__post_init__", lambda snap: built.append(snap))
+    counts = {}
+    featurize_directory(tmp_path, counts=counts)
+    assert counts["records"]["context.jsonl"] > 0 and counts["labeled_windows"] > 0
+    assert built == []
 
 
 # -- memory -------------------------------------------------------------------

@@ -14,8 +14,7 @@ from scipy.signal import butter, filtfilt
 
 import stressmon
 from stressmon import dataset, hrv, signals
-from stressmon.context import (CONTEXT_FEATURE_NAMES, ContextSchema, ContextSnapshot,
-                               extract_context_features)
+from stressmon.context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
 from stressmon.errors import (InsufficientSpan, NoPlausiblePeaks, TooFewIntervals, TooShort,
                               Unstable)
 from stressmon.sim import synth_ppg
@@ -138,7 +137,7 @@ def one_at_a_time(raw_windows, schema):
                 features = hrv.burst_hrv(signals.bandpass_filter(raw.ppg, design))
             except (TooShort, NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
                 features = None
-        context = extract_context_features(raw.snapshots, schema)
+        context = extract_context_features(raw.context, schema)
         rows.append([np.nan if features is None else getattr(features, name)
                      for name in hrv.HRV_FEATURE_NAMES]
                     + [np.nan if context[name] is None else context[name]
@@ -156,8 +155,7 @@ def test_featurize_blocks_equal_one_burst_at_a_time(monkeypatch, block_rows):
     samples.append(np.ones(40))                  # too short to filter
     windows = [_window(s, k * signals.WINDOW_MS) for k, s in enumerate(samples)]
     windows.insert(3, _window(None, 99 * signals.WINDOW_MS))
-    windows[1].snapshots = [ContextSnapshot("u01", windows[1].start_ms, "screen_status", 1.0),
-                            ContextSnapshot("u01", windows[1].start_ms, "battery_level", 30.0)]
+    windows[1].context = {"screen_status": 1.0, "battery_level": 30.0}
     schema = ContextSchema(zones=[])
     got = dataset.featurize_windows(windows, schema)
     assert np.array_equal(bits(got.values), bits(one_at_a_time(windows, schema)))

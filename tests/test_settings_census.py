@@ -65,7 +65,7 @@ SETTABLE = frozenset({
     "stressmon.sema:SemaState.last_prompt_time_ms",
     "stressmon.sema:local_day_start(tz_offset_ms)",
     "stressmon.signals:RawWindow.ppg",
-    "stressmon.signals:RawWindow.snapshots",
+    "stressmon.signals:RawWindow.context",
     "stressmon.signals:burst_record(arrival_ms)",
     "stressmon.sim:NetworkParams.wifi_outages_ms",
     "stressmon.sim:ParticipantParams.baseline_bpm_range",

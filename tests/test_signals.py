@@ -177,7 +177,7 @@ class TestWindowize:
     def test_context_attachment(self, tmp_path):
         wins = _windowize(tmp_path, [_burst("u", 0)], [_snap("u", 10_000), _snap("u", 900_001)])
         assert len(wins) == 2
-        assert len(wins[0].snapshots) == 1 and len(wins[1].snapshots) == 1
+        assert wins[0].context == {"speed": 1.0} and wins[1].context == {"speed": 1.0}
 
     def test_partition_property(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -199,7 +199,7 @@ class TestWindowize:
             latest = max(in_slot, key=lambda s: s.timestamp_ms, default=None)
             if latest is not None:
                 latest = [s for s in in_slot if s.timestamp_ms == latest.timestamp_ms][-1]
-            assert w.snapshots == ([] if latest is None else [latest])
+            assert w.context == ({} if latest is None else {"speed": latest.payload})
         times = [b.start_time_ms for b in bursts] + [s.timestamp_ms for s in snaps]
         assert set(starts) == {t // 900_000 * 900_000 for t in times}
 
@@ -211,7 +211,8 @@ class TestWindowize:
         bursts = [_burst("a", 0), _burst("a", 900_000), _burst("b", 900_000)]
         wins = _windowize(tmp_path, bursts, [_snap("a", 1_000_000)],
                           keep=lambda user_id, start_ms: (user_id, start_ms) == ("a", 900_000))
-        assert [(w.user_id, w.start_ms, len(w.snapshots)) for w in wins] == [("a", 900_000, 1)]
+        assert [(w.user_id, w.start_ms, w.context) for w in wins] == \
+            [("a", 900_000, {"speed": 1.0})]
 
     def test_off_wrist_bursts_share_one_read_only_array(self, tmp_path):
         flat = [SensorBurst("u", "ppg", t, FS, np.zeros(2400)) for t in (0, 900_000)]

@@ -359,6 +359,17 @@ class TestConfig:
         assert (cfg.n_users, cfg.seed, cfg.zones[0].code) == (3, 9, 1)
         assert all(type(v) is int for v in (cfg.n_users, cfg.seed, cfg.zones[0].code))
 
+    def test_integral_float_outage_bounds_are_stored_as_ints(self, tmp_path):
+        logs = []
+        for end in (1_800_000.0, 1_800_000):
+            cfg = SimConfig.from_dict({"n_users": 1, "days": 1, "seed": 4,
+                                       "network": {"wifi_outages_ms": [[0, end]]}})
+            assert [type(t) for t in cfg.network.wifi_outages_ms[0]] == [int, int]
+            run_simulation(cfg, tmp_path / str(type(end).__name__))
+            logs.append((tmp_path / type(end).__name__ / "context.jsonl").read_bytes())
+        assert b'"arrival_ms":1805000}' in logs[0]
+        assert logs[0] == logs[1]
+
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             SimConfig(n_users=0).validate()
