@@ -23,7 +23,7 @@ from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, model_from_dict, model_to_dict,
                     personalization_eval)
 from .learn.evaluate import DEFAULT_FOLDS
-from .learn.trees import TreeEnsembleModel
+from .learn.trees import TreeEnsembleModel, tree_nodes
 from .sim import SimConfig, run_simulation
 
 EXIT_OK = 0
@@ -198,18 +198,6 @@ def save_model_json(path, model):
         fh.write("\n")
 
 
-def _node_count(model) -> int:
-    """Split and leaf nodes over a tree model's trees; a knn model has none."""
-    stack = list(model.trees) if isinstance(model, TreeEnsembleModel) else []
-    count = 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        if not node.is_leaf:
-            stack += (node.left, node.right)
-    return count
-
-
 def load_model_json(path):
     """The tree model of a file written by save_model_json; a knn model or a
     malformed file raises DataFormatError naming it (see model_from_dict)."""
@@ -237,12 +225,14 @@ def cmd_train_eval(args) -> int:
     t4 = time.monotonic()
     model_path = os.path.join(args.out, "model.json")
     save_model_json(model_path, model)
+    # a knn model has no nodes
+    nodes = sum(1 for _ in tree_nodes(model)) if isinstance(model, TreeEnsembleModel) else 0
 
     write_manifest(args.out, "train_eval", args.seed, [args.matrix],
                    [report_json, report_csv, model_path],
                    {"total_s": round(time.monotonic() - t0, 3),
                     "grouped_cv_s": round(t2 - t1, 3), "final_fit_s": round(t4 - t3, 3)},
-                   counts={"final_model_nodes": _node_count(model)})
+                   counts={"final_model_nodes": nodes})
     fold_txt = " ".join(f"{f:.3f}" for f in report.fold_f1s)
     print(f"{args.model} ({args.features}) mean F1 = {report.mean_f1:.3f} "
           f"over folds [{fold_txt}] -> {args.out}")
@@ -271,8 +261,8 @@ def cmd_explain(args) -> int:
     # on all of them; only the sampled rows are read, so only they are filled.
     imputer = dataset.fit_imputer(labeled, np.arange(n))
     sampled = np.union1d(bg_rows, explain_rows)
-    completed = imputer.transform(labeled.values[sampled], labeled.missing[sampled],
-                                  exclude=sampled)
+    values = labeled.values[sampled]
+    completed = imputer.transform(values, np.isnan(values), exclude=sampled)
     cols = [labeled.columns.index(c) for c in model.feature_names]
     background = completed[np.searchsorted(sampled, bg_rows)][:, cols]
     rows = completed[np.searchsorted(sampled, explain_rows)][:, cols]

@@ -58,20 +58,6 @@ _EARTH_RADIUS_M = 6_371_000.0
 
 
 @dataclass(frozen=True)
-class ContextSnapshot:
-    """One raw context event: a sensor reading at a point in time."""
-
-    user_id: str
-    timestamp_ms: int
-    sensor: str
-    payload: object
-
-    def __post_init__(self):
-        if self.sensor not in SENSORS:
-            raise ValueError(f"unknown context sensor {self.sensor!r}")
-
-
-@dataclass(frozen=True)
 class GeoZone:
     """Circular geofence; codes 0..2 name the study areas, 3 is outside."""
 
@@ -169,9 +155,10 @@ def extract_context_features(latest, schema):
 def _record(rec):
     """``(user_id, timestamp_ms, sensor, payload)`` of one context.jsonl record.
 
-    A location payload lists a finite latitude and longitude; weather may be
-    anything (:func:`map_weather`); any other payload is a finite number or
-    null (missing).
+    A context record is this tuple everywhere: the simulator emits it and
+    :func:`context_record` writes it.  A location payload lists a finite
+    latitude and longitude; weather may be anything (:func:`map_weather`);
+    any other payload is a finite number or null (missing).
     """
     sensor, payload = rec["sensor"], rec["payload"]
     user_id = strict_str(rec["user_id"], "user_id")
@@ -188,18 +175,19 @@ def _record(rec):
 
 
 def read_context_jsonl(path):
-    """Read a context log; raises DataFormatError naming the bad line."""
-    return read_jsonl(path, "context record", lambda rec: ContextSnapshot(*_record(rec)))
+    """The :func:`_record` tuple of each line of a context log; raises
+    DataFormatError naming the bad line."""
+    return read_jsonl(path, "context record", _record)
 
 
 def fold_context_jsonl(path, key_of, latest) -> int:
     """Fold a context log into ``latest``: key -> {sensor: (time_ms, payload)}.
 
-    Every line is validated as by :func:`read_context_jsonl`, but no
-    snapshot object is built.  A record is held under ``key_of(user_id,
-    time_ms)``, or dropped when that is None; of one key and sensor only the
-    latest is kept, the later line winning on equal times.  Returns the
-    number of records read.
+    Every line is validated by :func:`_record`, as :func:`read_context_jsonl`
+    does, and only its payload is held: under ``key_of(user_id, time_ms)``,
+    or nowhere when that is None.  Of one key and sensor only the latest is
+    kept, the later line winning on equal times.  Returns the number of
+    records read.
     """
     def add(rec):
         user_id, time_ms, sensor, payload = _record(rec)
@@ -212,23 +200,20 @@ def fold_context_jsonl(path, key_of, latest) -> int:
     return fold_jsonl(path, "context record", add)
 
 
-def context_record(snap: ContextSnapshot, arrival_ms=None) -> str:
+def context_record(user_id, timestamp_ms, sensor, payload, arrival_ms=None) -> str:
     """One context-log line (without the newline)."""
-    rec = {
-        "user_id": snap.user_id,
-        "timestamp_ms": snap.timestamp_ms,
-        "sensor": snap.sensor,
-        "payload": snap.payload,
-    }
+    rec = {"user_id": user_id, "timestamp_ms": timestamp_ms, "sensor": sensor,
+           "payload": payload}
     if arrival_ms is not None:
         rec["arrival_ms"] = arrival_ms
     return encode_json(rec)
 
 
-def write_context_jsonl(path, snapshots):
+def write_context_jsonl(path, records):
+    """Write ``(user_id, timestamp_ms, sensor, payload)`` records as a context log."""
     with open(path, "w", encoding="utf-8") as fh:
-        for snap in snapshots:
-            fh.write(context_record(snap) + "\n")
+        for rec in records:
+            fh.write(context_record(*rec) + "\n")
 
 
 def parse_zones(raw) -> list:

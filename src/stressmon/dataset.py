@@ -56,18 +56,20 @@ class EmaResponse:
 
 @dataclass
 class FeatureMatrix:
-    """Rectangular feature table with a missingness mask, labels and groups."""
+    """Rectangular feature table with labels and groups.
+
+    NaN in ``values`` is the only mark of a missing cell; a reader takes
+    ``np.isnan`` of the slice it reads.
+    """
 
     columns: tuple
     values: np.ndarray          # (n, d) float64, NaN where missing
-    missing: np.ndarray         # (n, d) bool
     labels: np.ndarray          # (n,) float64, NaN where unlabeled
     groups: list                # user id per row
     window_starts: np.ndarray   # (n,) int64
 
     def __post_init__(self):
-        n, d = self.values.shape
-        assert self.missing.shape == (n, d)
+        n, _ = self.values.shape
         assert self.labels.shape == (n,)
         assert len(self.groups) == n and self.window_starts.shape == (n,)
 
@@ -81,22 +83,21 @@ class FeatureMatrix:
 
     def select_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx)
-        return FeatureMatrix(self.columns, self.values[idx], self.missing[idx],
-                             self.labels[idx], [self.groups[i] for i in idx],
-                             self.window_starts[idx])
+        return FeatureMatrix(self.columns, self.values[idx], self.labels[idx],
+                             [self.groups[i] for i in idx], self.window_starts[idx])
 
     def select_columns(self, names) -> "FeatureMatrix":
         pos = [self.columns.index(c) for c in names]
-        return FeatureMatrix(tuple(names), self.values[:, pos], self.missing[:, pos],
-                             self.labels, list(self.groups), self.window_starts)
+        return FeatureMatrix(tuple(names), self.values[:, pos], self.labels, list(self.groups),
+                             self.window_starts)
 
 
 def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
     """Band-pass + HRV + context extraction: one matrix row per raw window.
 
     Rows keep the windows' order and are unlabeled (NaN labels); a feature
-    the window does not yield is NaN and masked.  PPG bursts are band-passed
-    in blocks of at most _FILTER_BLOCK_ROWS bursts of one length.  A block's
+    the window does not yield is NaN.  PPG bursts are band-passed in blocks
+    of at most _FILTER_BLOCK_ROWS bursts of one length.  A block's
     on-wrist samples are copied once, into the filter's buffer
     (:func:`signals.bandpass_bursts`), and each filtered burst is copied out
     of it only while its HRV is computed; an off-wrist burst is not
@@ -134,7 +135,7 @@ def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
         for j, name in enumerate(CONTEXT_FEATURE_NAMES, start=n_hrv):
             if context[name] is not None:
                 values[i, j] = context[name]
-    return FeatureMatrix(columns=FEATURE_COLUMNS, values=values, missing=np.isnan(values),
+    return FeatureMatrix(columns=FEATURE_COLUMNS, values=values,
                          labels=np.full(len(raw_windows), np.nan),
                          groups=[raw.user_id for raw in raw_windows],
                          window_starts=np.array([raw.start_ms for raw in raw_windows],
@@ -176,7 +177,7 @@ def ema_labeler(emas):
 def drop_rows_missing_block(matrix: FeatureMatrix, columns) -> FeatureMatrix:
     """Drop rows missing every one of the given columns (e.g. no PPG at all)."""
     pos = [matrix.columns.index(c) for c in columns]
-    keep = ~matrix.missing[:, pos].all(axis=1)
+    keep = ~np.isnan(matrix.values[:, pos]).all(axis=1)
     return matrix.select_rows(np.flatnonzero(keep))
 
 
@@ -283,7 +284,8 @@ def fit_imputer(matrix: FeatureMatrix, rows) -> KnnImputer:
     """A default KnnImputer fit on ``rows`` of ``matrix``; the EmptyColumn
     of a column with no observed value there names the column."""
     try:
-        return KnnImputer().fit(matrix.values[rows], matrix.missing[rows])
+        values = matrix.values[rows]
+        return KnnImputer().fit(values, np.isnan(values))
     except EmptyColumn as err:
         raise EmptyColumn(matrix.columns[err.column]) from None
 
@@ -291,14 +293,12 @@ def fit_imputer(matrix: FeatureMatrix, rows) -> KnnImputer:
 def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
                weighting: str = DEFAULT_IMPUTE_WEIGHTING) -> FeatureMatrix:
     """Complete a matrix in place of its missing cells; see KnnImputer."""
-    if not matrix.missing.any():
-        return replace(matrix, values=matrix.values.copy(),
-                       missing=matrix.missing.copy())
-    imputer = KnnImputer(k=k, weighting=weighting).fit(matrix.values, matrix.missing)
-    completed = imputer.transform(matrix.values, matrix.missing,
-                                  exclude=np.arange(matrix.n_rows))
-    return replace(matrix, values=completed,
-                   missing=np.zeros_like(matrix.missing))
+    missing = np.isnan(matrix.values)
+    if not missing.any():
+        return replace(matrix, values=matrix.values.copy())
+    imputer = KnnImputer(k=k, weighting=weighting).fit(matrix.values, missing)
+    completed = imputer.transform(matrix.values, missing, exclude=np.arange(matrix.n_rows))
+    return replace(matrix, values=completed)
 
 
 # -- file formats -------------------------------------------------------------
@@ -308,9 +308,10 @@ def write_matrix_csv(matrix: FeatureMatrix, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "window_start_ms", "label", *matrix.columns])
+        missing = np.isnan(matrix.values)
         for i in range(matrix.n_rows):
             label = "" if np.isnan(matrix.labels[i]) else str(int(matrix.labels[i]))
-            cells = ["" if matrix.missing[i, j] else repr(float(matrix.values[i, j]))
+            cells = ["" if missing[i, j] else repr(float(matrix.values[i, j]))
                      for j in range(len(matrix.columns))]
             writer.writerow([matrix.groups[i], int(matrix.window_starts[i]), label, *cells])
     meta = {
@@ -354,8 +355,7 @@ def _matrix(lines) -> FeatureMatrix:
         labels.append(float(row[2]) if row[2] else np.nan)
         rows.append(cells)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
-    return FeatureMatrix(columns=columns, values=values, missing=np.isnan(values),
-                         labels=np.array(labels, dtype=float),
+    return FeatureMatrix(columns=columns, values=values, labels=np.array(labels, dtype=float),
                          groups=groups, window_starts=np.array(starts, dtype=np.int64))
 
 
@@ -374,8 +374,9 @@ def read_ema_csv(path):
 
 
 def write_ema_csv(path, emas):
+    """Write EMA answers in the given order, one ``\\n``-ended line each."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp_ms", "user_id", "stress_level"])
         for ema in emas:
             writer.writerow([ema.timestamp_ms, ema.user_id, ema.stress_level])

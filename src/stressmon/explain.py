@@ -86,7 +86,7 @@ def shap_values(model, row, background_rows) -> Explanation:
     # w[s] = s! (d-1-s)! / d!, the Shapley kernel over coalition sizes.
     w = np.array([math.factorial(s) * math.factorial(d - 1 - s) / math.factorial(d)
                   for s in range(d)])
-    sizes = np.array([bin(m).count("1") for m in range(1 << d)])
+    sizes = np.bitwise_count(np.arange(1 << d))
     phi = np.zeros(d)
     for i in range(d):
         bit = 1 << i

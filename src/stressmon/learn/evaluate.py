@@ -141,8 +141,8 @@ def fit_on_rows(matrix: FeatureMatrix, rows, spec: ModelSpec, seed: int):
     column indices the model reads.
     """
     imputer = fit_imputer(matrix, rows)
-    X = imputer.transform(matrix.values[rows], matrix.missing[rows],
-                          exclude=np.arange(len(rows)))
+    values = matrix.values[rows]
+    X = imputer.transform(values, np.isnan(values), exclude=np.arange(len(rows)))
     y = matrix.labels[rows].astype(int)
     if spec.select_top is None:
         selected = list(range(len(matrix.columns)))
@@ -159,7 +159,8 @@ def _held_out(matrix: FeatureMatrix, train_rows, test_rows, spec: ModelSpec, see
     """``(y_true, y_pred, selected)`` on ``test_rows`` of a :func:`fit_on_rows`
     on ``train_rows``."""
     model, imputer, selected = fit_on_rows(matrix, train_rows, spec, seed)
-    X_te = imputer.transform(matrix.values[test_rows], matrix.missing[test_rows])
+    values = matrix.values[test_rows]
+    X_te = imputer.transform(values, np.isnan(values))
     return (matrix.labels[test_rows].astype(int), model.predict(X_te[:, selected]),
             selected)
 

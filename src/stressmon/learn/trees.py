@@ -501,6 +501,18 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
                              seed=seed, base_score=0.0)
 
 
+def tree_nodes(model: TreeEnsembleModel):
+    """Every split and leaf node of the model, tree by tree, each tree depth
+    first with the right branch ahead of the left."""
+    for root in model.trees:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += (node.left, node.right)
+
+
 def gini_importance(model: TreeEnsembleModel):
     """Mean decrease impurity per feature, normalized to sum to one.
 
@@ -509,14 +521,9 @@ def gini_importance(model: TreeEnsembleModel):
     """
     d = model.n_features
     totals = np.zeros(d)
-    for root in model.trees:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
+    for node in tree_nodes(model):
+        if not node.is_leaf:
             totals[node.feature_index] += node.impurity_decrease
-            stack.extend((node.left, node.right))
     totals /= len(model.trees)
     if totals.sum() > 0:
         totals = totals / totals.sum()

@@ -356,9 +356,13 @@ def windowize(bursts_path, context_path, keep, counts):
 
 def _burst(rec) -> SensorBurst:
     """One bursts.jsonl record; a PPG burst is sampled at the filter design rate."""
+    samples = rec["samples"]
+    # numpy would read "1.5" or true as a float; JSON numbers decode to int or float
+    if type(samples) is not list or not set(map(type, samples)) <= {int, float}:
+        raise ValueError(f"samples must be a list of JSON numbers, got {samples!r:.80}")
     burst = SensorBurst(strict_str(rec["user_id"], "user_id"), rec["channel"],
                         strict_time_ms(rec["start_time_ms"], "start_time_ms"),
-                        strict_float(rec["rate_hz"], "rate_hz"), rec["samples"])
+                        strict_float(rec["rate_hz"], "rate_hz"), samples)
     # count_nonzero is one C call; .all() adds a Python wrapper to every record
     if np.count_nonzero(np.isfinite(burst.samples)) != len(burst.samples):
         raise ValueError("samples must be finite numbers")

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import sema as sema_mod
-from .context import (CONTEXT_FEATURE_NAMES, ContextSnapshot, GeoZone, context_record,
-                      dump_zones, parse_zones)
+from .context import CONTEXT_FEATURE_NAMES, GeoZone, context_record, dump_zones, parse_zones
+from .dataset import EmaResponse, write_ema_csv
 from .errors import (ConfigError, DataFormatError, encode_json, is_number, read_input,
                      strict_int)
 from .sema import DAY_MS
@@ -506,11 +506,13 @@ class _Simulation:
         return value
 
     def _context_stream(self, user: _Participant, s_idx: int):
-        """One (user, sensor) context stream: ``(emit_ms, snapshot)`` in emit order.
+        """One (user, sensor) context stream: ``(emit_ms, record)`` in emit order.
 
-        The snapshot is None while the sensor is blacked out.  The stream
-        ends at the study's end.  Its rng draws the first emit time, then per
-        emit the payload (nothing while blacked out) and the gap to the next.
+        The record is the ``(user_id, emit_ms, sensor, payload)`` tuple the
+        context reader returns, or None while the sensor is blacked out.  The
+        stream ends at the study's end.  Its rng draws the first emit time,
+        then per emit the payload (nothing while blacked out) and the gap to
+        the next.
         """
         sensor = CONTEXT_FEATURE_NAMES[s_idx]
         rng = np.random.default_rng([self.cfg.seed, user.index, 4, s_idx])
@@ -520,7 +522,7 @@ class _Simulation:
             if user.blacked_out(sensor, t):
                 yield t, None
             else:
-                yield t, ContextSnapshot(user.user_id, t, sensor, value(t))
+                yield t, (user.user_id, t, sensor, value(t))
             t += int(rng.uniform(60_000, 300_000))
 
     def _location_payload(self, zone_code: int, rng):
@@ -545,10 +547,8 @@ class _Simulation:
             self._write_context(fh)
         with _create(paths["bursts"]) as bursts, _create(paths["triggers"]) as triggers:
             answers = self._write_bursts_and_triggers(bursts, triggers)
-        with _create(paths["ema"]) as fh:
-            fh.write("timestamp_ms,user_id,stress_level\n")
-            for answer_ms, _, user_idx, level in sorted(answers):
-                fh.write(f"{answer_ms},{self.users[user_idx].user_id},{level}\n")
+        write_ema_csv(paths["ema"], (EmaResponse(self.users[user_idx].user_id, answer_ms, level)
+                                     for answer_ms, _, user_idx, level in sorted(answers)))
         self.counts["emas"] = len(answers)
         with _create(paths["latent"]) as fh:
             self._write_latent(fh)
@@ -559,8 +559,8 @@ class _Simulation:
         """Write context.jsonl: every stream generated on its own, then merged."""
         streams = [self._context_stream(user, s_idx) for user in self.users
                    for s_idx in range(len(CONTEXT_FEATURE_NAMES))]
-        for arrival_ms, snap in _arrival_order(streams, self.cfg.network.outage_end_after):
-            fh.write(context_record(snap, arrival_ms) + "\n")
+        for arrival_ms, rec in _arrival_order(streams, self.cfg.network.outage_end_after):
+            fh.write(context_record(*rec, arrival_ms) + "\n")
             self.counts["snapshots"] += 1
 
     def _burst_arrivals(self):
@@ -658,10 +658,10 @@ def _create(path):
 
 
 def _arrival_order(streams, outage_end_after):
-    """Merge context streams into ``(arrival_ms, snapshot)`` in delivery order.
+    """Merge context streams into ``(arrival_ms, record)`` in delivery order.
 
-    ``streams`` yield ``(emit_ms, snapshot or None)`` in emit order; a
-    snapshot sent at ``t`` arrives at ``outage_end_after(t) +
+    ``streams`` yield ``(emit_ms, record or None)`` in emit order; a record
+    sent at ``t`` arrives at ``outage_end_after(t) +
     CONTEXT_LATENCY_MS``.  The order is that of one event queue ordered by
     (time, order of scheduling), in which handling an emit schedules its
     arrival and then the stream's next emit:
@@ -674,21 +674,21 @@ def _arrival_order(streams, outage_end_after):
     An arrival is yielded once no later emit can arrive before it: every
     emit at ``t`` or after arrives at ``t + CONTEXT_LATENCY_MS`` or after,
     with a higher rank, because ``outage_end_after(t) >= t``.  So memory
-    holds the snapshots in flight, not all of them.
+    holds the records in flight, not all of them.
     """
     emits = [(first[0], i - len(streams), i, first[1])   # first emits rank below 0
              for i, first in enumerate(next(stream, None) for stream in streams)
              if first is not None]
     heapq.heapify(emits)
-    in_flight = []          # (arrival_ms, rank, snapshot)
+    in_flight = []          # (arrival_ms, rank, record)
     rank = 0
     while emits:
-        t, _, i, snap = emits[0]
+        t, _, i, rec = emits[0]
         while in_flight and in_flight[0][0] <= t + CONTEXT_LATENCY_MS:
             arrival_ms, _, sent = heapq.heappop(in_flight)
             yield arrival_ms, sent
-        if snap is not None:
-            heapq.heappush(in_flight, (outage_end_after(t) + CONTEXT_LATENCY_MS, rank, snap))
+        if rec is not None:
+            heapq.heappush(in_flight, (outage_end_after(t) + CONTEXT_LATENCY_MS, rank, rec))
         following = next(streams[i], None)
         if following is None:
             heapq.heappop(emits)

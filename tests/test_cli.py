@@ -344,6 +344,21 @@ class TestFeaturize:
         assert rc == cli.EXIT_DATA
         assert "bursts.jsonl:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [["1.5", "2"], [True, False], [1.5, True]],
+                             ids=["strings", "bools", "number_and_bool"])
+    def test_burst_samples_not_json_numbers_exit_3_with_line(self, tmp_path, capsys, samples):
+        # numpy would read each of these as floats
+        accel = {"user_id": "u01", "channel": "accel_x", "start_time_ms": 0,
+                 "rate_hz": 4.0, "samples": [0.0] * 240}
+        (tmp_path / "bursts.jsonl").write_text(
+            json.dumps(accel) + "\n" + json.dumps(dict(accel, samples=samples)) + "\n")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert "bursts.jsonl:2: bad burst record: samples must be a list of JSON numbers" \
+            in capsys.readouterr().err
+
 
 def _rejected_by_float(value):
     try:
@@ -505,7 +520,6 @@ class TestTrainEval:
         matrix = read_matrix_csv(matrix_path)
         speed = matrix.columns.index("speed")
         matrix.values[:, speed] = np.nan
-        matrix.missing[:, speed] = True
         empty = tmp_path / "empty_speed.csv"
         write_matrix_csv(matrix, empty)
         argv = (["train-eval", "--folds", "3", "--n-trees", "5"] if command == "train-eval"

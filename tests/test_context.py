@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stressmon.context import (CONTEXT_FEATURE_NAMES, CUTOFFS, WEATHER_CODES,
-                               ContextSchema, ContextSnapshot, GeoZone, assign_location,
+                               ContextSchema, GeoZone, assign_location,
                                discretize, dump_zones, extract_context_features,
                                fold_context_jsonl, haversine_m, load_zones, map_weather,
                                read_context_jsonl, write_context_jsonl)
@@ -70,8 +70,7 @@ class TestLocation:
 
 
 def _snap(sensor, payload, ts=1000, user="u"):
-    return ContextSnapshot(user_id=user, timestamp_ms=ts, sensor=sensor,
-                           payload=payload)
+    return user, ts, sensor, payload
 
 
 class TestExtract:
@@ -129,18 +128,13 @@ class TestSchemaAndIo:
         codes = list(WEATHER_CODES.values())
         assert len(set(codes)) == len(codes)
 
-    def test_snapshot_unknown_sensor(self):
-        with pytest.raises(ValueError):
-            ContextSnapshot(user_id="u", timestamp_ms=0, sensor="heartbeat",
-                            payload=1)
-
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "context.jsonl"
-        snaps = [_snap("weather", "Clear"), _snap("location", [1.0, 2.0, 3.0])]
-        write_context_jsonl(path, snaps)
+        records = [_snap("weather", "Clear"), _snap("location", [1.0, 2.0, 3.0], ts=2000),
+                   _snap("battery_level", None, user="u02")]
+        write_context_jsonl(path, records)
         back = read_context_jsonl(path)
-        assert back[0].payload == "Clear"
-        assert back[1].payload == [1.0, 2.0, 3.0]
+        assert back == records
 
     def test_corrupt_line(self, tmp_path):
         path = tmp_path / "context.jsonl"

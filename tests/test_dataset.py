@@ -47,7 +47,7 @@ def _matrix(values, labels=None, groups=None):
     n = values.shape[0]
     return FeatureMatrix(
         columns=tuple(f"c{j}" for j in range(values.shape[1])),
-        values=values, missing=np.isnan(values),
+        values=values,
         labels=np.asarray(labels, float) if labels is not None else np.full(n, np.nan),
         groups=list(groups) if groups is not None else ["u"] * n,
         window_starts=np.arange(n, dtype=np.int64))
@@ -130,9 +130,9 @@ class TestAssemble:
     def test_missing_hrv_masked(self):
         m = featurize_windows([_raw("u", 0, context={"screen_status": 1.0})],
                               ContextSchema(zones=[]))
-        assert m.missing[0, :12].all() and np.isnan(m.values[0, :12]).all()
+        assert np.isnan(m.values[0, :12]).all()
         col = m.columns.index("screen_status")
-        assert m.values[0, col] == 1.0 and m.missing[0].sum() == 23
+        assert m.values[0, col] == 1.0 and np.isnan(m.values[0]).sum() == 23
 
     def test_empty(self):
         m = featurize_windows([], ContextSchema(zones=[]))
@@ -284,7 +284,7 @@ class TestCsvFormats:
         vals = rng.normal(size=(6, 24))
         vals[0, 3] = np.nan
         m = FeatureMatrix(columns=tuple(HRV_FEATURE_NAMES) + tuple(CONTEXT_FEATURE_NAMES),
-                          values=vals, missing=np.isnan(vals),
+                          values=vals,
                           labels=np.array([0, 1, np.nan, 1, 0, 1], float),
                           groups=["a"] * 3 + ["b"] * 3,
                           window_starts=np.arange(6, dtype=np.int64) * 900_000)

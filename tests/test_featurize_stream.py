@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from stressmon import signals
 from stressmon.cli import featurize_directory
-from stressmon.context import ContextSchema, ContextSnapshot, context_record, read_context_jsonl
+from stressmon.context import ContextSchema, context_record, read_context_jsonl
 from stressmon.dataset import (EmaResponse, binarize, ema_labeler, featurize_windows,
                                read_ema_csv, write_ema_csv, write_matrix_csv)
 from stressmon.signals import RawWindow, SensorBurst, burst_record, read_bursts_jsonl
@@ -25,24 +25,24 @@ from stressmon.sim import ParticipantParams, SimConfig, run_simulation, synth_pp
 WINDOW_MS = signals.WINDOW_MS
 
 
-def reference_windowize(bursts, snapshots):
+def reference_windowize(bursts, records):
     """Every occupied slot of every user as a window, from records in memory.
 
     A slot's window takes its first complete PPG burst in record order and,
-    of each sensor, the payload of its latest snapshot in the slot: the
-    snapshots are stably sorted by time, so the later record wins on equal
-    times.
+    of each sensor, the payload of its latest context record in the slot:
+    the ``(user_id, timestamp_ms, sensor, payload)`` records are stably
+    sorted by time, so the later record wins on equal times.
     """
     per_user = {}
     for burst in bursts:
         per_user.setdefault(burst.user_id, ([], []))[0].append(burst)
-    for snap in snapshots:
-        per_user.setdefault(snap.user_id, ([], []))[1].append(snap)
+    for rec in records:
+        per_user.setdefault(rec[0], ([], []))[1].append(rec)
 
     windows = []
     for user_id in sorted(per_user):
-        user_bursts, user_snaps = per_user[user_id]
-        times = [b.start_time_ms for b in user_bursts] + [s.timestamp_ms for s in user_snaps]
+        user_bursts, user_records = per_user[user_id]
+        times = [b.start_time_ms for b in user_bursts] + [t for _, t, _, _ in user_records]
         slots = {start: RawWindow(user_id=user_id, start_ms=start, end_ms=start + WINDOW_MS)
                  for start in sorted({(t // WINDOW_MS) * WINDOW_MS for t in times})}
         for burst in user_bursts:
@@ -50,9 +50,8 @@ def reference_windowize(bursts, snapshots):
             complete = burst.channel == "ppg" and len(burst.samples) >= signals.BURST_SAMPLES
             if complete and win.ppg is None:
                 win.ppg = burst
-        for snap in sorted(user_snaps, key=lambda s: s.timestamp_ms):
-            win = slots[(snap.timestamp_ms // WINDOW_MS) * WINDOW_MS]
-            win.context[snap.sensor] = snap.payload
+        for _, t, sensor, payload in sorted(user_records, key=lambda rec: rec[1]):
+            slots[(t // WINDOW_MS) * WINDOW_MS].context[sensor] = payload
         windows.extend(slots.values())
     return windows
 
@@ -108,7 +107,7 @@ _burst = st.builds(
     st.sampled_from(USERS), st.sampled_from(["ppg", "ppg", "ppg", "accel_x", "accel_z"]),
     _time, st.integers(0, len(PPG_SAMPLES) - 1))
 _snapshot = st.builds(
-    lambda user, t, sensor_payload: ContextSnapshot(user, t, *sensor_payload),
+    lambda user, t, sensor_payload: (user, t, *sensor_payload),
     st.sampled_from(USERS), _time,
     st.one_of(st.tuples(st.just("speed"), st.sampled_from([0.0, 3.0, 7.5])),
               st.tuples(st.just("battery_level"), st.sampled_from([5.0, 30.0, None])),
@@ -131,7 +130,7 @@ def write_records(data_dir, bursts, snapshots, emas, seed):
         fh.writelines(burst_record(b) + "\n" for b in bursts)
     if snapshots:
         with open(os.path.join(data_dir, "context.jsonl"), "w", encoding="utf-8") as fh:
-            fh.writelines(context_record(s) + "\n" for s in snapshots)
+            fh.writelines(context_record(*s) + "\n" for s in snapshots)
     write_ema_csv(os.path.join(data_dir, "ema.csv"), emas)
 
 
@@ -165,16 +164,6 @@ def test_two_complete_bursts_in_one_slot_keep_the_first_line(tmp_path):
     assert counts == {"bursts": 2, "context": 0}
     assert matrix_bytes(featurize_directory(tmp_path), tmp_path / "m.csv") == \
         matrix_bytes(reference_matrix(str(tmp_path)), tmp_path / "r.csv")
-
-
-def test_featurize_builds_no_snapshot_object(tmp_path, monkeypatch):
-    run_simulation(SimConfig(n_users=1, days=1, seed=3), tmp_path)
-    built = []
-    monkeypatch.setattr(ContextSnapshot, "__post_init__", lambda snap: built.append(snap))
-    counts = {}
-    featurize_directory(tmp_path, counts=counts)
-    assert counts["records"]["context.jsonl"] > 0 and counts["labeled_windows"] > 0
-    assert built == []
 
 
 # -- memory -------------------------------------------------------------------

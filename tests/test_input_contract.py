@@ -215,7 +215,8 @@ def parse_key(fmt, parsed):
         return [[b.user_id, b.channel, repr(b.start_time_ms), repr(b.rate_hz),
                  repr(b.samples.tolist())] for b in parsed]
     if fmt == "context":
-        return [[s.user_id, repr(s.timestamp_ms), s.sensor, repr(s.payload)] for s in parsed]
+        return [[user_id, repr(t), sensor, repr(payload)]
+                for user_id, t, sensor, payload in parsed]
     if fmt == "ema":
         return [[repr(e.timestamp_ms), e.user_id, repr(e.stress_level)] for e in parsed]
     return [[group, repr(int(start)), repr(float(label)), *map(repr, row.tolist())]

@@ -31,7 +31,7 @@ def make_grouped_classification(n_users=10, rows_per_user=40, d=6, seed=0,
 def as_matrix(X, y, groups):
     X = np.asarray(X, float)
     return FeatureMatrix(columns=tuple(f"c{j}" for j in range(X.shape[1])),
-                         values=X, missing=np.zeros_like(X, dtype=bool),
+                         values=X,
                          labels=np.asarray(y, float), groups=list(groups),
                          window_starts=np.arange(len(y), dtype=np.int64))
 

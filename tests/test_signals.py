@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stressmon import signals
-from stressmon.context import ContextSnapshot, write_context_jsonl
+from stressmon.context import write_context_jsonl
 from stressmon.errors import DataFormatError, InvalidBand, TooShort
 from stressmon.hrv import _centered_mean
 from stressmon.signals import (SensorBurst, bandpass_filter,
@@ -138,8 +138,7 @@ def _burst(user, start_ms, seconds=120.0, channel="ppg", rate=FS):
 
 
 def _snap(user, ts, sensor="speed", payload=1.0):
-    return ContextSnapshot(user_id=user, timestamp_ms=ts, sensor=sensor,
-                           payload=payload)
+    return user, ts, sensor, payload
 
 
 def _windowize(tmp_path, bursts, snaps, keep=lambda user_id, start_ms: True):
@@ -195,12 +194,12 @@ class TestWindowize:
             if w.ppg is not None:
                 assert w.start_ms <= w.ppg.start_time_ms < w.end_ms
             # the latest snapshot of the slot, the later record on equal times
-            in_slot = [s for s in snaps if w.start_ms <= s.timestamp_ms < w.end_ms]
-            latest = max(in_slot, key=lambda s: s.timestamp_ms, default=None)
+            in_slot = [(t, payload) for _, t, _, payload in snaps if w.start_ms <= t < w.end_ms]
+            latest = max(in_slot, key=lambda tp: tp[0], default=None)
             if latest is not None:
-                latest = [s for s in in_slot if s.timestamp_ms == latest.timestamp_ms][-1]
-            assert w.context == ({} if latest is None else {"speed": latest.payload})
-        times = [b.start_time_ms for b in bursts] + [s.timestamp_ms for s in snaps]
+                latest = [tp for tp in in_slot if tp[0] == latest[0]][-1]
+            assert w.context == ({} if latest is None else {"speed": latest[1]})
+        times = [b.start_time_ms for b in bursts] + [t for _, t, _, _ in snaps]
         assert set(starts) == {t // 900_000 * 900_000 for t in times}
 
     def test_users_kept_separate(self, tmp_path):

@@ -536,7 +536,7 @@ class TestLatentCorrelation:
                                                        ema_compliance=1.0))
         run_simulation(cfg, tmp_path / "hi")
         matrix = featurize_directory(tmp_path / "hi")
-        has_hrv = ~matrix.missing[:, 0]
+        has_hrv = ~np.isnan(matrix.values[:, 0])
         bpm = matrix.values[has_hrv, 0]
         lab = matrix.labels[has_hrv]
         assert bpm[lab == 1].mean() > bpm[lab == 0].mean()
@@ -551,7 +551,7 @@ class TestPersonalOverrides:
         run_simulation(cfg, tmp_path / "o")
         matrix = featurize_directory(tmp_path / "o")
         groups = np.array(matrix.groups, dtype=object)
-        has_hrv = ~matrix.missing[:, 0]
+        has_hrv = ~np.isnan(matrix.values[:, 0])
         u2 = (groups == "u02") & has_hrv
         u1 = (groups == "u01") & has_hrv
         assert matrix.values[u2, 0].mean() > matrix.values[u1, 0].mean() + 10
