@@ -22,8 +22,8 @@ from . import hrv as hrv_mod
 from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
 from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
-                     TooFewIntervals, TooShort, read_input, strict_str, strict_time_ms,
-                     strict_unique)
+                     TooFewIntervals, TooShort, read_input, strict_number_text, strict_str,
+                     strict_time_ms, strict_unique)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -346,12 +346,14 @@ def _matrix(lines) -> FeatureMatrix:
             raise ValueError(f"{len(row)} cells, the header has {len(header)}")
         if row[2] not in ("", "0", "1"):
             raise ValueError(f"label must be empty, 0 or 1, got {row[2]!r}")
-        cells = [float(c) if c else None for c in row[3:]]  # None: missing, NaN in values
+        # None: missing, NaN in values
+        cells = [strict_number_text(c, "cell", float) if c else None for c in row[3:]]
         # filter(None) passes the observed cells, zeros aside, which are finite
         if not all(map(math.isfinite, filter(None, cells))):
             raise ValueError(f"cells must be finite numbers or empty, got {row[3:]}")
         groups.append(strict_str(row[0], "user_id"))
-        starts.append(strict_time_ms(int(row[1]), "window_start_ms"))
+        starts.append(strict_time_ms(strict_number_text(row[1], "window_start_ms", int),
+                                     "window_start_ms"))
         labels.append(float(row[2]) if row[2] else np.nan)
         rows.append(cells)
     values = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
@@ -368,8 +370,9 @@ def read_ema_csv(path):
     """Read EMA answers; raises DataFormatError naming the bad line."""
     return read_input(path, "EMA record", lambda lines: [
         EmaResponse(strict_str(row["user_id"], "user_id"),
-                    strict_time_ms(int(row["timestamp_ms"]), "timestamp_ms"),
-                    int(row["stress_level"]))
+                    strict_time_ms(strict_number_text(row["timestamp_ms"], "timestamp_ms", int),
+                                   "timestamp_ms"),
+                    strict_number_text(row["stress_level"], "stress_level", int))
         for row in csv.DictReader(lines)])
 
 

@@ -198,6 +198,21 @@ def strict_time_ms(value, name) -> int:
     return time_ms
 
 
+def strict_number_text(text, name, parse):
+    """``parse(text)``, ``int`` or ``float``, of a number a CSV cell holds.
+
+    Python's ``int()`` and ``float()`` also read digit-group underscores
+    (``36_000_000``), surrounding blanks and non-ASCII digits, which no
+    writer here produces; such text raises ValueError naming ``name``, and
+    so does an integer that is not all ASCII digits (``+5``).
+    """
+    if text.isascii() and (text.isdigit() if parse is int
+                           else "_" not in text and text.strip() == text):
+        return parse(text)
+    raise ValueError(f"{name} must be {'ASCII digits' if parse is int else 'ASCII number text'},"
+                     f" got {text!r}")
+
+
 def is_number(value) -> bool:
     """A finite int or float; JSON true and false are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -14,7 +14,9 @@ node's values sorted ascending, and scores every cut between two distinct
 neighbours of a segment in one pass; each node keeps its first maximum in
 (candidate, threshold) order, the tie-breaks of a per-feature scan.  Only
 the impurity statistic differs (class counts for Gini, residual sums for
-squared error).
+squared error).  The columns are ranked once per ensemble, stably (equal
+values in row order), and a scan cuts its segments out of the ranks with
+one integer sort of ``segment * n + rank``.
 
 The forest grows all of its trees in lockstep.  Each tree keeps a
 depth-first stack of the nodes it may still split; at every step each
@@ -24,24 +26,22 @@ child before its left, so every tree pops, and draws from its own
 (seed, tree) stream, in the preorder of a depth-first recursion: batching
 moves no draw.  A child that is a leaf by rule (no depth left, or one
 class only) is never pushed; its class counts come from the winning
-cut's prefix count.  The columns are ranked once per forest, and the
-segments of a scan are sorted by one integer sort of ``segment * n +
-rank``.  Cuts fall only between distinct values, so a node's result
-depends on its rows as a multiset: neither the order of equal values
-nor the order in which a child inherits its rows (that of its parent's
-split column) changes it.  The label prefix counts are integers, so one running sum over all
-segments, less its value before each segment, is exact.  One scanner
-call takes at most ``_SCAN_CELLS`` cells (values of a node's candidate
-columns), so memory stays bounded at any forest size; a step's nodes are
-scanned in chunks under that cap, and a node's result does not depend on
-its chunk.
+cut's prefix count.  Cuts fall only between distinct values, so a node's
+result depends on its rows as a multiset: neither the order of equal
+values nor the order in which a child inherits its rows (that of its
+parent's split column) changes it.  The label prefix counts are
+integers, so one running sum over all segments, less its value before
+each segment, is exact.  One scanner call takes at most ``_SCAN_CELLS``
+cells (values of a node's candidate columns), so memory stays bounded at
+any forest size; a step's nodes are scanned in chunks under that cap,
+and a node's result does not depend on its chunk.
 
-Boosting scans one node at a time: every round fits the same rows, so the
-columns are stably sorted once per ensemble, the (d, m) order block is
-stably partitioned down each tree, and its d rows are the node's
-segments.  Its prefix sums are floats and run along each block row, as
-a running sum over all segments would not subtract back to them bit for
-bit.
+Boosting scans all d columns of one node per call.  Its float prefix
+sums run along each segment, as a running sum over all segments would
+not subtract back to them bit for bit, and they add ties in row order,
+as a stable per-feature sort of the node's ascending rows does.  Each
+child gets its half of the winning segment sorted ascending, so every
+leaf sums its rows in row order.
 
 The models match a per-feature, per-node search to the last bit.  Every
 child impurity is an elementwise array expression, as it was there; each
@@ -193,10 +193,11 @@ def _scan(xs, starts, seg_node, decrease_at):
 
 
 class _Presorted(NamedTuple):
-    """Each column of a forest's training matrix sorted once, flattened
-    column-major: entry ``f * n + r`` of ``row``, ``x`` and ``y`` is the
-    row at rank ``r`` of column ``f``, its value and its label, and entry
-    ``f * n + i`` of ``rank`` is the rank of row ``i`` in column ``f``."""
+    """Each column of an ensemble's training matrix stably sorted once,
+    flattened column-major: entry ``f * n + r`` of ``row``, ``x`` and ``y``
+    is the row at rank ``r`` of column ``f``, its value and its label, and
+    entry ``f * n + i`` of ``rank`` is the rank of row ``i`` in column
+    ``f``.  Equal values rank in row order."""
 
     n: int
     rank: np.ndarray
@@ -207,7 +208,7 @@ class _Presorted(NamedTuple):
 
 def _presort(XT, y) -> _Presorted:
     d, n = XT.shape
-    order = np.argsort(XT, axis=1).astype(np.int32)
+    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(n, dtype=np.int32), axis=1)
     return _Presorted(n, rank.ravel(), order.ravel(),
@@ -367,19 +368,26 @@ def _sse_decrease(rs, rr, n_root):
     return decrease_at
 
 
-def _sse_split(XT, r, rows, order, n_root):
-    """Best (decrease, feature, threshold) of a boosting node, or None.
+def _sse_split(cols, r, rows, n_root):
+    """Best split of a boosting node, or None.
 
-    ``order`` is the (d, rows.size) block of the node's rows sorted by each
-    feature; its d rows are the node's segments, one per feature.
+    ``rows`` are distinct and ascending; every column is one segment.  A
+    split is ``(decrease, feature, threshold, left_rows, right_rows)``, each
+    child's rows ascending.
     """
-    d, m = order.shape
-    xs = np.take_along_axis(XT, order, axis=1)
-    _, seg, _, decrease, thrs = _scan(xs.ravel(), np.arange(0, d * m, m), np.zeros(d, int),
-                                      _sse_decrease(r[order], r[rows], n_root))
+    m = rows.size
+    base = np.arange(0, cols.rank.size, cols.n)[:, None]
+    flat = (base + cols.rank[base + rows]).ravel()
+    flat.sort()                 # segment f: the rows in their order of column f
+    decrease_at = _sse_decrease(r[cols.row[flat]].reshape(-1, m), r[rows], n_root)
+    _, seg, cut, decrease, thrs = _scan(cols.x[flat], np.arange(0, flat.size, m),
+                                        np.zeros(base.size, int), decrease_at)
     if seg.size == 0:
         return None
-    return float(decrease[0]), int(seg[0]), float(thrs[0])
+    f = int(seg[0])
+    won = cols.row[flat[f * m:(f + 1) * m]]
+    left_n = int(cut[0]) - f * m + 1
+    return float(decrease[0]), f, float(thrs[0]), np.sort(won[:left_n]), np.sort(won[left_n:])
 
 
 def _validate_training_inputs(X, y, feature_names):
@@ -433,27 +441,16 @@ def train_random_forest(X, y, depth, n_trees: int = DEFAULT_N_TREES,
                              feature_names=names, hyperparameters=hp, seed=seed)
 
 
-def _grow_regression_tree(XT, r, h, rows, order, depth_left, n_root, out):
-    """``rows`` ascending; ``order`` is the (d, rows.size) block of those
-    rows sorted by each feature, partitioned down from the ensemble's sort.
-    Each leaf writes its value into ``out`` at its rows."""
-    best = None if depth_left == 0 or rows.size < 2 else _sse_split(XT, r, rows, order, n_root)
+def _grow_regression_tree(cols, r, h, rows, depth_left, n_root, out):
+    """``rows`` ascending; each leaf writes its value into ``out`` at its rows."""
+    best = None if depth_left == 0 or rows.size < 2 else _sse_split(cols, r, rows, n_root)
     if best is None:
         return _newton_leaf(r, h, rows, n_root, out)
-    decrease, f, thr = best
-    go_left = XT[f, rows] <= thr
-    is_left = np.zeros(XT.shape[1], dtype=bool)
-    is_left[rows[go_left]] = True
-    to_left = is_left[order]
-    d = order.shape[0]
+    decrease, f, thr, left_rows, right_rows = best
     node = TreeNode(feature_index=f, threshold=thr, impurity_decrease=decrease,
                     sample_fraction=rows.size / n_root)
-    node.left = _grow_regression_tree(XT, r, h, rows[go_left],
-                                      order[to_left].reshape(d, -1),
-                                      depth_left - 1, n_root, out)
-    node.right = _grow_regression_tree(XT, r, h, rows[~go_left],
-                                       order[~to_left].reshape(d, -1),
-                                       depth_left - 1, n_root, out)
+    node.left = _grow_regression_tree(cols, r, h, left_rows, depth_left - 1, n_root, out)
+    node.right = _grow_regression_tree(cols, r, h, right_rows, depth_left - 1, n_root, out)
     return node
 
 
@@ -481,8 +478,7 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
           "learning_rate": float(learning_rate)}
     if len(np.unique(y)) < 2:
         return _degenerate_model("boosted", y, names, hp, seed)
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
+    cols = _presort(np.ascontiguousarray(X.T), y)
     score = np.zeros(n)
     rows = np.arange(n)
     out = np.empty(n)
@@ -492,8 +488,7 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
         residual = y - p
         hessian = p * (1.0 - p)
         # every row reaches one leaf, so the leaves fill all of ``out``
-        trees.append(_grow_regression_tree(XT, residual, hessian, rows, order, depth,
-                                           n, out))
+        trees.append(_grow_regression_tree(cols, residual, hessian, rows, depth, n, out))
         score += learning_rate * out
     return TreeEnsembleModel(kind="boosted", trees=trees,
                              tree_weights=[learning_rate] * rounds,

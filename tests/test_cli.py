@@ -359,6 +359,28 @@ class TestFeaturize:
         assert "bursts.jsonl:2: bad burst record: samples must be a list of JSON numbers" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,named", [
+        ("36_000_000,u01,3", "timestamp_ms"), (" 36000000,u01,3", "timestamp_ms"),
+        ("+36000000,u01,3", "timestamp_ms"), ("\uff13\uff16000000,u01,3", "timestamp_ms"),
+        ("36000000,u01, 3", "stress_level"), ("36000000,u01,+3", "stress_level"),
+        ("36000000,u01,3 ", "stress_level"), ("36000000,u01,\u0663", "stress_level"),
+    ], ids=["underscore", "lead_blank", "plus", "fullwidth", "blank_level", "plus_level",
+            "trail_blank", "arabic_indic_level"])
+    def test_ema_integer_not_ascii_digits_exits_3_with_line(self, tmp_path, capsys, line,
+                                                              named):
+        # int() reads every one of these; the EMA writer writes ASCII digits only
+        (tmp_path / "bursts.jsonl").write_text(json.dumps(
+            {"user_id": "u01", "channel": "accel_x", "start_time_ms": 36_000_000,
+             "rate_hz": 4.0, "samples": [0.0] * 240}) + "\n")
+        (tmp_path / "ema.csv").write_text(
+            f"timestamp_ms,user_id,stress_level\n36000000,u01,3\n{line}\n", encoding="utf-8")
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"ema.csv:3: bad EMA record: {named} must be ASCII digits" in err
+        assert not (tmp_path / "m.csv").exists()
+
 
 def _rejected_by_float(value):
     try:
@@ -480,23 +502,30 @@ class TestTrainEval:
         assert model["feature_names"] == [completed.columns[i] for i in cols]
 
     @pytest.mark.parametrize("edit", ["short_row", "label_2", "label_half", "start_10**30",
-                                      "start_2**63", "start_-5"])
+                                      "start_2**63", "start_-5", "start_underscore",
+                                      "start_plus", "start_blank", "cell_underscore",
+                                      "cell_blank", "cell_tab", "cell_arabic_indic"])
     def test_bad_matrix_row_exits_3_with_line(self, matrix_path, tmp_path, capsys,
                                               edit):
         lines = matrix_path.read_text().splitlines()
         lineno = next(i for i, line in enumerate(lines[1:], start=2)
                       if line.split(",")[2] != "" and line.split(",")[3] != "")
         cells = lines[lineno - 1].split(",")
+        start, cell = cells[1], cells[3]
         if edit == "short_row":
             cells = cells[:-2]
-        elif edit.startswith("start_"):  # window starts are int64 epoch times
+        elif edit.startswith("start_"):  # window starts are int64 epoch times in ASCII digits
             cells[1] = {"start_10**30": str(10 ** 30), "start_2**63": str(2 ** 63),
-                        "start_-5": "-5"}[edit]
+                        "start_-5": "-5", "start_underscore": f"{start[:-1]}_{start[-1]}",
+                        "start_plus": "+" + start, "start_blank": start + " "}[edit]
+        elif edit.startswith("cell_"):  # float() reads these; write_matrix_csv writes none
+            cells[3] = {"cell_underscore": f"{cell[0]}_{cell[1:]}", "cell_blank": " " + cell,
+                        "cell_tab": cell + "\t", "cell_arabic_indic": "\u0667\u0660.5"}[edit]
         else:
             cells[2] = "2" if edit == "label_2" else "0.5"
         lines[lineno - 1] = ",".join(cells)
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rc = cli.main(["train-eval", "--matrix", str(bad), "--folds", "3",
                        "--n-trees", "5", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA

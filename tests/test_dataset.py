@@ -298,6 +298,20 @@ class TestCsvFormats:
         assert back.groups == m.groups
         assert (tmp_path / "m.csv.meta.json").exists()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+           st.integers(0, 2 ** 63 - 1))
+    def test_every_written_number_reads_back_bit_for_bit(self, tmp_path_factory, cells, start):
+        # repr(float) writes exponents, -0.0 and subnormals; the reader takes them all
+        m = FeatureMatrix(columns=tuple(f"c{j}" for j in range(len(cells))),
+                          values=np.array([cells]), labels=np.array([1.0]), groups=["u"],
+                          window_starts=np.array([start], dtype=np.int64))
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        write_matrix_csv(m, path)
+        back = read_matrix_csv(path)
+        assert back.values.view(np.int64).tolist() == m.values.view(np.int64).tolist()
+        assert back.window_starts.tolist() == [start]
+
     def test_empty_matrix_roundtrip(self, tmp_path):
         m = featurize_windows([], ContextSchema(zones=[]))
         path = tmp_path / "empty.csv"

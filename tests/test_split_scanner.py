@@ -95,11 +95,19 @@ def gini_scan(X, y, rows, candidates, n_root):
 
 
 def sse_scan(X, r, rows, n_root):
-    """What a boosting node does: partition the ensemble-wide sort to rows."""
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    order = order[np.isin(order, rows)].reshape(X.shape[1], -1)
-    return _sse_split(XT, r, rows, order, n_root)
+    """What a boosting node does: every column of the node cut out of the
+    ensemble's stable ranks.  ``rows`` are ascending, as boosting's are, and
+    the children's rows must come back as ``rows`` split at the threshold,
+    so ascending too."""
+    cols = _presort(np.ascontiguousarray(X.T), np.zeros(X.shape[0], dtype=int))
+    split = _sse_split(cols, r, rows, n_root)
+    if split is None:
+        return None
+    _, f, thr, left, right = split
+    go_left = X[rows, f] <= thr
+    assert np.array_equal(left, rows[go_left])
+    assert np.array_equal(right, rows[~go_left])
+    return split[:3]
 
 
 ONE = 1.0
