@@ -22,7 +22,7 @@ from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, model_from_dict, model_to_dict,
                     personalization_eval)
-from .learn.evaluate import DEFAULT_FOLDS
+from .learn.evaluate import DEFAULT_FOLDS, MODEL_KINDS
 from .learn.trees import TreeEnsembleModel, tree_nodes
 from .sim import SimConfig, run_simulation
 
@@ -176,10 +176,17 @@ def _require_columns(path, matrix, needed, reader):
 
 
 def _restrict_features(matrix, which):
+    features = _FEATURE_SETS[which]
     if which != "all":
-        matrix = matrix.select_columns(list(_FEATURE_SETS[which]))
-    if which in ("all", "ppg"):
-        matrix = dataset.drop_rows_missing_block(matrix, HRV_FEATURE_NAMES)
+        matrix = matrix.select_columns(list(features))
+    return _drop_rows_without_hrv(matrix, features)
+
+
+def _drop_rows_without_hrv(matrix, features):
+    """``matrix`` less the rows missing the whole HRV block, when the
+    ``features`` a model reads include an HRV column."""
+    if set(features) & set(HRV_FEATURE_NAMES):
+        return dataset.drop_rows_missing_block(matrix, HRV_FEATURE_NAMES)
     return matrix
 
 
@@ -248,8 +255,7 @@ def cmd_explain(args) -> int:
                               f"train with --select-top {limit} or fewer")
     labeled = dataset.read_matrix_csv(args.matrix).labeled()
     _require_columns(args.matrix, labeled, model.feature_names, f"the model {args.model}")
-    if set(model.feature_names) & set(HRV_FEATURE_NAMES):
-        labeled = dataset.drop_rows_missing_block(labeled, HRV_FEATURE_NAMES)
+    labeled = _drop_rows_without_hrv(labeled, model.feature_names)
 
     n = labeled.n_rows
     if n == 0:
@@ -338,7 +344,7 @@ def _select_top(text):
 
 def _add_model_flags(parser):
     spec = ModelSpec()
-    parser.add_argument("--model", choices=["rf", "knn", "boosted"], default=spec.kind,
+    parser.add_argument("--model", choices=MODEL_KINDS, default=spec.kind,
                         help="classifier (default: %(default)s)")
     parser.add_argument("--depth", type=_positive_int, default=spec.depth,
                         help="tree depth (default: %(default)s)")

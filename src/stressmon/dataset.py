@@ -366,20 +366,42 @@ def read_matrix_csv(path) -> FeatureMatrix:
     return read_input(path, "matrix CSV", _matrix)
 
 
+#: The columns of an EMA CSV, in the order the writer puts them.
+_EMA_COLUMNS = ("timestamp_ms", "user_id", "stress_level")
+
+
+def _emas(lines) -> list:
+    """The EmaResponses of an EMA CSV's lines.
+
+    The header names each of _EMA_COLUMNS once, and every row has the
+    header's cell count.
+    """
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    for name in _EMA_COLUMNS:
+        if header.count(name) != 1:
+            raise ValueError(f"header must name {name} once, got {header}")
+    at, user, level = map(header.index, _EMA_COLUMNS)
+    emas = []
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+        emas.append(EmaResponse(
+            strict_str(row[user], "user_id"),
+            strict_time_ms(strict_number_text(row[at], "timestamp_ms", int), "timestamp_ms"),
+            strict_number_text(row[level], "stress_level", int)))
+    return emas
+
+
 def read_ema_csv(path):
     """Read EMA answers; raises DataFormatError naming the bad line."""
-    return read_input(path, "EMA record", lambda lines: [
-        EmaResponse(strict_str(row["user_id"], "user_id"),
-                    strict_time_ms(strict_number_text(row["timestamp_ms"], "timestamp_ms", int),
-                                   "timestamp_ms"),
-                    strict_number_text(row["stress_level"], "stress_level", int))
-        for row in csv.DictReader(lines)])
+    return read_input(path, "EMA record", _emas)
 
 
 def write_ema_csv(path, emas):
     """Write EMA answers in the given order, one ``\\n``-ended line each."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp_ms", "user_id", "stress_level"])
+        writer.writerow(_EMA_COLUMNS)
         for ema in emas:
             writer.writerow([ema.timestamp_ms, ema.user_id, ema.stress_level])

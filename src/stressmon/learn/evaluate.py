@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,13 +20,15 @@ from .trees import select_top_features, train_boosted, train_random_forest
 DEFAULT_FOLDS = 5
 AUTO_SELECT_MIN = 4
 AUTO_TUNE_TREES = 50
+#: The classifiers a ModelSpec may name.
+MODEL_KINDS = ("rf", "knn", "boosted")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Which classifier to fit and with what hyperparameters."""
 
-    kind: str = "rf"                 # "rf" | "knn" | "boosted"
+    kind: str = "rf"                 # one of MODEL_KINDS
     depth: int = 5
     k: int = 5
     n_trees: int = 100
@@ -35,7 +37,7 @@ class ModelSpec:
     select_top: object = None        # None, int, or "auto"
 
     def __post_init__(self):
-        if self.kind not in ("rf", "knn", "boosted"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
     def describe(self) -> dict:
@@ -175,10 +177,8 @@ def _auto_select(X, y, groups, spec, seed):
     order = np.random.default_rng([seed, 7]).permutation(len(users))
     held = {users[i] for i in order[:max(1, len(users) // 3)]}
     inner_test = np.array([g in held for g in groups])
-    tune_spec = ModelSpec(kind=spec.kind, depth=spec.depth, k=spec.k,
-                          n_trees=min(spec.n_trees, AUTO_TUNE_TREES),
-                          rounds=min(spec.rounds, AUTO_TUNE_TREES),
-                          learning_rate=spec.learning_rate)
+    tune_spec = replace(spec, n_trees=min(spec.n_trees, AUTO_TUNE_TREES),
+                        rounds=min(spec.rounds, AUTO_TUNE_TREES), select_top=None)
     best_m, best_f1 = AUTO_SELECT_MIN, -1.0
     for m in range(AUTO_SELECT_MIN, d + 1):
         cols = sorted(ranked[:m])

@@ -69,8 +69,10 @@ DEFAULT_BOOST_ROUNDS = 100
 DEFAULT_BOOST_DEPTH = 6
 DEFAULT_BOOST_RATE = 0.3
 BOOST_L2 = 1.0
-#: The model kinds of TreeEnsembleModel, the only ones a model file may hold.
-TREE_KINDS = ("random_forest", "boosted")
+#: The model kinds of TreeEnsembleModel, the only ones a model file may
+#: hold, each with the key its leaves' ``value`` is filed under.
+_LEAF_OUTPUT = {"random_forest": "probability", "boosted": "value"}
+TREE_KINDS = tuple(_LEAF_OUTPUT)
 #: Most cells (values of a node's candidate columns) one scanner call takes;
 #: the forest scans each step's nodes in chunks that stay under it.
 _SCAN_CELLS = 1 << 16
@@ -80,10 +82,11 @@ _SCAN_CELLS = 1 << 16
 class TreeNode:
     """Either a split (feature/threshold/children) or a leaf.
 
-    Leaves carry class counts and a probability for classification trees,
-    or a log-odds step in ``value`` for boosted regression trees.  Split
-    nodes record the impurity decrease already weighted by the fraction of
-    the tree's samples that reached them.
+    A leaf's output is ``value``: the positive-class probability in a
+    forest tree, which also keeps the leaf's class counts, or the log-odds
+    step in a boosted regression tree.  Split nodes record the impurity
+    decrease already weighted by the fraction of the tree's samples that
+    reached them.
     """
 
     feature_index: int | None = None
@@ -93,7 +96,6 @@ class TreeNode:
     impurity_decrease: float = 0.0
     sample_fraction: float = 0.0
     class_counts: tuple | None = None
-    probability: float | None = None
     value: float | None = None
 
     @property
@@ -141,7 +143,7 @@ def _tree_leaf_outputs(root: TreeNode, X: np.ndarray) -> np.ndarray:
         if rows.size == 0:
             continue
         if node.is_leaf:
-            out[rows] = node.probability if node.value is None else node.value
+            out[rows] = node.value
         else:
             go_left = X[rows, node.feature_index] <= node.threshold
             stack.append((node.left, rows[go_left]))
@@ -293,7 +295,7 @@ def _split_forest_chunk(cols, rows, candidates, positives, n_root):
 
 
 def _class_leaf(positives, size, n_root):
-    return TreeNode(class_counts=(size - positives, positives), probability=positives / size,
+    return TreeNode(class_counts=(size - positives, positives), value=positives / size,
                     sample_fraction=size / n_root)
 
 
@@ -330,7 +332,7 @@ def _grow_forest(XT, y, depth, n_trees, seed):
             decrease, f, thr, left_rows, right_rows, left_pos = split
             n1 = node.class_counts[1]
             node.feature_index, node.threshold, node.impurity_decrease = f, thr, decrease
-            node.class_counts = node.probability = None
+            node.class_counts = node.value = None
             node.left = _class_leaf(left_pos, left_rows.size, n)
             node.right = _class_leaf(n1 - left_pos, right_rows.size, n)
             # right first, so the left subtree draws first: each tree's draws
@@ -413,8 +415,7 @@ def _degenerate_model(kind, y, feature_names, hyperparameters, seed):
         f"all labels are {int(y[0])}; returning a constant predictor"))
     boosted = kind == "boosted"
     leaf = TreeNode(class_counts=(len(y) - y.sum(), y.sum()), sample_fraction=1.0,
-                    probability=None if boosted else float(y[0]),
-                    value=0.0 if boosted else None)
+                    value=0.0 if boosted else float(y[0]))
     base = math.log(0.99 / 0.01) * (1 if y[0] == 1 else -1) if boosted else 0.0
     return TreeEnsembleModel(kind=kind, trees=[leaf], tree_weights=[1.0],
                              feature_names=feature_names,
@@ -544,40 +545,36 @@ def select_top_features(X, y, m: int, seed: int = 0):
 
 # -- JSON serialization --------------------------------------------------------
 
-def _node_to_dict(node: TreeNode):
+def _node_to_dict(node: TreeNode, key):
+    """One node of a model file; a leaf's value goes under ``key``, its
+    model kind's entry in _LEAF_OUTPUT."""
     if node.is_leaf:
-        rec = {"leaf": True, "sample_fraction": node.sample_fraction}
+        rec = {"leaf": True, "sample_fraction": node.sample_fraction, key: node.value}
         if node.class_counts is not None:
             rec["class_counts"] = [int(c) for c in node.class_counts]
-        if node.probability is not None:
-            rec["probability"] = node.probability
-        if node.value is not None:
-            rec["value"] = node.value
         return rec
     return {
         "feature_index": node.feature_index,
         "threshold": node.threshold,
         "impurity_decrease": node.impurity_decrease,
         "sample_fraction": node.sample_fraction,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "left": _node_to_dict(node.left, key),
+        "right": _node_to_dict(node.right, key),
     }
 
 
-def _node_from_dict(rec, n_features) -> TreeNode:
+def _node_from_dict(rec, n_features, key) -> TreeNode:
     """One node of a model file; raises ValueError for a node prediction cannot use.
 
     A split must name one of the ``n_features`` features and a finite
-    threshold; a leaf must hold a finite probability or value.
+    threshold; a leaf must hold a finite number under ``key``, its model
+    kind's entry in _LEAF_OUTPUT (``probability`` for a forest, ``value``
+    for boosted trees), which becomes the node's ``value``.
     """
     if rec.get("leaf"):
         counts = rec.get("class_counts")
-        probability, value = (None if rec.get(name) is None else strict_float(rec[name], name)
-                              for name in ("probability", "value"))
-        if probability is None and value is None:
-            raise ValueError("a leaf has neither probability nor value")
         return TreeNode(class_counts=tuple(counts) if counts else None,
-                        probability=probability, value=value,
+                        value=strict_float(rec.get(key), key),
                         sample_fraction=rec.get("sample_fraction", 0.0))
     feature = strict_int(rec["feature_index"], "feature_index")
     if not 0 <= feature < n_features:
@@ -585,8 +582,8 @@ def _node_from_dict(rec, n_features) -> TreeNode:
     return TreeNode(feature_index=feature, threshold=strict_float(rec["threshold"], "threshold"),
                     impurity_decrease=rec["impurity_decrease"],
                     sample_fraction=rec["sample_fraction"],
-                    left=_node_from_dict(rec["left"], n_features),
-                    right=_node_from_dict(rec["right"], n_features))
+                    left=_node_from_dict(rec["left"], n_features, key),
+                    right=_node_from_dict(rec["right"], n_features, key))
 
 
 def model_to_dict(model: TreeEnsembleModel):
@@ -594,7 +591,7 @@ def model_to_dict(model: TreeEnsembleModel):
         "kind": model.kind,
         "hyperparameters": model.hyperparameters,
         "feature_names": model.feature_names,
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": [_node_to_dict(t, _LEAF_OUTPUT[model.kind]) for t in model.trees],
         "tree_weights": list(model.tree_weights),
         "base_score": model.base_score,
         "seed": model.seed,
@@ -615,7 +612,7 @@ def model_from_dict(rec) -> TreeEnsembleModel:
                           "feature names")
     if not names:
         raise ValueError("feature_names is empty")
-    trees = [_node_from_dict(t, len(names)) for t in rec["trees"]]
+    trees = [_node_from_dict(t, len(names), _LEAF_OUTPUT[kind]) for t in rec["trees"]]
     if not trees:
         raise ValueError("trees is empty")
     weights = [strict_float(w, "tree weight") for w in rec["tree_weights"]]

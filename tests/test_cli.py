@@ -381,6 +381,28 @@ class TestFeaturize:
         assert f"ema.csv:3: bad EMA record: {named} must be ASCII digits" in err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("text,expected", [
+        ("timestamp_ms,user_id,stress_level\n36000000,u01,3\n36000000,u01,3,9\n",
+         "ema.csv:3: bad EMA record: 4 cells, the header has 3"),
+        ("timestamp_ms,user_id,stress_level\n36000000,u01,3\n36000000,u01\n",
+         "ema.csv:3: bad EMA record: 2 cells, the header has 3"),
+        ("timestamp_ms,user_id\n36000000,u01\n",
+         "ema.csv:1: bad EMA record: header must name stress_level once"),
+        ("timestamp_ms,user_id,user_id,stress_level\n36000000,u01,u02,3\n",
+         "ema.csv:1: bad EMA record: header must name user_id once"),
+    ], ids=["long_line", "short_line", "short_header", "repeated_header"])
+    def test_ema_shape_exits_3_with_line(self, tmp_path, capsys, text, expected):
+        # each row has the header's cells, and the header names each field once
+        (tmp_path / "bursts.jsonl").write_text(json.dumps(
+            {"user_id": "u01", "channel": "accel_x", "start_time_ms": 36_000_000,
+             "rate_hz": 4.0, "samples": [0.0] * 240}) + "\n")
+        (tmp_path / "ema.csv").write_text(text)
+        rc = cli.main(["featurize", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
 
 def _rejected_by_float(value):
     try:
@@ -639,9 +661,9 @@ class TestExplain:
         from stressmon.cli import save_model_json
         stump = TreeNode(feature_index=0, threshold=75.0, impurity_decrease=0.2,
                          sample_fraction=1.0,
-                         left=TreeNode(class_counts=(8, 2), probability=0.2,
+                         left=TreeNode(class_counts=(8, 2), value=0.2,
                                        sample_fraction=0.5),
-                         right=TreeNode(class_counts=(2, 8), probability=0.8,
+                         right=TreeNode(class_counts=(2, 8), value=0.8,
                                         sample_fraction=0.5))
         model = TreeEnsembleModel(kind="random_forest", trees=[stump],
                                   tree_weights=[1.0],
@@ -663,7 +685,7 @@ class TestExplain:
         matrix = tmp_path / "m.csv"
         assert cli.main(["featurize", "--data", str(tmp_path), "--out", str(matrix)]) == 0
         from stressmon.learn import TreeEnsembleModel, TreeNode
-        leaf = TreeNode(class_counts=(1, 1), probability=0.5, sample_fraction=1.0)
+        leaf = TreeNode(class_counts=(1, 1), value=0.5, sample_fraction=1.0)
         model = TreeEnsembleModel(kind="random_forest", trees=[leaf], tree_weights=[1.0],
                                   feature_names=["bpm"], hyperparameters={}, seed=0)
         cli.save_model_json(tmp_path / "leaf.json", model)
@@ -752,8 +774,9 @@ class TestExplain:
 
     @pytest.mark.parametrize("case", ["feature_index_99", "string_threshold",
                                       "names_shorter_than_trees", "leaf_without_output",
-                                      "weights_not_one_per_tree", "no_feature_names",
-                                      "feature_name_repeated", "no_trees", "knn_kind"])
+                                      "leaf_output_under_value", "weights_not_one_per_tree",
+                                      "no_feature_names", "feature_name_repeated", "no_trees",
+                                      "knn_kind"])
     def test_unusable_trees_exit_3_naming_the_model(self, eval_dir, matrix_path, tmp_path,
                                                      capsys, case):
         rec = json.loads((eval_dir / "model.json").read_text())
@@ -780,6 +803,10 @@ class TestExplain:
             leaf = next(node for node in nodes if node.get("leaf"))
             leaf.pop("probability", None)
             leaf.pop("value", None)
+        elif case == "leaf_output_under_value":
+            # a forest leaf's output is read from its "probability" key only
+            leaf = next(node for node in nodes if node.get("leaf"))
+            leaf["value"] = leaf.pop("probability")
         else:
             rec["tree_weights"].pop()
         model = tmp_path / "model.json"

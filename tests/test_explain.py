@@ -16,7 +16,7 @@ from stressmon.learn import (TreeEnsembleModel, TreeNode, train_boosted,
 
 
 def leaf(p):
-    return TreeNode(class_counts=(0, 0), probability=p, sample_fraction=0.0)
+    return TreeNode(class_counts=(0, 0), value=p, sample_fraction=0.0)
 
 
 def stump(feature, threshold, p_left, p_right):
@@ -35,7 +35,7 @@ def forest(trees, d):
 def tree_output(node, x):
     while not node.is_leaf:
         node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.probability if node.value is None else node.value
+    return node.value
 
 
 def oracle_shap(model, row, background):

@@ -94,9 +94,9 @@ class TestGiniImportance:
     def test_single_stump_importance_one(self):
         stump = TreeNode(feature_index=3, threshold=0.5, impurity_decrease=0.25,
                          sample_fraction=1.0,
-                         left=TreeNode(class_counts=(5, 0), probability=0.0,
+                         left=TreeNode(class_counts=(5, 0), value=0.0,
                                        sample_fraction=0.5),
-                         right=TreeNode(class_counts=(0, 5), probability=1.0,
+                         right=TreeNode(class_counts=(0, 5), value=1.0,
                                         sample_fraction=0.5))
         model = TreeEnsembleModel(kind="random_forest", trees=[stump],
                                   tree_weights=[1.0],
@@ -191,6 +191,14 @@ class TestSerialization:
         text = json.dumps(model_to_dict(model))
         clone = model_from_dict(json.loads(text))
         assert np.array_equal(model.predict(X), clone.predict(X))
+
+    def test_boosted_leaf_output_is_read_from_value_only(self):
+        X, y = separable(seed=18)
+        rec = model_to_dict(train_boosted(X, y, rounds=2, depth=1, seed=1))
+        leaf = rec["trees"][0]["left"]
+        leaf["probability"] = leaf.pop("value")
+        with pytest.raises(ValueError, match="value must be a finite number"):
+            model_from_dict(rec)
 
 
 class TestGoldenModels:

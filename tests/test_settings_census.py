@@ -45,7 +45,6 @@ SETTABLE = frozenset({
     "stressmon.learn.trees:TreeNode.impurity_decrease",
     "stressmon.learn.trees:TreeNode.sample_fraction",
     "stressmon.learn.trees:TreeNode.class_counts",
-    "stressmon.learn.trees:TreeNode.probability",
     "stressmon.learn.trees:TreeNode.value",
     "stressmon.learn.trees:TreeEnsembleModel.base_score",
     "stressmon.learn.trees:TreeEnsembleModel.degenerate",
