@@ -71,7 +71,7 @@ def cmd_simulate(args) -> int:
     write_manifest(args.out, "simulate", config.seed, [args.config],
                    list(result.paths.values()),
                    {"total_s": round(time.monotonic() - t0, 3)},
-                   config_path=args.config)
+                   config_path=args.config, counts=result.counts)
     print(f"simulated {config.n_users} users x {config.days} days -> {args.out} "
           f"({result.counts['bursts']} bursts, {result.counts['emas']} EMAs)")
     return EXIT_OK
@@ -183,10 +183,12 @@ def _restrict_features(matrix, which):
 
 
 def _drop_rows_without_hrv(matrix, features):
-    """``matrix`` less the rows missing the whole HRV block, when the
-    ``features`` a model reads include an HRV column."""
+    """``matrix`` less the rows missing every HRV column it holds (the whole
+    HRV block, in a featurized matrix), when the ``features`` a model reads
+    include an HRV column."""
     if set(features) & set(HRV_FEATURE_NAMES):
-        return dataset.drop_rows_missing_block(matrix, HRV_FEATURE_NAMES)
+        return dataset.drop_rows_missing_block(
+            matrix, [c for c in HRV_FEATURE_NAMES if c in matrix.columns])
     return matrix
 
 

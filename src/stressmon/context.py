@@ -219,15 +219,26 @@ def write_context_jsonl(path, records):
 def parse_zones(raw) -> list:
     """GeoZones from a decoded JSON list of {code, lat, lon, radius_m}.
 
-    Raises KeyError, TypeError, ValueError or OverflowError for a malformed
+    Raises ValueError naming the zone's index and field for a malformed
     list; each caller reports it as an error of its own input.
     """
     if not isinstance(raw, (list, tuple)):
-        raise TypeError(f"zones must be a list, got {type(raw).__name__}")
-    return [GeoZone(code=strict_int(z["code"], "zone code"),
-                    lat=strict_float(z["lat"], "zone lat"), lon=strict_float(z["lon"], "zone lon"),
-                    radius_m=strict_float(z["radius_m"], "zone radius_m"))
-            for z in raw]
+        raise ValueError(f"zones must be a list, got {type(raw).__name__}")
+    zones = []
+    for i, z in enumerate(raw):
+        if not isinstance(z, dict):
+            raise ValueError(f"zone {i} must be an object, got {z!r}")
+        missing = [key for key in ("code", "lat", "lon", "radius_m") if key not in z]
+        if missing:
+            raise ValueError(f"zone {i} lacks {', '.join(missing)}")
+        try:
+            zones.append(GeoZone(code=strict_int(z["code"], "zone code"),
+                                 lat=strict_float(z["lat"], "zone lat"),
+                                 lon=strict_float(z["lon"], "zone lon"),
+                                 radius_m=strict_float(z["radius_m"], "zone radius_m")))
+        except ValueError as err:
+            raise ValueError(f"zone {i}: {err}") from err
+    return zones
 
 
 def load_zones(path):

@@ -13,7 +13,7 @@ class DataFormatError(StressmonError):
     """An input file could not be parsed; message names file and line."""
 
 
-class ConfigError(StressmonError):
+class ConfigError(StressmonError, ValueError):
     """Simulation or run configuration is invalid."""
 
 

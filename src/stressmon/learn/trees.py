@@ -563,27 +563,45 @@ def _node_to_dict(node: TreeNode, key):
     }
 
 
+def _entry(rec, key, kind):
+    """``rec[key]`` of a model file; raises ValueError naming ``key`` when it
+    is missing or not a ``kind``: ``list`` or ``dict`` (a JSON array or
+    object), or ``object`` for a value of any type."""
+    if key not in rec:
+        raise ValueError(f"{key} is missing")
+    value = rec[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{key} must be {'a list' if kind is list else 'an object'}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _node_from_dict(rec, n_features, key) -> TreeNode:
     """One node of a model file; raises ValueError for a node prediction cannot use.
 
-    A split must name one of the ``n_features`` features and a finite
-    threshold; a leaf must hold a finite number under ``key``, its model
-    kind's entry in _LEAF_OUTPUT (``probability`` for a forest, ``value``
-    for boosted trees), which becomes the node's ``value``.
+    A node must be an object.  A split must name one of the ``n_features``
+    features and a finite threshold; a leaf must hold a finite number under
+    ``key``, its model kind's entry in _LEAF_OUTPUT (``probability`` for a
+    forest, ``value`` for boosted trees), which becomes the node's ``value``.
     """
+    if not isinstance(rec, dict):
+        raise ValueError(f"a tree node must be an object, got {type(rec).__name__}")
     if rec.get("leaf"):
         counts = rec.get("class_counts")
+        if counts is not None and not isinstance(counts, list):
+            raise ValueError(f"class_counts must be a list, got {type(counts).__name__}")
         return TreeNode(class_counts=tuple(counts) if counts else None,
                         value=strict_float(rec.get(key), key),
                         sample_fraction=rec.get("sample_fraction", 0.0))
-    feature = strict_int(rec["feature_index"], "feature_index")
+    feature = strict_int(_entry(rec, "feature_index", object), "feature_index")
     if not 0 <= feature < n_features:
         raise ValueError(f"feature_index {feature} is not one of the {n_features} features")
-    return TreeNode(feature_index=feature, threshold=strict_float(rec["threshold"], "threshold"),
-                    impurity_decrease=rec["impurity_decrease"],
-                    sample_fraction=rec["sample_fraction"],
-                    left=_node_from_dict(rec["left"], n_features, key),
-                    right=_node_from_dict(rec["right"], n_features, key))
+    return TreeNode(feature_index=feature,
+                    threshold=strict_float(_entry(rec, "threshold", object), "threshold"),
+                    impurity_decrease=_entry(rec, "impurity_decrease", object),
+                    sample_fraction=_entry(rec, "sample_fraction", object),
+                    left=_node_from_dict(_entry(rec, "left", object), n_features, key),
+                    right=_node_from_dict(_entry(rec, "right", object), n_features, key))
 
 
 def model_to_dict(model: TreeEnsembleModel):
@@ -600,22 +618,26 @@ def model_to_dict(model: TreeEnsembleModel):
 
 
 def model_from_dict(rec) -> TreeEnsembleModel:
-    """The model of :func:`model_to_dict`'s record; raises ValueError for a
-    record whose kind is not one of TREE_KINDS, that holds no tree, whose
-    trees could not predict (see :func:`_node_from_dict`), or whose feature
-    names are empty or repeated (each name picks the matrix column its
-    feature is read from)."""
-    kind = rec["kind"]
+    """The model of :func:`model_to_dict`'s record; raises ValueError naming
+    the field of a record that is not an object, that lacks a field or holds
+    one of the wrong JSON type (see :func:`_entry`), whose kind is not one of
+    TREE_KINDS, that holds no tree, whose trees could not predict (see
+    :func:`_node_from_dict`), or whose feature names are empty or repeated
+    (each name picks the matrix column its feature is read from)."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"a model must be an object, got {type(rec).__name__}")
+    kind = _entry(rec, "kind", object)
     if kind not in TREE_KINDS:
         raise ValueError(f"kind {kind!r} is not a tree model ({' or '.join(TREE_KINDS)})")
-    names = strict_unique([strict_str(name, "feature name") for name in rec["feature_names"]],
-                          "feature names")
+    names = strict_unique([strict_str(name, "feature name")
+                           for name in _entry(rec, "feature_names", list)], "feature names")
     if not names:
         raise ValueError("feature_names is empty")
-    trees = [_node_from_dict(t, len(names), _LEAF_OUTPUT[kind]) for t in rec["trees"]]
+    trees = [_node_from_dict(t, len(names), _LEAF_OUTPUT[kind])
+             for t in _entry(rec, "trees", list)]
     if not trees:
         raise ValueError("trees is empty")
-    weights = [strict_float(w, "tree weight") for w in rec["tree_weights"]]
+    weights = [strict_float(w, "tree weight") for w in _entry(rec, "tree_weights", list)]
     if len(weights) != len(trees):
         raise ValueError(f"{len(weights)} tree weights for {len(trees)} trees")
     return TreeEnsembleModel(
@@ -623,8 +645,8 @@ def model_from_dict(rec) -> TreeEnsembleModel:
         trees=trees,
         tree_weights=weights,
         feature_names=names,
-        hyperparameters=dict(rec["hyperparameters"]),
-        seed=rec["seed"],
+        hyperparameters=dict(_entry(rec, "hyperparameters", dict)),
+        seed=_entry(rec, "seed", object),
         base_score=strict_float(rec.get("base_score", 0.0), "base_score"),
         degenerate=rec.get("degenerate", False),
     )

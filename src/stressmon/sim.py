@@ -46,8 +46,7 @@ import numpy as np
 from . import sema as sema_mod
 from .context import CONTEXT_FEATURE_NAMES, GeoZone, context_record, dump_zones, parse_zones
 from .dataset import EmaResponse, write_ema_csv
-from .errors import (ConfigError, DataFormatError, encode_json, is_number, read_input,
-                     strict_int)
+from .errors import ConfigError, encode_json, is_number, read_input, strict_int
 from .sema import DAY_MS
 from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
                       burst_record)
@@ -157,9 +156,12 @@ class SimConfig:
     zones: tuple = DEFAULT_ZONES
 
     def validate(self):
+        """This config, checked; the one place that converts ``wifi_outages_ms``
+        to ``(start, end)`` pairs of ints (so arrival times print as ints) and
+        ``baseline_bpm_range`` to a tuple.  Raises ConfigError naming the key."""
         p = self.participants
         if self.n_users < 1 or self.days < 1:
-            raise ConfigError("n_users and days must be >= 1")
+            raise ConfigError(f"n_users and days must be >= 1, got {self.n_users} and {self.days}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if not (is_number(p.ema_compliance) and 0.0 <= p.ema_compliance <= 1.0):
@@ -167,23 +169,25 @@ class SimConfig:
         if not is_number(p.stress_bpm_delta):
             raise ConfigError("stress_bpm_delta must be a finite number")
         bpm_range = p.baseline_bpm_range
-        if not (len(bpm_range) == 2 and all(map(is_number, bpm_range))
-                and 0 < bpm_range[0] <= bpm_range[1]):
-            raise ConfigError("baseline_bpm_range must be two increasing positive numbers")
+        if not (isinstance(bpm_range, (list, tuple)) and len(bpm_range) == 2
+                and all(map(is_number, bpm_range)) and 0 < bpm_range[0] <= bpm_range[1]):
+            raise ConfigError("baseline_bpm_range must be two increasing positive numbers, "
+                              f"got {bpm_range!r}")
+        p.baseline_bpm_range = tuple(bpm_range)
         if not self.zones:
             raise ConfigError("zones must list at least one zone")
-        outages = []
-        for window in self.network.wifi_outages_ms:
-            try:
-                start, end = (strict_int(t, "wifi outage bound") for t in window)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(
-                    f"wifi outage intervals must be [start, end] of integer ms: {err}") from err
-            if start >= end:
-                raise ConfigError("wifi outage intervals must be [start, end] with end > start")
-            outages.append((start, end))
-        # an integral float bound is kept as the int, so arrival times print as ints
-        self.network.wifi_outages_ms = tuple(outages)
+        windows = self.network.wifi_outages_ms
+        if not (isinstance(windows, (list, tuple)) and all(
+                isinstance(w, (list, tuple)) and len(w) == 2 for w in windows)):
+            raise ConfigError("wifi_outages_ms must be a list of wifi outage [start, end] "
+                              f"pairs, got {windows!r}")
+        try:
+            outages = tuple(tuple(strict_int(t, "wifi outage bound") for t in w) for w in windows)
+        except ValueError as err:
+            raise ConfigError(f"wifi_outages_ms: {err}") from err
+        if any(start >= end for start, end in outages):
+            raise ConfigError("wifi_outages_ms: a wifi outage must end after it starts")
+        self.network.wifi_outages_ms = outages
         self._validate_per_user()
         return self
 
@@ -208,6 +212,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
+        """The config of a decoded JSON object (see the class docstring): checks the
+        keys at every level, converts the cohort's integers and zones, and
+        leaves every other value to :meth:`validate`."""
         _check_keys(raw, _field_names(cls), "config")
         net_raw = raw.get("network", {})
         part_raw = raw.get("participants", {})
@@ -218,28 +225,21 @@ class SimConfig:
                       for key in ("n_users", "days", "seed", "tz_offset_ms") if key in raw}
             if "zones" in raw:
                 kwargs["zones"] = tuple(parse_zones(raw["zones"]))
-            net = NetworkParams(wifi_outages_ms=tuple(
-                tuple(w) for w in net_raw.get("wifi_outages_ms", ())))
-            part_raw = dict(part_raw)
-            if "baseline_bpm_range" in part_raw:
-                part_raw["baseline_bpm_range"] = tuple(part_raw["baseline_bpm_range"])
-            cfg = cls(**kwargs, network=net, participants=ParticipantParams(**part_raw),
-                      per_user=raw.get("per_user", {}))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"bad simulation config: {err}") from err
-        return cfg.validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        return cls(**kwargs, network=NetworkParams(**net_raw), per_user=raw.get("per_user", {}),
+                   participants=ParticipantParams(**part_raw)).validate()
 
     @classmethod
     def from_json(cls, path) -> "SimConfig":
-        """Read a config file; an unreadable or malformed file is a ConfigError naming it."""
+        """The config of a JSON file, :meth:`from_dict` run inside :func:`read_input`,
+        so a malformed file or value raises its DataFormatError naming the
+        file and the reason; an unreadable file raises ConfigError."""
         try:
-            raw = read_input(path, "simulation config",
-                             lambda lines: json.loads("".join(lines)))
+            return read_input(path, "simulation config",
+                              lambda lines: cls.from_dict(json.loads("".join(lines))))
         except OSError as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
-        except DataFormatError as err:
-            raise ConfigError(str(err)) from err
-        return cls.from_dict(raw)
 
 
 def _field_names(cls) -> tuple:

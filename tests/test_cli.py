@@ -132,6 +132,41 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("raw,reason", [
+        ({"n_users": 0}, "n_users and days must be >= 1"),
+        ({"n_users": 2, "bogus": 1}, "unknown config key 'bogus'"),
+        ({"n_users": "2"}, "n_users must be an integer"),
+        ({"per_user": {"u09": {}}}, "per_user 'u09': no such user"),
+        ({"network": {"wifi_outages_ms": [5]}}, "wifi_outages_ms must be a list"),
+        ({"network": {"wifi_outages_ms": 5}}, "wifi_outages_ms must be a list"),
+        ({"participants": {"baseline_bpm_range": 5}}, "baseline_bpm_range must be two"),
+        ({"zones": [5]}, "zone 0 must be an object"),
+        ({"zones": [{"code": 0}]}, "zone 0 lacks lat, lon, radius_m"),
+    ], ids=["no_users", "unknown_key", "string_users", "unknown_user", "outage_not_a_pair",
+            "outages_not_a_list", "bpm_range_not_a_list", "zone_not_an_object",
+            "zone_lacking_fields"])
+    def test_config_error_names_file_and_key(self, tmp_path, capsys, raw, reason):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(raw))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: bad simulation config: {reason}"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_counts_what_was_written(self, sim_dir):
+        counts = json.loads((sim_dir / "manifest.json").read_text())["counts"]
+        lines = {name: (sim_dir / name).read_text().splitlines()
+                 for name in ("bursts.jsonl", "context.jsonl", "ema.csv", "triggers.jsonl")}
+        decisions = [json.loads(line)["decision"] for line in lines["triggers.jsonl"]]
+        assert counts == {"bursts": len(lines["bursts.jsonl"]),
+                          "snapshots": len(lines["context.jsonl"]),
+                          "emas": len(lines["ema.csv"]) - 1,  # less the header
+                          "evaluations": len(decisions),
+                          "prompts": decisions.count("trigger")}
+        assert counts["prompts"] > 0
+
+
 class TestFeaturize:
     def test_matrix_written(self, matrix_path):
         matrix = read_matrix_csv(matrix_path)
@@ -234,6 +269,24 @@ class TestFeaturize:
         err = capsys.readouterr().err
         assert "zones.json" in err and "zone code must be an integer" in err
 
+
+    @pytest.mark.parametrize("text,reason", [
+        ("[5]", "zone 0 must be an object"),
+        ('[{"code": 0}]', "zone 0 lacks lat, lon, radius_m"),
+        ('[{"code": 0, "lat": 0, "lon": 0, "radius_m": 1}, [1]]', "zone 1 must be an object"),
+        ('[{"code": 0, "lat": 0, "lon": 0, "radius_m": 1}, {"code": 7, "lat": 0, "lon": 0,'
+         ' "radius_m": 1}]', "zone 1: zone code must be 0..2"),
+    ], ids=["zone_not_an_object", "zone_lacking_fields", "second_zone_a_list",
+            "second_zone_code"])
+    def test_zone_shape_named(self, tmp_path, capsys, text, reason):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        zones = tmp_path / "z.json"
+        zones.write_text(text)
+        rc = cli.main(["featurize", "--data", str(tmp_path), "--zones", str(zones),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {zones}: bad zone config: {reason}")
 
     def test_zones_directory_exits_3_naming_it(self, tmp_path, capsys):
         (tmp_path / "bursts.jsonl").write_text("")
@@ -816,6 +869,68 @@ class TestExplain:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {model}: bad model file: ")
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("case,reason", [
+        ("trees_a_number", "trees must be a list"),
+        ("tree_a_number", "a tree node must be an object"),
+        ("child_missing", "left is missing"),
+        ("hyperparameters_a_list", "hyperparameters must be an object"),
+        ("feature_names_a_number", "feature_names must be a list"),
+        ("tree_weights_null", "tree_weights must be a list"),
+        ("class_counts_a_number", "class_counts must be a list"),
+        ("seed_missing", "seed is missing"),
+        ("model_a_list", "a model must be an object"),
+    ], ids=["trees_a_number", "tree_a_number", "child_missing", "hyperparameters_a_list",
+            "feature_names_a_number", "tree_weights_null", "class_counts_a_number",
+            "seed_missing", "model_a_list"])
+    def test_model_shape_named(self, eval_dir, matrix_path, tmp_path, capsys, case, reason):
+        rec = json.loads((eval_dir / "model.json").read_text())
+        split = rec["trees"][0]
+        leaf = next(node for node in _walk(split) if node.get("leaf"))
+        if case == "trees_a_number":
+            rec["trees"] = 5
+        elif case == "tree_a_number":
+            rec["trees"][0] = 5
+        elif case == "child_missing":
+            del split["left"]
+        elif case == "hyperparameters_a_list":
+            rec["hyperparameters"] = [1]
+        elif case == "feature_names_a_number":
+            rec["feature_names"] = 5
+        elif case == "tree_weights_null":
+            rec["tree_weights"] = None
+        elif case == "class_counts_a_number":
+            leaf["class_counts"] = 5
+        elif case == "seed_missing":
+            del rec["seed"]
+        else:
+            rec = [1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(rec))
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--max-rows", "2", "--background", "4", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {model}: bad model file: {reason}")
+
+    def test_matrix_with_some_hrv_columns(self, tmp_path, capsys):
+        # the HRV-less rows are those missing every HRV column the matrix holds
+        leaf = {"leaf": True, "sample_fraction": 0.5}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "kind": "random_forest", "feature_names": ["bpm", "speed"], "hyperparameters": {},
+            "seed": 0, "tree_weights": [1.0],
+            "trees": [{"feature_index": 0, "threshold": 62.5, "impurity_decrease": 0.1,
+                       "sample_fraction": 1.0, "left": dict(leaf, probability=0.25),
+                       "right": dict(leaf, probability=0.75)}]}))
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("user_id,window_start_ms,label,bpm,speed\n" + "".join(
+            f"u0{u},{w * 900_000},{(u + w) % 2},{60 + u + w if w else ''},{w % 3}\n"
+            for u in range(1, 4) for w in range(4)))
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["counts"]["background_rows"] == 9  # the 3 rows without bpm dropped
 
     def test_matrix_lacking_model_columns_named(self, eval_dir, matrix_path, tmp_path,
                                                 capsys):

@@ -297,3 +297,89 @@ def test_one_corrupt_field_is_parsed_alike_or_named(fmt, pick, how, before, blan
     if accepted is not None:
         expected[before][column] = accepted
         assert got == expected
+
+
+# -- corrupting one value of a whole-file document -----------------------------
+
+ZONES = [{"code": 0, "lat": 33.6405, "lon": -117.8443, "radius_m": 300.0},
+         {"code": 1, "lat": 33.6461, "lon": -117.8427, "radius_m": 300.0}]
+CONFIG = {"n_users": 2, "days": 1, "seed": 5, "tz_offset_ms": 0,
+          "network": {"wifi_outages_ms": [[36_000_000, 37_800_000]]},
+          "participants": {"baseline_bpm_range": [62.0, 80.0], "stress_bpm_delta": 9.0,
+                           "ema_compliance": 0.9},
+          "per_user": {"u01": {"baseline_bpm": 70.0, "invert_context": True}},
+          "zones": ZONES}
+_LEAF = {"leaf": True, "sample_fraction": 0.5}
+MODEL = {"kind": "random_forest", "feature_names": ["bpm", "speed"],
+         "hyperparameters": {"depth": 1}, "seed": 0, "base_score": 0.0, "degenerate": False,
+         "tree_weights": [1.0],
+         "trees": [{"feature_index": 0, "threshold": 62.5, "impurity_decrease": 0.1,
+                    "sample_fraction": 1.0,
+                    "left": dict(_LEAF, probability=0.25, class_counts=[3, 1]),
+                    "right": dict(_LEAF, probability=0.75, class_counts=[1, 3])}]}
+DOCUMENTS = {"config": CONFIG, "zones": ZONES, "model": MODEL}
+PYTHON_ERRORS = ("object is not", "has no attribute", "indices must be", "cannot convert")
+
+
+def document_paths(value, path=()):
+    """The path (keys and list indices) of every value inside a JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from document_paths(child, path + (key,))
+
+
+def corrupt_document(doc, path, how):
+    """JSON text of ``doc`` with the value at ``path`` corrupted as ``how`` says,
+    the same corruptions :func:`corrupt_json` makes of a record's field."""
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    value = holder[path[-1]]
+    if how == "missing":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = {"null": None, "bool": True, "string": str(value),
+                            "1e400": "@1e400@", "NaN": float("nan"), "list": [value],
+                            "object": {"value": value}}[how]
+    return json.dumps(doc).replace('"@1e400@"', "1e400")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.sampled_from(sorted(DOCUMENTS)), pick=st.integers(0, 10**6),
+       how=st.sampled_from(CORRUPTIONS))
+def test_one_corrupt_value_of_a_document_is_accepted_or_named(doc, pick, how):
+    """A whole-file document with one value corrupted is read (exit 0), or
+    the CLI exits 3 naming the file, with no Python error text."""
+    paths = list(document_paths(DOCUMENTS[doc]))
+    text = corrupt_document(DOCUMENTS[doc], paths[pick % len(paths)], how)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{doc}.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if doc == "config":
+            what = "simulation config"
+            rc, err = run_cli(["simulate", "--config", path, "--out", os.path.join(tmp, "o")])
+        elif doc == "zones":
+            what = "zone config"
+            for name, empty in (("bursts.jsonl", ""), ("ema.csv", EMA_HEADER)):
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(empty)
+            rc, err = run_cli(["featurize", "--data", tmp, "--zones", path,
+                               "--out", os.path.join(tmp, "m.csv")])
+        else:
+            what = "model file"
+            matrix = os.path.join(tmp, "m.csv")
+            with open(matrix, "w") as fh:
+                fh.write(csv_text([MATRIX_HEADER] + [
+                    [f"u0{u}", str(w * 900_000), str((u + w) % 2), str(60 + u + w), str(w % 3)]
+                    for u in range(1, 4) for w in range(4)]))
+            rc, err = run_cli(["explain", "--model", path, "--matrix", matrix,
+                               "--max-rows", "2", "--background", "4",
+                               "--out", os.path.join(tmp, "x")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA), (rc, err)
+    if rc == cli.EXIT_DATA:
+        assert err.startswith(f"error: {path}: bad {what}: "), err
+    assert not any(text in err for text in PYTHON_ERRORS), err
