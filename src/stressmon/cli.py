@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, dataset, explain as explain_mod, signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, load_zones
-from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input
+from .errors import DataFormatError, StressmonError, TooManyFeatures, read_input, write_json
 from .hrv import HRV_FEATURE_NAMES
 from .learn import (ModelSpec, fit_on_rows, grouped_cv, model_from_dict, model_to_dict,
                     personalization_eval)
@@ -56,9 +56,7 @@ def write_manifest(out_dir, command, seed, inputs, outputs, timings, config_path
     if counts is not None:
         manifest["counts"] = counts
     path = os.path.join(str(out_dir), "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest, indent=2, sort_keys=True)
     return path
 
 
@@ -202,9 +200,7 @@ def save_model_json(path, model):
                "knn": {"z_train": model.z_train.tolist(),
                        "y_train": model.y_train.tolist(),
                        "mean": model.mean.tolist(), "std": model.std.tolist()}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rec, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, rec, sort_keys=True)
 
 
 def load_model_json(path):
@@ -281,10 +277,8 @@ def cmd_explain(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     ranking_path = os.path.join(args.out, "shap_ranking.json")
-    with open(ranking_path, "w", encoding="utf-8") as fh:
-        json.dump([{"feature": name, "mean_abs_shap": value}
-                   for name, value in ranking], fh, indent=2)
-        fh.write("\n")
+    write_json(ranking_path, [{"feature": name, "mean_abs_shap": value}
+                              for name, value in ranking], indent=2)
     beeswarm_path = os.path.join(args.out, "beeswarm.csv")
     explain_mod.write_beeswarm_csv(beeswarm_path, records)
     write_manifest(args.out, "explain", args.seed, [args.model, args.matrix],
@@ -304,9 +298,7 @@ def cmd_personalize(args) -> int:
                                   seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "personalization.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, result.to_dict(), indent=2, sort_keys=True)
     write_manifest(args.out, "personalize", args.seed, [args.matrix],
                    [report_path], {"total_s": round(time.monotonic() - t0, 3)})
     print(f"user {args.user}: F1 before={result.f1_before:.3f} "

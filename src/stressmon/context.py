@@ -11,8 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (encode_json, fold_jsonl, read_input, read_jsonl, strict_float, strict_int,
-                     strict_str, strict_time_ms)
+from .errors import (encode_json, fold_jsonl, json_type, read_input, read_jsonl, strict_float,
+                     strict_int, strict_str, strict_time_ms, write_json)
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -223,7 +223,7 @@ def parse_zones(raw) -> list:
     list; each caller reports it as an error of its own input.
     """
     if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"zones must be a list, got {type(raw).__name__}")
+        raise ValueError(f"zones must be a list, got {json_type(raw)}")
     zones = []
     for i, z in enumerate(raw):
         if not isinstance(z, dict):
@@ -248,7 +248,5 @@ def load_zones(path):
 
 
 def dump_zones(path, zones):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([{"code": z.code, "lat": z.lat, "lon": z.lon, "radius_m": z.radius_m}
-                   for z in zones], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [{"code": z.code, "lat": z.lat, "lon": z.lon, "radius_m": z.radius_m}
+                      for z in zones], indent=2)

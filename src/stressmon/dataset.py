@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
-import json
+import itertools
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -23,7 +23,7 @@ from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
 from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
                      TooFewIntervals, TooShort, read_input, strict_number_text, strict_str,
-                     strict_time_ms, strict_unique)
+                     strict_time_ms, strict_unique, write_csv, write_json)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -305,23 +305,17 @@ def knn_impute(matrix: FeatureMatrix, k: int = DEFAULT_IMPUTE_K,
 
 def write_matrix_csv(matrix: FeatureMatrix, path):
     """Write the matrix as CSV (missing cells empty) plus a JSON sidecar."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "window_start_ms", "label", *matrix.columns])
-        missing = np.isnan(matrix.values)
-        for i in range(matrix.n_rows):
-            label = "" if np.isnan(matrix.labels[i]) else str(int(matrix.labels[i]))
-            cells = ["" if missing[i, j] else repr(float(matrix.values[i, j]))
-                     for j in range(len(matrix.columns))]
-            writer.writerow([matrix.groups[i], int(matrix.window_starts[i]), label, *cells])
-    meta = {
+    header = ["user_id", "window_start_ms", "label", *matrix.columns]
+    rows = ([user, int(start), "" if np.isnan(label) else str(int(label)),
+             *("" if math.isnan(cell) else repr(cell) for cell in cells.tolist())]
+            for user, start, label, cells in zip(matrix.groups, matrix.window_starts,
+                                                 matrix.labels, matrix.values))
+    write_csv(path, itertools.chain([header], rows))
+    write_json(sidecar_path(path), {
         "label_column": "label",
         "group_column": "user_id",
         "imputation": {"k": DEFAULT_IMPUTE_K, "weighting": DEFAULT_IMPUTE_WEIGHTING},
-    }
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    }, indent=2)
 
 
 def sidecar_path(csv_path):
@@ -400,8 +394,5 @@ def read_ema_csv(path):
 
 def write_ema_csv(path, emas):
     """Write EMA answers in the given order, one ``\\n``-ended line each."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_EMA_COLUMNS)
-        for ema in emas:
-            writer.writerow([ema.timestamp_ms, ema.user_id, ema.stress_level])
+    rows = ((ema.timestamp_ms, ema.user_id, ema.stress_level) for ema in emas)
+    write_csv(path, itertools.chain([_EMA_COLUMNS], rows), lineterminator="\n")

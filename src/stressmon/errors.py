@@ -1,5 +1,5 @@
 """Exception types shared across the pipeline modules, the input reader and
-the compact JSON writer."""
+the output writers: compact JSON text, and every JSON and CSV file."""
 import csv
 import json
 import math
@@ -170,6 +170,30 @@ def read_jsonl(path, what, record):
 #: separators=(",", ":"))``; json.dumps with separators builds a new encoder
 #: on every call.
 encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_json(path, value, **options):
+    """``value`` as a UTF-8 JSON file ended by a newline; ``options`` go to json.dump."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, **options)
+        fh.write("\n")
+
+
+def write_csv(path, rows, **dialect):
+    """``rows``, header first, as a UTF-8 CSV file; a generator is never held whole."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, **dialect).writerows(rows)
+
+
+#: The JSON type a decoded value of each Python type has, in the order they
+#: are checked (a bool is an int too); anything else is an object.
+_JSON_TYPES = ((type(None), "null"), (bool, "a boolean"), ((int, float), "a number"),
+               (str, "a string"), ((list, tuple), "a list"))
+
+
+def json_type(value) -> str:
+    """The JSON type of a decoded value, for a message about what a file holds."""
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), "an object")
 
 
 def strict_int(value, name) -> int:

@@ -14,13 +14,13 @@ bounded at any width and background size.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBackground, NotATreeModel, TooManyFeatures
+from .errors import EmptyBackground, NotATreeModel, TooManyFeatures, write_csv
 from .learn.trees import TREE_KINDS
 
 MAX_EXACT_FEATURES = 16
@@ -134,9 +134,6 @@ def beeswarm_records(explanations):
 
 
 def write_beeswarm_csv(path, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "feature", "shap", "feature_value"])
-        for rec in records:
-            writer.writerow([rec["row"], rec["feature"],
-                             repr(rec["shap"]), repr(rec["feature_value"])])
+    rows = ((rec["row"], rec["feature"], repr(rec["shap"]), repr(rec["feature_value"]))
+            for rec in records)
+    write_csv(path, itertools.chain([("row", "feature", "shap", "feature_value")], rows))

@@ -6,16 +6,15 @@ model are fit on the training users only.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from ..dataset import DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix, fit_imputer
-from ..errors import InsufficientTargetData, LengthMismatch, TooFewGroups
+from ..errors import InsufficientTargetData, LengthMismatch, TooFewGroups, write_csv, write_json
 from .knn import train_knn
-from .trees import select_top_features, train_boosted, train_random_forest
+from .trees import (DEFAULT_BOOST_RATE, feature_ranking, select_top_features, train_boosted,
+                    train_random_forest)
 
 DEFAULT_FOLDS = 5
 AUTO_SELECT_MIN = 4
@@ -33,7 +32,7 @@ class ModelSpec:
     k: int = 5
     n_trees: int = 100
     rounds: int = 100
-    learning_rate: float = 0.3
+    learning_rate: float = DEFAULT_BOOST_RATE
     select_top: object = None        # None, int, or "auto"
 
     def __post_init__(self):
@@ -79,17 +78,12 @@ class EvalReport:
         }
 
     def write(self, json_path, csv_path):
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "f1", "tp", "fp", "fn", "tn", "test_users"])
-            for f in self.folds:
-                c = f.confusion
-                writer.writerow([f.fold, repr(f.f1), c["tp"], c["fp"],
-                                 c["fn"], c["tn"], " ".join(f.test_users)])
-            writer.writerow(["mean", repr(self.mean_f1), "", "", "", "", ""])
+        write_json(json_path, self.to_dict(), indent=2, sort_keys=True)
+        write_csv(csv_path, [
+            ["fold", "f1", "tp", "fp", "fn", "tn", "test_users"],
+            *([f.fold, repr(f.f1), *(f.confusion[k] for k in ("tp", "fp", "fn", "tn")),
+               " ".join(f.test_users)] for f in self.folds),
+            ["mean", repr(self.mean_f1), "", "", "", "", ""]])
 
 
 def f1_score(y_true, y_pred) -> float:
@@ -168,12 +162,13 @@ def _held_out(matrix: FeatureMatrix, train_rows, test_rows, spec: ModelSpec, see
 
 
 def _auto_select(X, y, groups, spec, seed):
-    """Tune the selected-feature count on a held-out third of training users."""
+    """The first k columns, ascending, of the training rows' :func:`feature_ranking`,
+    with k tuned on a held-out third of the training users."""
     d = X.shape[1]
-    ranked = select_top_features(X, y, d, seed=seed)
+    ranked = feature_ranking(X, y, seed)
     users = sorted(set(groups))
     if len(users) < 3 or d <= AUTO_SELECT_MIN:
-        return ranked[:min(d, AUTO_SELECT_MIN)]
+        return sorted(ranked[:AUTO_SELECT_MIN])
     order = np.random.default_rng([seed, 7]).permutation(len(users))
     held = {users[i] for i in order[:max(1, len(users) // 3)]}
     inner_test = np.array([g in held for g in groups])

@@ -58,15 +58,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, strict_float,
-                      strict_int, strict_str, strict_unique)
+from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, json_type,
+                      strict_float, strict_int, strict_str, strict_unique)
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
 #: Depth of the forest whose Gini importances rank features for selection.
 SELECTION_DEPTH = 10
-DEFAULT_BOOST_ROUNDS = 100
-DEFAULT_BOOST_DEPTH = 6
 DEFAULT_BOOST_RATE = 0.3
 BOOST_L2 = 1.0
 #: The model kinds of TreeEnsembleModel, the only ones a model file may
@@ -199,7 +197,8 @@ class _Presorted(NamedTuple):
     flattened column-major: entry ``f * n + r`` of ``row``, ``x`` and ``y``
     is the row at rank ``r`` of column ``f``, its value and its label, and
     entry ``f * n + i`` of ``rank`` is the rank of row ``i`` in column
-    ``f``.  Equal values rank in row order."""
+    ``f``.  Equal values rank in row order.  ``y`` is None for boosting,
+    which scans residuals, not labels."""
 
     n: int
     rank: np.ndarray
@@ -209,13 +208,14 @@ class _Presorted(NamedTuple):
 
 
 def _presort(XT, y) -> _Presorted:
+    """The presort of the (d, n) matrix ``XT``, with the labels ``y`` unless None."""
     d, n = XT.shape
     order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(n, dtype=np.int32), axis=1)
     return _Presorted(n, rank.ravel(), order.ravel(),
                       np.take_along_axis(XT, order, axis=1).ravel(),
-                      y[order].astype(np.int8).ravel())
+                      None if y is None else y[order].astype(np.int8).ravel())
 
 
 def _split_forest_nodes(cols, rows, candidates, positives, n_root):
@@ -461,9 +461,7 @@ def _newton_leaf(r, h, rows, n_root, out):
     return TreeNode(value=float(value), sample_fraction=rows.size / n_root)
 
 
-def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
-                  depth: int = DEFAULT_BOOST_DEPTH,
-                  learning_rate: float = DEFAULT_BOOST_RATE,
+def train_boosted(X, y, rounds: int, depth: int, learning_rate: float = DEFAULT_BOOST_RATE,
                   seed: int = 0, feature_names=None) -> TreeEnsembleModel:
     """Stagewise log-odds model with logistic loss.
 
@@ -479,7 +477,7 @@ def train_boosted(X, y, rounds: int = DEFAULT_BOOST_ROUNDS,
           "learning_rate": float(learning_rate)}
     if len(np.unique(y)) < 2:
         return _degenerate_model("boosted", y, names, hp, seed)
-    cols = _presort(np.ascontiguousarray(X.T), y)
+    cols = _presort(np.ascontiguousarray(X.T), None)
     score = np.zeros(n)
     rows = np.arange(n)
     out = np.empty(n)
@@ -527,20 +525,22 @@ def gini_importance(model: TreeEnsembleModel):
     return [(int(i), float(totals[i])) for i in order]
 
 
-def select_top_features(X, y, m: int, seed: int = 0):
-    """Indices of the m most important features per a forest fit on (X, y).
+def feature_ranking(X, y, seed: int) -> list:
+    """Every feature index, most important first, by the Gini importance of a
+    forest of DEFAULT_N_TREES trees of depth SELECTION_DEPTH fit on (X, y)."""
+    forest = train_random_forest(X, y, depth=SELECTION_DEPTH, n_trees=DEFAULT_N_TREES,
+                                 seed=seed)
+    return [idx for idx, _ in gini_importance(forest)]
 
-    The forest has DEFAULT_N_TREES trees of depth SELECTION_DEPTH.
-    """
+
+def select_top_features(X, y, m: int, seed: int = 0):
+    """Indices, ascending, of the m most important features; see :func:`feature_ranking`."""
     if m < 1:
         raise EmptySelection("cannot select zero features")
     d = np.asarray(X).shape[1]
     if m > d:
         raise SelectionTooLarge(f"cannot select {m} features from {d} columns")
-    forest = train_random_forest(X, y, depth=SELECTION_DEPTH, n_trees=DEFAULT_N_TREES,
-                                 seed=seed)
-    ranked = gini_importance(forest)
-    return sorted(idx for idx, _ in ranked[:m])
+    return sorted(feature_ranking(X, y, seed)[:m])
 
 
 # -- JSON serialization --------------------------------------------------------
@@ -572,7 +572,7 @@ def _entry(rec, key, kind):
     value = rec[key]
     if not isinstance(value, kind):
         raise ValueError(f"{key} must be {'a list' if kind is list else 'an object'}, "
-                         f"got {type(value).__name__}")
+                         f"got {json_type(value)}")
     return value
 
 
@@ -585,11 +585,11 @@ def _node_from_dict(rec, n_features, key) -> TreeNode:
     forest, ``value`` for boosted trees), which becomes the node's ``value``.
     """
     if not isinstance(rec, dict):
-        raise ValueError(f"a tree node must be an object, got {type(rec).__name__}")
+        raise ValueError(f"a tree node must be an object, got {json_type(rec)}")
     if rec.get("leaf"):
         counts = rec.get("class_counts")
         if counts is not None and not isinstance(counts, list):
-            raise ValueError(f"class_counts must be a list, got {type(counts).__name__}")
+            raise ValueError(f"class_counts must be a list, got {json_type(counts)}")
         return TreeNode(class_counts=tuple(counts) if counts else None,
                         value=strict_float(rec.get(key), key),
                         sample_fraction=rec.get("sample_fraction", 0.0))
@@ -625,7 +625,7 @@ def model_from_dict(rec) -> TreeEnsembleModel:
     :func:`_node_from_dict`), or whose feature names are empty or repeated
     (each name picks the matrix column its feature is read from)."""
     if not isinstance(rec, dict):
-        raise ValueError(f"a model must be an object, got {type(rec).__name__}")
+        raise ValueError(f"a model must be an object, got {json_type(rec)}")
     kind = _entry(rec, "kind", object)
     if kind not in TREE_KINDS:
         raise ValueError(f"kind {kind!r} is not a tree model ({' or '.join(TREE_KINDS)})")

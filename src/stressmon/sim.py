@@ -46,7 +46,8 @@ import numpy as np
 from . import sema as sema_mod
 from .context import CONTEXT_FEATURE_NAMES, GeoZone, context_record, dump_zones, parse_zones
 from .dataset import EmaResponse, write_ema_csv
-from .errors import ConfigError, encode_json, is_number, read_input, strict_int
+from .errors import (ConfigError, encode_json, is_number, json_type, read_input, strict_int,
+                     write_csv)
 from .sema import DAY_MS
 from .signals import (BURST_SAMPLES, BURST_SECONDS, PPG_RATE_HZ, WINDOW_MS, SensorBurst,
                       burst_record)
@@ -193,7 +194,7 @@ class SimConfig:
 
     def _validate_per_user(self):
         if not isinstance(self.per_user, dict):
-            raise ConfigError(f"per_user must be an object, got {type(self.per_user).__name__}")
+            raise ConfigError(f"per_user must be an object, got {json_type(self.per_user)}")
         users = self.user_ids
         for user_id, over in self.per_user.items():
             where = f"per_user {user_id!r}"
@@ -249,7 +250,7 @@ def _field_names(cls) -> tuple:
 def _check_keys(raw, known, where):
     """Raise ConfigError unless ``raw`` is an object with only ``known`` keys."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+        raise ConfigError(f"{where} must be an object, got {json_type(raw)}")
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
@@ -550,8 +551,7 @@ class _Simulation:
         write_ema_csv(paths["ema"], (EmaResponse(self.users[user_idx].user_id, answer_ms, level)
                                      for answer_ms, _, user_idx, level in sorted(answers)))
         self.counts["emas"] = len(answers)
-        with _create(paths["latent"]) as fh:
-            self._write_latent(fh)
+        write_csv(paths["latent"], self._latent_rows(), lineterminator="\n")
         dump_zones(paths["zones"], list(self.cfg.zones))
         return SimResult(paths=paths, counts=self.counts)
 
@@ -641,15 +641,15 @@ class _Simulation:
             level = 2 + int(rng.choice(4, p=weights / weights.sum()))
         return answer_ms, prompt_ms, user.index, level
 
-    def _write_latent(self, fh):
-        fh.write("user_id,start_ms,end_ms,stress\n")
+    def _latent_rows(self):
+        """latent.csv: the header, then each user's runs of one stress state."""
+        yield ("user_id", "start_ms", "end_ms", "stress")
         for user in self.users:
             states = user.stress_slots
             run_start = 0
             for s in range(1, len(states) + 1):
                 if s == len(states) or states[s] != states[run_start]:
-                    fh.write(f"{user.user_id},{run_start * SLOT_MS},"
-                             f"{s * SLOT_MS},{int(states[run_start])}\n")
+                    yield user.user_id, run_start * SLOT_MS, s * SLOT_MS, int(states[run_start])
                     run_start = s
 
 

@@ -166,6 +166,46 @@ class TestSimulate:
                           "prompts": decisions.count("trigger")}
         assert counts["prompts"] > 0
 
+    @pytest.mark.parametrize("raw,reason", [
+        ({"network": None}, "network must be an object, got null"),
+        ({"participants": "x"}, "participants must be an object, got a string"),
+        ({"per_user": [1]}, "per_user must be an object, got a list"),
+        ({"per_user": {"u01": True}}, "per_user 'u01' must be an object, got a boolean"),
+        ({"zones": {"code": 0}}, "zones must be a list, got an object"),
+    ], ids=["network_null", "participants_a_string", "per_user_a_list",
+            "override_a_boolean", "zones_an_object"])
+    def test_config_error_names_json_type(self, tmp_path, capsys, raw, reason):
+        # the reason names the value's JSON type, never a Python one such as NoneType
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(raw))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {config}: bad simulation config: {reason}\n"
+
+    def test_negative_config_seed_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_users": 1, "seed": -1}))
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {config}: bad simulation config: seed must be non-negative\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        # --seed 9 writes what a config whose seed is 9 writes, and the manifest says 9
+        manifests = []
+        for name, seed, flag in (("flag", 11, ["--seed", "9"]), ("config", 9, [])):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"n_users": 1, "days": 1, "seed": seed}))
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out),
+                             *flag]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        flagged, configured = manifests
+        assert flagged["seed"] == configured["seed"] == 9
+        assert flagged["outputs"] == configured["outputs"]
+        assert len(flagged["outputs"]) == 6
+
 
 class TestFeaturize:
     def test_matrix_written(self, matrix_path):
@@ -456,6 +496,25 @@ class TestFeaturize:
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"code": 0}', "zones must be a list, got an object"),
+        ("null", "zones must be a list, got null"),
+        ('[{"code": 0, "lat": 0, "lon": 0, "radius_m": 0}]',
+         "zone 0: zone radius must be positive"),
+        ('[{"code": 0, "lat": 0, "lon": 0, "radius_m": -1.5}]',
+         "zone 0: zone radius must be positive"),
+    ], ids=["object", "null", "zero_radius", "negative_radius"])
+    def test_zones_rejected_with_reason(self, tmp_path, capsys, text, reason):
+        (tmp_path / "bursts.jsonl").write_text("")
+        (tmp_path / "ema.csv").write_text("timestamp_ms,user_id,stress_level\n")
+        zones = tmp_path / "z.json"
+        zones.write_text(text)
+        rc = cli.main(["featurize", "--data", str(tmp_path), "--zones", str(zones),
+                       "--out", str(tmp_path / "m.csv")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {zones}: bad zone config: {reason}\n"
+        assert not (tmp_path / "m.csv").exists()
+
 
 def _rejected_by_float(value):
     try:
@@ -652,6 +711,38 @@ class TestTrainEval:
         assert "Traceback" not in err
         if code == cli.EXIT_DATA:
             assert "99" in err and "24" in err
+
+    @pytest.mark.parametrize("header", ["window_start_ms,user_id,label", "user_id,label",
+                                        "user,window_start_ms,label", ""],
+                             ids=["swapped", "no_start", "renamed", "empty"])
+    def test_bad_matrix_header_exits_3_with_line(self, matrix_path, tmp_path, capsys, header):
+        first, rest = matrix_path.read_text().split("\n", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(first.replace("user_id,window_start_ms,label", header, 1) + "\n" + rest)
+        rc = cli.main(["train-eval", "--matrix", str(bad), "--folds", "3",
+                       "--n-trees", "5", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:1: bad matrix CSV: unexpected header ")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("rate", ["abc", "0", "-0.1", "nan", "inf"])
+    def test_learning_rate_not_above_zero_is_usage_error(self, matrix_path, tmp_path, capsys,
+                                                         rate):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train-eval", "--matrix", str(matrix_path), "--model", "boosted",
+                      "--learning-rate", rate, "--out", str(tmp_path / "e")])
+        assert err.value.code == cli.EXIT_USAGE
+        assert "--learning-rate" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_learning_rate_accepted(self, matrix_path, tmp_path):
+        out = tmp_path / "e"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path), "--model", "boosted",
+                         "--rounds", "3", "--depth", "2", "--learning-rate", "0.1",
+                         "--folds", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["model"]["learning_rate"] == 0.1
+        assert json.loads((out / "model.json").read_text())["tree_weights"] == [0.1] * 3
 
     def test_knn_model_runs(self, matrix_path, tmp_path):
         out = tmp_path / "knn"
@@ -960,6 +1051,35 @@ class TestExplain:
         err = capsys.readouterr().err
         assert "tree" in err
         assert err.startswith(f"error: {out / 'model.json'}: bad model file: ")
+
+    @pytest.mark.parametrize("case,reason", [
+        ("trees_a_string", "trees must be a list, got a string"),
+        ("model_null", "a model must be an object, got null"),
+        ("tree_a_list", "a tree node must be an object, got a list"),
+        ("class_counts_a_boolean", "class_counts must be a list, got a boolean"),
+        ("hyperparameters_a_number", "hyperparameters must be an object, got a number"),
+    ], ids=["trees_a_string", "model_null", "tree_a_list", "class_counts_a_boolean",
+            "hyperparameters_a_number"])
+    def test_model_error_names_json_type(self, eval_dir, matrix_path, tmp_path, capsys,
+                                         case, reason):
+        rec = json.loads((eval_dir / "model.json").read_text())
+        if case == "trees_a_string":
+            rec["trees"] = "x"
+        elif case == "model_null":
+            rec = None
+        elif case == "tree_a_list":
+            rec["trees"][0] = [1]
+        elif case == "class_counts_a_boolean":
+            leaf = next(node for node in _walk(rec["trees"][0]) if node.get("leaf"))
+            leaf["class_counts"] = True
+        else:
+            rec["hyperparameters"] = 1.5
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(rec))
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--max-rows", "2", "--background", "4", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model}: bad model file: {reason}\n"
 
 
 def _walk(node):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -383,3 +384,42 @@ def test_one_corrupt_value_of_a_document_is_accepted_or_named(doc, pick, how):
     if rc == cli.EXIT_DATA:
         assert err.startswith(f"error: {path}: bad {what}: "), err
     assert not any(text in err for text in PYTHON_ERRORS), err
+
+
+def run_on_document(doc, text, tmp):
+    """(exit code, stderr) of the command that reads ``text`` as document ``doc``."""
+    path = os.path.join(tmp, f"{doc}.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    if doc == "config":
+        return run_cli(["simulate", "--config", path, "--out", os.path.join(tmp, "o")])
+    if doc == "zones":
+        for name, empty in (("bursts.jsonl", ""), ("ema.csv", EMA_HEADER)):
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(empty)
+        return run_cli(["featurize", "--data", tmp, "--zones", path,
+                        "--out", os.path.join(tmp, "m.csv")])
+    matrix = os.path.join(tmp, "m.csv")
+    with open(matrix, "w") as fh:
+        fh.write(csv_text([MATRIX_HEADER] + [
+            [f"u0{u}", str(w * 900_000), str((u + w) % 2), str(60 + u + w), str(w % 3)]
+            for u in range(1, 4) for w in range(4)]))
+    return run_cli(["explain", "--model", path, "--matrix", matrix, "--max-rows", "2",
+                    "--background", "4", "--out", os.path.join(tmp, "x")])
+
+
+PYTHON_TYPE_NAME = re.compile(r"got (NoneType|dict|list|str|int|float|bool)\b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.sampled_from(sorted(DOCUMENTS)), pick=st.integers(0, 10**6),
+       how=st.sampled_from(CORRUPTIONS))
+def test_a_corrupt_document_value_is_named_by_its_json_type(doc, pick, how):
+    """An error about a document's value names its JSON type (null, a list,
+    an object...), never the Python type it was decoded to."""
+    paths = list(document_paths(DOCUMENTS[doc]))
+    text = corrupt_document(DOCUMENTS[doc], paths[pick % len(paths)], how)
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = run_on_document(doc, text, tmp)
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA), (rc, err)
+    assert not PYTHON_TYPE_NAME.search(err), err

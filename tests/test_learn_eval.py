@@ -8,6 +8,7 @@ from stressmon.errors import (InsufficientTargetData, KTooLarge,
 from stressmon.learn import (ModelSpec, f1_score, grouped_cv,
                              personalization_eval, split_users_into_folds,
                              train_knn)
+from stressmon.learn.evaluate import _auto_select
 
 
 def make_grouped_classification(n_users=10, rows_per_user=40, d=6, seed=0,
@@ -197,6 +198,33 @@ class TestGroupedCv:
         rec = json.loads((tmp_path / "r.json").read_text())
         assert len(rec["folds"]) == 3 and "mean_f1" in rec
         assert (tmp_path / "r.csv").read_text().startswith("fold,")
+
+
+def label_set_by_last_two(n_rows, d, n_users, seed):
+    """(X, y, groups): y is 1 where the last two of d normal columns sum above 0."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_rows, d))
+    return X, (X[:, -2] + X[:, -1] > 0).astype(int), [f"u{i % n_users}" for i in range(n_rows)]
+
+
+class TestAutoSelect:
+    """``--select-top auto`` keeps the top of the selection forest's ranking."""
+
+    SPEC = ModelSpec(kind="rf", depth=3, n_trees=20, select_top="auto")
+
+    def test_few_users_keep_the_top_four_of_the_ranking(self):
+        # fewer than 3 users: no tuning, the four best-ranked columns
+        X, y, groups = label_set_by_last_two(240, 8, 2, seed=0)
+        selected = _auto_select(X, y, groups, self.SPEC, 0)
+        assert len(selected) == 4 and selected == sorted(selected)
+        assert {6, 7} <= set(selected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tuning_tries_prefixes_of_the_ranking(self, seed):
+        X, y, groups = label_set_by_last_two(360, 12, 6, seed)
+        selected = _auto_select(X, y, groups, self.SPEC, seed)
+        assert selected == sorted(selected)
+        assert {10, 11} <= set(selected) and len(selected) < 12
 
 
 class TestPersonalization:

@@ -51,8 +51,6 @@ SETTABLE = frozenset({
     "stressmon.learn.trees:train_random_forest(n_trees)",
     "stressmon.learn.trees:train_random_forest(seed)",
     "stressmon.learn.trees:train_random_forest(feature_names)",
-    "stressmon.learn.trees:train_boosted(rounds)",
-    "stressmon.learn.trees:train_boosted(depth)",
     "stressmon.learn.trees:train_boosted(learning_rate)",
     "stressmon.learn.trees:train_boosted(seed)",
     "stressmon.learn.trees:train_boosted(feature_names)",
