@@ -260,18 +260,18 @@ def cmd_explain(args) -> int:
         raise StressmonError(f"{args.matrix}: no labeled rows to explain")
     rng = np.random.default_rng([args.seed, 11])
     bg_rows = np.sort(rng.choice(n, size=min(args.background, n), replace=False))
-    explain_rows = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
+    explained = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
     # Distances use every column of every labeled row, so the imputer is fit
     # on all of them; only the sampled rows are read, so only they are filled.
     imputer = dataset.fit_imputer(labeled, np.arange(n))
-    sampled = np.union1d(bg_rows, explain_rows)
+    sampled = np.union1d(bg_rows, explained)
     values = labeled.values[sampled]
     completed = imputer.transform(values, np.isnan(values), exclude=sampled)
     cols = [labeled.columns.index(c) for c in model.feature_names]
     background = completed[np.searchsorted(sampled, bg_rows)][:, cols]
-    rows = completed[np.searchsorted(sampled, explain_rows)][:, cols]
+    rows = completed[np.searchsorted(sampled, explained)][:, cols]
 
-    explanations = [explain_mod.shap_values(model, row, background) for row in rows]
+    explanations = explain_mod.explain_rows(model, rows, background)
     ranking = explain_mod.mean_abs_ranking(explanations)
     records = explain_mod.beeswarm_records(explanations)
 

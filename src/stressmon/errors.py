@@ -173,9 +173,11 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def write_json(path, value, **options):
-    """``value`` as a UTF-8 JSON file ended by a newline; ``options`` go to json.dump."""
+    """``value`` as a UTF-8 JSON file ended by a newline; ``options`` go to
+    json.dumps, which encodes in C when there is no ``indent`` (json.dump
+    writes the same text through the pure-Python encoder)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(value, fh, **options)
+        fh.write(json.dumps(value, **options))
         fh.write("\n")
 
 

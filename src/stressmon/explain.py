@@ -6,11 +6,21 @@ background row, and the model's positive-class probability is averaged
 over the background.  With at most 16 features the full 2^d enumeration
 is tractable and serves as its own ground truth.
 
-Coalitions are scored in chunks: the synthetic rows of a run of coalitions
-(each coalition's row laid over every background row) go through one
-``predict_proba`` call of at most ``_CHUNK_ROWS`` rows, so the model walks
-its trees once per chunk rather than once per coalition, and memory stays
-bounded at any width and background size.
+A tree reads only the features it splits on, so its output at a coalition
+depends only on the coalition's bits among them (the observation behind
+interventional Tree SHAP).  Coalitions are taken in aligned blocks of 2^c
+bitmasks, together with a block of explained rows.  Within a block each
+tree is walked once, over the synthetic rows of only the coalitions it can
+tell apart: 2^k of them when it splits on k of the block's c low features.
+Its outputs are indexed back to every coalition of the block and summed in
+tree order as ``predict_proba`` sums them, so every value is the one
+scoring each synthetic row with the model gives, bit for bit.
+
+A block holds at most ``_CHUNK_ROWS`` (row, coalition, background row)
+triples, so the sum, each tree's output table and each tree's synthetic
+rows stay bounded at any row count, width and background size.  A
+background larger than the cap takes one row and one coalition per block,
+and each tree walks it in slices of the cap.
 """
 from __future__ import annotations
 
@@ -21,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBackground, NotATreeModel, TooManyFeatures, write_csv
-from .learn.trees import TREE_KINDS
+from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes, _tree_leaf_outputs
 
 MAX_EXACT_FEATURES = 16
-# Synthetic rows per predict_proba call: enough that an 8-feature row over 64
-# background rows takes one call, few enough that a 16-feature block is 2 MB.
-_CHUNK_ROWS = 1 << 14
+# (row, coalition, background row) triples per block: one block covers the
+# whole call of 6 rows x 2^8 coalitions x 24 background rows (36,864), and a
+# tree's synthetic rows at 16 features take at most 8 MB.
+_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,28 +54,70 @@ class Explanation:
         return self.base_value + float(self.shap_values.sum())
 
 
-def coalition_value_table(model, row: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Mean model output for every coalition bitmask (length 2^d)."""
-    d = row.size
+def _split_features(root) -> int:
+    """Bitmask of the features a tree splits on."""
+    return sum({1 << node.feature_index for node in _nodes(root) if not node.is_leaf})
+
+
+def _tree_table(tree, rows, coalitions, background) -> np.ndarray:
+    """The tree's output at every (row, coalition, background row), from its
+    synthetic rows walked in slices of at most _CHUNK_ROWS rows.
+
+    ``coalitions`` holds one boolean row of features per coalition.
+    """
+    shape = (len(rows), len(coalitions))
+    tables = []
+    for b0 in range(0, len(background), _CHUNK_ROWS):
+        bg = background[b0:b0 + _CHUNK_ROWS]
+        synth = np.where(coalitions[None, :, None], rows[:, None, None], bg)
+        tables.append(_tree_leaf_outputs(tree, synth.reshape(-1, bg.shape[1]))
+                      .reshape(*shape, len(bg)))
+    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=2)
+
+
+def _block_tables(model, used, rows, start, width, background):
+    """Each tree's output at every (row, coalition, background row) of the
+    block of ``rows`` and coalitions ``start .. start + width - 1``, in tree
+    order; ``used`` holds each tree's split-feature bitmask."""
+    masks = np.arange(width)
+    features = np.arange(rows.shape[1])
+    for tree, split in zip(model.trees, used):
+        # the coalitions the tree tells apart, and the one each mask falls on
+        low = split & (width - 1)
+        subsets = masks[(masks & ~low) == 0]
+        coalitions = (((start & split) | subsets)[:, None] >> features) & 1
+        table = _tree_table(tree, rows, coalitions.astype(bool), background)
+        yield table[:, np.searchsorted(subsets, masks & low)]
+
+
+def _value_tables(model, rows, background) -> np.ndarray:
+    """Mean model output for every coalition bitmask of every row, (rows, 2^d)."""
+    n_rows, d = rows.shape
     n_masks = 1 << d
     n_bg = background.shape[0]
-    values = np.empty(n_masks)
-    bits = ((np.arange(n_masks)[:, None] >> np.arange(d)) & 1).astype(bool)
-    per_chunk = max(1, _CHUNK_ROWS // n_bg)
-    for start in range(0, n_masks, per_chunk):
-        stop = min(start + per_chunk, n_masks)
-        synth = np.where(bits[start:stop, None, :], row, background[None])
-        synth = synth.reshape(-1, d)
-        # A background larger than the cap is scored in slices of it; each
-        # row's probability does not depend on the rows scored beside it.
-        p = np.concatenate([model.predict_proba(synth[i:i + _CHUNK_ROWS])
-                            for i in range(0, len(synth), _CHUNK_ROWS)])
-        values[start:stop] = p.reshape(stop - start, n_bg).mean(axis=1)
+    pairs = max(1, _CHUNK_ROWS // n_bg)  # (row, coalition) pairs per block
+    width = min(n_masks, 1 << (pairs.bit_length() - 1))
+    row_step = max(1, pairs // width)
+    used = [_split_features(tree) for tree in model.trees]
+    values = np.empty((n_rows, n_masks))
+    for r0 in range(0, n_rows, row_step):
+        block = rows[r0:r0 + row_step]
+        for start in range(0, n_masks, width):
+            proba = _ensemble_proba(
+                model, _block_tables(model, used, block, start, width, background),
+                (len(block), width, n_bg))
+            values[r0:r0 + row_step, start:start + width] = proba.mean(axis=2)
     return values
 
 
-def shap_values(model, row, background_rows) -> Explanation:
-    """Exact interventional Shapley values by coalition enumeration.
+def coalition_value_table(model, row: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """Mean model output for every coalition bitmask (length 2^d)."""
+    return _value_tables(model, np.asarray(row, dtype=float).reshape(1, -1),
+                         np.asarray(background, dtype=float))[0]
+
+
+def explain_rows(model, rows, background_rows) -> list:
+    """Exact interventional Shapley values of each row, by coalition enumeration.
 
     Raises NotATreeModel for a model whose kind is not one of TREE_KINDS,
     TooManyFeatures beyond 16 features and EmptyBackground when no
@@ -72,29 +125,40 @@ def shap_values(model, row, background_rows) -> Explanation:
     """
     if getattr(model, "kind", None) not in TREE_KINDS:
         raise NotATreeModel("exact Shapley explanation needs a tree-based model")
-    row = np.asarray(row, dtype=float).ravel()
+    rows = np.asarray(rows, dtype=float)
     background = np.asarray(background_rows, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:
         raise EmptyBackground("need at least one background row")
-    d = row.size
+    if rows.ndim != 2:
+        raise ValueError("the explained rows must form a 2-D array")
+    d = rows.shape[1]
     if d > MAX_EXACT_FEATURES:
         raise TooManyFeatures(f"{d} features > {MAX_EXACT_FEATURES}")
     if background.shape[1] != d:
-        raise ValueError("background width does not match the explained row")
+        raise ValueError("background width does not match the explained rows")
 
-    v = coalition_value_table(model, row, background)
+    v = _value_tables(model, rows, background)
     # w[s] = s! (d-1-s)! / d!, the Shapley kernel over coalition sizes.
     w = np.array([math.factorial(s) * math.factorial(d - 1 - s) / math.factorial(d)
                   for s in range(d)])
     sizes = np.bitwise_count(np.arange(1 << d))
-    phi = np.zeros(d)
+    phi = np.zeros((len(rows), d))
     for i in range(d):
         bit = 1 << i
         without = np.flatnonzero((np.arange(1 << d) & bit) == 0)
-        phi[i] = float(np.sum(w[sizes[without]] * (v[without | bit] - v[without])))
+        # C order, so each row's terms are summed as one row's alone would be
+        terms = np.multiply(w[sizes[without]], v[:, without | bit] - v[:, without], order="C")
+        phi[:, i] = terms.sum(axis=1)
     names = tuple(getattr(model, "feature_names", [f"f{i}" for i in range(d)]))
-    return Explanation(base_value=float(v[0]), shap_values=phi,
-                       feature_values=row, feature_names=names)
+    return [Explanation(base_value=float(v[r, 0]), shap_values=phi[r],
+                        feature_values=rows[r], feature_names=names)
+            for r in range(len(rows))]
+
+
+def shap_values(model, row, background_rows) -> Explanation:
+    """Exact interventional Shapley values of one row; see :func:`explain_rows`."""
+    return explain_rows(model, np.asarray(row, dtype=float).reshape(1, -1),
+                        background_rows)[0]
 
 
 def mean_abs_ranking(explanations):

@@ -58,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, json_type,
-                      strict_float, strict_int, strict_str, strict_unique)
+from ..errors import (DegenerateLabels, EmptySelection, SelectionTooLarge, is_number,
+                      json_type, strict_float, strict_int, strict_str, strict_unique)
 
 MIN_IMPURITY_DECREASE = 1e-12
 DEFAULT_N_TREES = 100
@@ -117,12 +117,8 @@ class TreeEnsembleModel:
     def predict_proba(self, X) -> np.ndarray:
         """Positive-class probability per row."""
         X = np.asarray(X, dtype=float)
-        agg = np.full(X.shape[0], self.base_score)
-        for tree, w in zip(self.trees, self.tree_weights):
-            agg += w * _tree_leaf_outputs(tree, X)
-        if self.kind == "boosted":
-            return 1.0 / (1.0 + np.exp(-agg))
-        return agg
+        return _ensemble_proba(self, (_tree_leaf_outputs(tree, X) for tree in self.trees),
+                               X.shape[0])
 
     def predict(self, X) -> np.ndarray:
         """0/1 labels at the fixed 0.5 probability threshold (ties -> 0)."""
@@ -131,6 +127,18 @@ class TreeEnsembleModel:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+
+def _ensemble_proba(model: TreeEnsembleModel, tree_outputs, shape) -> np.ndarray:
+    """Positive-class probability from each tree's leaf outputs, given in tree
+    order: ``base_score`` plus each output times its tree's weight, summed in
+    tree order, then the logistic link for a boosted model."""
+    agg = np.full(shape, model.base_score)
+    for w, out in zip(model.tree_weights, tree_outputs):
+        agg += w * out
+    if model.kind == "boosted":
+        return 1.0 / (1.0 + np.exp(-agg))
+    return agg
 
 
 def _tree_leaf_outputs(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -495,16 +503,20 @@ def train_boosted(X, y, rounds: int, depth: int, learning_rate: float = DEFAULT_
                              seed=seed, base_score=0.0)
 
 
+def _nodes(root: TreeNode):
+    """Every node of one tree, depth first with the right branch ahead of the left."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += (node.left, node.right)
+
+
 def tree_nodes(model: TreeEnsembleModel):
-    """Every split and leaf node of the model, tree by tree, each tree depth
-    first with the right branch ahead of the left."""
+    """Every split and leaf node of the model, tree by tree (see :func:`_nodes`)."""
     for root in model.trees:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack += (node.left, node.right)
+        yield from _nodes(root)
 
 
 def gini_importance(model: TreeEnsembleModel):
@@ -576,21 +588,37 @@ def _entry(rec, key, kind):
     return value
 
 
+def _class_counts(counts) -> tuple:
+    """A leaf's ``class_counts``: a list of two non-negative integers."""
+    if not isinstance(counts, list):
+        raise ValueError(f"class_counts must be a list, got {json_type(counts)}")
+    if len(counts) != 2:
+        raise ValueError(f"class_counts must list two counts, got {len(counts)}")
+    for count in counts:
+        if not (is_number(count) and float(count).is_integer() and count >= 0):
+            got = repr(count) if is_number(count) else json_type(count)
+            raise ValueError(f"class_counts must list non-negative integers, got {got}")
+    return tuple(int(count) for count in counts)
+
+
 def _node_from_dict(rec, n_features, key) -> TreeNode:
     """One node of a model file; raises ValueError for a node prediction cannot use.
 
-    A node must be an object.  A split must name one of the ``n_features``
-    features and a finite threshold; a leaf must hold a finite number under
-    ``key``, its model kind's entry in _LEAF_OUTPUT (``probability`` for a
-    forest, ``value`` for boosted trees), which becomes the node's ``value``.
+    A node must be an object, whose ``leaf``, if given, is a boolean.  A
+    split must name one of the ``n_features`` features and a finite
+    threshold; a leaf must hold a finite number under ``key``, its model
+    kind's entry in _LEAF_OUTPUT (``probability`` for a forest, ``value`` for
+    boosted trees), which becomes the node's ``value``, and any
+    ``class_counts`` it holds must be two non-negative integers.
     """
     if not isinstance(rec, dict):
         raise ValueError(f"a tree node must be an object, got {json_type(rec)}")
-    if rec.get("leaf"):
-        counts = rec.get("class_counts")
-        if counts is not None and not isinstance(counts, list):
-            raise ValueError(f"class_counts must be a list, got {json_type(counts)}")
-        return TreeNode(class_counts=tuple(counts) if counts else None,
+    leaf = rec.get("leaf", False)
+    if not isinstance(leaf, bool):
+        raise ValueError(f"leaf must be a boolean, got {json_type(leaf)}")
+    if leaf:
+        return TreeNode(class_counts=(_class_counts(rec["class_counts"])
+                                      if "class_counts" in rec else None),
                         value=strict_float(rec.get(key), key),
                         sample_fraction=rec.get("sample_fraction", 0.0))
     feature = strict_int(_entry(rec, "feature_index", object), "feature_index")

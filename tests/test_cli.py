@@ -842,13 +842,13 @@ class TestExplain:
                                      monkeypatch):
         from stressmon import explain
         rows = []
-        shap_values = explain.shap_values
+        explain_rows = explain.explain_rows
 
-        def counting(model, row, background):
-            rows.append(np.asarray(row).tobytes())
-            return shap_values(model, row, background)
+        def counting(model, explained, background):
+            rows.extend(np.asarray(row).tobytes() for row in explained)
+            return explain_rows(model, explained, background)
 
-        monkeypatch.setattr(explain, "shap_values", counting)
+        monkeypatch.setattr(explain, "explain_rows", counting)
         assert cli.main(["explain", "--model", str(eval_dir / "model.json"),
                          "--matrix", str(matrix_path), "--max-rows", "6",
                          "--background", "24", "--out", str(tmp_path / "e")]) == 0
@@ -860,18 +860,18 @@ class TestExplain:
         # row gives them, but no other row is imputed
         from stressmon import dataset, explain
         seen, transformed = [], []
-        shap_values = explain.shap_values
+        explain_rows = explain.explain_rows
         transform = dataset.KnnImputer.transform
 
-        def recording_shap(model, row, background):
-            seen.append((np.array(row), np.array(background)))
-            return shap_values(model, row, background)
+        def recording_explain(model, rows, background):
+            seen.extend((np.array(row), np.array(background)) for row in rows)
+            return explain_rows(model, rows, background)
 
         def recording_transform(self, values, missing, exclude=None):
             transformed.append(len(values))
             return transform(self, values, missing, exclude)
 
-        monkeypatch.setattr(explain, "shap_values", recording_shap)
+        monkeypatch.setattr(explain, "explain_rows", recording_explain)
         monkeypatch.setattr(dataset.KnnImputer, "transform", recording_transform)
         assert cli.main(["explain", "--model", str(eval_dir / "model.json"),
                          "--matrix", str(matrix_path), "--max-rows", "6",
@@ -1080,6 +1080,53 @@ class TestExplain:
                        "--max-rows", "2", "--background", "4", "--out", str(tmp_path / "e")])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {model}: bad model file: {reason}\n"
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("leaf", "True", "leaf must be a boolean, got a string"),
+        ("leaf", [True], "leaf must be a boolean, got a list"),
+        ("leaf", 1, "leaf must be a boolean, got a number"),
+        ("class_counts", [[3, 1]], "class_counts must list two counts, got 1"),
+        ("class_counts", [3, 1, 0], "class_counts must list two counts, got 3"),
+        ("class_counts", [3, "1"], "class_counts must list non-negative integers, got a string"),
+        ("class_counts", [3, -1], "class_counts must list non-negative integers, got -1"),
+        ("class_counts", [3, 1.5], "class_counts must list non-negative integers, got 1.5"),
+        ("class_counts", None, "class_counts must be a list, got null"),
+    ], ids=["leaf_a_string", "leaf_a_list", "leaf_a_number", "counts_a_nested_list",
+            "three_counts", "count_a_string", "count_negative", "count_fractional",
+            "counts_null"])
+    def test_leaf_fields_checked_strictly(self, eval_dir, matrix_path, tmp_path, capsys,
+                                          field, value, reason):
+        rec = json.loads((eval_dir / "model.json").read_text())
+        leaf = next(node for node in _walk(rec["trees"][0]) if node.get("leaf"))
+        leaf[field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(rec))
+        rc = cli.main(["explain", "--model", str(model), "--matrix", str(matrix_path),
+                       "--max-rows", "2", "--background", "4", "--out", str(tmp_path / "e")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model}: bad model file: {reason}\n"
+
+    #: sha256 of shap_ranking.json and beeswarm.csv as the per-coalition
+    #: predict_proba loop wrote them, for 6 rows over 24 background rows.
+    @pytest.mark.parametrize("flags,digests", [
+        (["--model", "rf", "--select-top", "8", "--depth", "3"],
+         ("840826b9e98ec49f78c34e0bbab1ac18ae697d416b80ecc19ff5449f09322b1d",
+          "6a973a5fdb8bde4917f83d123d7616eda57c0acbb83e914f0fec62a738d2ca36")),
+        (["--model", "boosted", "--select-top", "6"],
+         ("409a4a01d45eb68b847fbb6ab7f24ef842139b26320ec46cfdbdec47d8e4b34a",
+          "ec220d46b9293db1e4a46b401fb6e70263ccfd64b942f74a345794a07e1c7783")),
+        (["--model", "rf", "--select-top", "14", "--depth", "5"],
+         ("ced6ced53f1279a90a4cb22fc6fd1fc6ab1e5674dea45540c5e6c709c3614040",
+          "f6c2cae1ec693bc579d31ed843d24e292f96c81152538061b90984253a2e40f9")),
+    ], ids=["rf_top8_depth3", "boosted_top6", "rf_top14_depth5"])
+    def test_outputs_keep_their_digests(self, matrix_path, tmp_path, flags, digests):
+        model_dir, out = tmp_path / "eval", tmp_path / "explain"
+        assert cli.main(["train-eval", "--matrix", str(matrix_path), *flags, "--folds", "3",
+                         "--seed", "1", "--out", str(model_dir)]) == 0
+        assert cli.main(["explain", "--model", str(model_dir / "model.json"),
+                         "--matrix", str(matrix_path), "--max-rows", "6",
+                         "--background", "24", "--out", str(out)]) == 0
+        assert (sha(out / "shap_ranking.json"), sha(out / "beeswarm.csv")) == digests
 
 
 def _walk(node):

@@ -224,20 +224,6 @@ def fitted_model(kind, d, seed):
     return train_random_forest(X, y, depth=3, n_trees=4, seed=seed)
 
 
-class CountingModel:
-    """Forwards to a model and records the rows of every predict_proba call."""
-
-    def __init__(self, model):
-        self.model = model
-        self.kind = model.kind
-        self.feature_names = model.feature_names
-        self.calls = []
-
-    def predict_proba(self, X):
-        self.calls.append(len(X))
-        return self.model.predict_proba(X)
-
-
 class TestBatchedTable:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["random_forest", "boosted"]),
@@ -260,15 +246,109 @@ class TestBatchedTable:
                                             (4, 3, 10), (4, 10, 10), (3, 25, 10),
                                             (2, 7, 1)])
     def test_no_call_exceeds_cap(self, monkeypatch, d, n_bg, cap):
+        # no tree walk, over 3 rows, takes more synthetic rows than the cap
         if cap is not None:
             monkeypatch.setattr(explain, "_CHUNK_ROWS", cap)
         cap = explain._CHUNK_ROWS
-        model = CountingModel(fitted_model("random_forest", d, seed=d))
+        walks = record_walks(monkeypatch)
+        model = fitted_model("random_forest", d, seed=d)
         rng = np.random.default_rng(n_bg)
-        coalition_value_table(model, rng.normal(size=d), rng.normal(size=(n_bg, d)))
-        assert max(model.calls) <= cap
-        assert sum(model.calls) == (1 << d) * n_bg
-        # whole coalitions fill each call up to the cap
-        masks_per_call = max(1, cap // n_bg)
-        slices = -(-n_bg // cap)
-        assert len(model.calls) == -(-(1 << d) // masks_per_call) * slices
+        explain.explain_rows(model, rng.normal(size=(3, d)), rng.normal(size=(n_bg, d)))
+        assert max(n for _, n in walks) <= cap
+        # per block of `width` masks a tree walks the 2^k coalitions of its k
+        # split features below the width, for every row and background row
+        width = min(1 << d, 1 << (max(1, cap // n_bg).bit_length() - 1))
+        for tree in model.trees:
+            k = sum(1 for f in split_features(tree) if 1 << f < width)
+            walked = sum(n for walked_tree, n in walks if walked_tree is tree)
+            assert walked == 3 * ((1 << d) // width) * (1 << k) * n_bg
+
+    def test_each_tree_walked_once_over_its_coalitions(self, monkeypatch):
+        # 6 rows x 2^8 coalitions x 24 background rows fit one block
+        walks = record_walks(monkeypatch)
+        model = train_random_forest(np.round(np.random.default_rng(0).normal(size=(200, 8)), 1),
+                                    np.arange(200) % 2, depth=3, n_trees=20, seed=0)
+        rng = np.random.default_rng(1)
+        explain.explain_rows(model, rng.normal(size=(6, 8)), rng.normal(size=(24, 8)))
+        assert [id(tree) for tree, _ in walks] == [id(tree) for tree in model.trees]
+        for tree, n in walks:
+            assert n == 6 * (1 << len(split_features(tree))) * 24
+
+
+def record_walks(monkeypatch):
+    """(tree, rows) of every tree walk the explain kernel makes from now on."""
+    walks = []
+    walk = explain._tree_leaf_outputs
+
+    def recording(root, X):
+        walks.append((root, len(X)))
+        return walk(root, X)
+
+    monkeypatch.setattr(explain, "_tree_leaf_outputs", recording)
+    return walks
+
+
+def split_features(node):
+    """The set of features a tree splits on."""
+    if node.is_leaf:
+        return set()
+    return {node.feature_index} | split_features(node.left) | split_features(node.right)
+
+
+def hand_model(kind, d, seed):
+    """A model of the tree shapes the kernel must map right: a single leaf, a
+    stump, a feature split twice on one path, and a path through every feature."""
+    rng = np.random.default_rng(seed)
+
+    def split(feature, left, right):
+        return TreeNode(feature_index=feature, threshold=float(np.round(rng.normal(), 1)),
+                        impurity_decrease=0.1, sample_fraction=1.0, left=left, right=right)
+
+    def out():
+        return leaf(float(rng.uniform(-1, 1) if kind == "boosted" else rng.uniform()))
+
+    f = int(rng.integers(d))
+    repeated = split(f, split(f, out(), out()), out())
+    chain = out()
+    for feature in rng.permutation(d):
+        chain = split(int(feature), out(), chain)
+    trees = [out(), split(int(rng.integers(d)), out(), out()), repeated, chain]
+    if kind == "boosted":
+        return TreeEnsembleModel(kind=kind, trees=trees, tree_weights=[0.3] * 4,
+                                 feature_names=[f"f{i}" for i in range(d)],
+                                 hyperparameters={}, seed=0, base_score=float(rng.normal()))
+    return forest(trees, d)
+
+
+#: Caps with the widest d each is tried at, so a cap of one row stays quick.
+CAP_WIDTHS = {1: 6, 5: 8, 24: 10, 300: 10, 1 << 16: 10}
+
+
+@st.composite
+def kernel_cases(draw):
+    cap = draw(st.sampled_from(sorted(CAP_WIDTHS)))
+    d = draw(st.integers(1, CAP_WIDTHS[cap]))
+    return (cap, d, draw(st.sampled_from(["random_forest", "boosted"])),
+            draw(st.booleans()), draw(st.integers(1, 4)), draw(st.integers(1, 40)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_equals_per_coalition_loop(case):
+    cap, d, kind, hand, n_rows, n_bg, seed = case
+    model = hand_model(kind, d, seed) if hand else fitted_model(kind, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    rows = np.round(rng.normal(size=(n_rows, d)), 1)
+    background = np.round(rng.normal(size=(n_bg, d)), 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explain, "_CHUNK_ROWS", cap)
+        tables = explain._value_tables(model, rows, background)
+        batched = explain.explain_rows(model, rows, background)
+        single = [shap_values(model, row, background) for row in rows]
+    for table, row in zip(tables, rows, strict=True):
+        assert np.array_equal(table, loop_value_table(model, row, background))
+    for one, alone in zip(batched, single, strict=True):
+        assert one.base_value == alone.base_value
+        assert np.array_equal(one.shap_values, alone.shap_values)
+        assert np.array_equal(one.feature_values, alone.feature_values)
