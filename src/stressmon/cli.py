@@ -68,7 +68,7 @@ def cmd_simulate(args) -> int:
     result = run_simulation(config, args.out)
     write_manifest(args.out, "simulate", config.seed, [args.config],
                    list(result.paths.values()),
-                   {"total_s": round(time.monotonic() - t0, 3)},
+                   {"total_s": round(time.monotonic() - t0, 3), **result.timings},
                    config_path=args.config, counts=result.counts)
     print(f"simulated {config.n_users} users x {config.days} days -> {args.out} "
           f"({result.counts['bursts']} bursts, {result.counts['emas']} EMAs)")

@@ -13,8 +13,8 @@ import numpy as np
 from ..dataset import DEFAULT_IMPUTE_K, DEFAULT_IMPUTE_WEIGHTING, FeatureMatrix, fit_imputer
 from ..errors import InsufficientTargetData, LengthMismatch, TooFewGroups, write_csv, write_json
 from .knn import train_knn
-from .trees import (DEFAULT_BOOST_RATE, feature_ranking, select_top_features, train_boosted,
-                    train_random_forest)
+from .trees import (DEFAULT_BOOST_RATE, DEFAULT_N_TREES, feature_ranking, select_top_features,
+                    train_boosted, train_random_forest)
 
 DEFAULT_FOLDS = 5
 AUTO_SELECT_MIN = 4
@@ -30,7 +30,7 @@ class ModelSpec:
     kind: str = "rf"                 # one of MODEL_KINDS
     depth: int = 5
     k: int = 5
-    n_trees: int = 100
+    n_trees: int = DEFAULT_N_TREES
     rounds: int = 100
     learning_rate: float = DEFAULT_BOOST_RATE
     select_top: object = None        # None, int, or "auto"

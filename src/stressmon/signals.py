@@ -14,6 +14,7 @@ burst and each context sensor's latest payload.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -399,6 +400,12 @@ _SAMPLE_TEXT_MAX = 2 ** 15
 _SAMPLE_TEXT = _SampleText()
 
 
+@functools.lru_cache(maxsize=8)
+def _off_wrist_text(n_samples: int) -> str:
+    """The samples text of an off-wrist burst: ``n_samples`` times json's +0.0."""
+    return ",".join([encode_json(0.0)] * n_samples)
+
+
 def burst_record(burst: SensorBurst, arrival_ms=None) -> str:
     """One bursts.jsonl line (without the newline).
 
@@ -407,12 +414,16 @@ def burst_record(burst: SensorBurst, arrival_ms=None) -> str:
     samples.tolist()}`` in that key order, plus ``"arrival_ms"`` last when
     given.  Each sample's text comes from a table shared across calls that
     is keyed by the float's bit pattern, so a value is formatted once rather
-    than once per occurrence (an off-wrist burst is 2,400 zeros).
+    than once per occurrence.  The samples of an :func:`off_wrist` burst
+    (2,400 +0.0s on the PPG channel) are formatted once per length.
     """
     head = encode_json({"user_id": burst.user_id, "channel": burst.channel,
                         "start_time_ms": burst.start_time_ms, "rate_hz": burst.rate_hz})
-    samples = ",".join(map(_SAMPLE_TEXT.__getitem__,
-                           burst.samples.view(np.int64).tolist()))
+    if off_wrist(burst.samples):
+        samples = _off_wrist_text(len(burst.samples))
+    else:
+        samples = ",".join(map(_SAMPLE_TEXT.__getitem__,
+                               burst.samples.view(np.int64).tolist()))
     tail = "}" if arrival_ms is None else f',"arrival_ms":{encode_json(arrival_ms)}}}'
     return f'{head[:-1]},"samples":[{samples}]{tail}'
 

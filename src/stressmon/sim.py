@@ -31,14 +31,22 @@ prompt time, user).  Each (user, sensor) context stream reads only its own
 generator, the latent stress trace and its blackouts, so it is generated
 on its own, and the streams are merged into context.jsonl by arrival
 (see ``_arrival_order``), keeping in memory only the snapshots still in
-flight.
+flight.  A stream's uniform draws are numpy's ``uniform`` mapping of the
+generator's doubles (``_uniform``).  The five streams that draw nothing
+but doubles take them from ``rng.random`` refills of ``_DRAW_CHUNK``
+doubles, so their memory does not grow with the study's length.  A
+sensor's blackouts are held merged and sorted, and one bisect tells
+whether an emit falls in one.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -95,6 +103,15 @@ STRESS_DEVICE_OFF_RANGE = (0.5, 12.0)
 CALM_DEVICE_OFF_RANGE = (45.0, 600.0)
 #: Chance that a context sensor has a 2-5 h blackout on a given day.
 CONTEXT_BLACKOUT_PROB = 0.25
+
+#: Context sensors whose streams draw only uniform doubles: the gap to the
+#: next emit, after one payload draw for the three that draw one.  Their
+#: payload functions must draw through ``uniform`` alone, because the
+#: doubles come from bulk refills ahead of use.
+_UNIFORM_ONLY_SENSORS = frozenset(("battery_adaptor", "weather", "device_off", "device_on",
+                                   "wind_degrees"))
+#: Doubles each bulk refill of such a stream draws (see ``_bulk_doubles``).
+_DRAW_CHUNK = 256
 
 #: Output file of each kind, in the order the manifest lists them.
 _OUTPUT_FILES = {"bursts": "bursts.jsonl", "context": "context.jsonl", "ema": "ema.csv",
@@ -297,6 +314,7 @@ def synth_ppg(bpm_trace, duration_s, rate_hz, noise_level, seed,
 class SimResult:
     paths: dict
     counts: dict
+    timings: dict       # seconds of the context pass and of the bursts pass
 
 
 class _Participant:
@@ -350,13 +368,14 @@ class _Participant:
 
     def _build_blackouts(self, cfg, rng):
         """Per sensor/day context blackouts so some windows miss features."""
-        self.blackouts = {name: [] for name in CONTEXT_FEATURE_NAMES}
+        self.blackouts = {}
         for name in CONTEXT_FEATURE_NAMES:
+            intervals = []
             for day in range(cfg.days):
                 if rng.random() < CONTEXT_BLACKOUT_PROB:
                     start = day * DAY_MS + int(rng.uniform(6, 18) * 3_600_000)
-                    self.blackouts[name].append(
-                        (start, start + int(rng.uniform(2, 5) * 3_600_000)))
+                    intervals.append((start, start + int(rng.uniform(2, 5) * 3_600_000)))
+            self.blackouts[name] = _merged(intervals)
 
     def _build_context_rules(self, over):
         """``{sensor: (stressed, calm)}`` for the four sensors that can track stress.
@@ -402,7 +421,9 @@ class _Participant:
         return min(175.0, max(45.0, bpm))
 
     def blacked_out(self, sensor: str, t_ms: int) -> bool:
-        return any(s <= t_ms < e for s, e in self.blackouts[sensor])
+        starts, ends = self.blackouts[sensor]
+        i = bisect.bisect_right(starts, t_ms)
+        return i > 0 and t_ms < ends[i - 1]
 
 
 class _Simulation:
@@ -450,11 +471,12 @@ class _Simulation:
                  for k, axis in enumerate(("x", "y", "z"))]
         return [ppg] + accel
 
-    def _context_values(self, user: _Participant, sensor: str, rng):
+    def _context_values(self, user: _Participant, sensor: str, rng, uniform):
         """The payload function, emit time -> payload, of one context stream.
 
         It is picked once per (user, sensor) stream; each call draws from the
-        stream's ``rng`` what that sensor's payload needs, in a fixed order.
+        stream's ``rng`` what that sensor's payload needs, in a fixed order,
+        its uniform doubles through the stream's ``uniform``.
         """
         tz_offset_ms = self.cfg.tz_offset_ms
 
@@ -476,7 +498,7 @@ class _Simulation:
                 return 0.0 if rng.random() < 0.5 else round(min(8.0, abs(rng.normal(1.2, 1.0))), 2)
         elif sensor in ("device_off", "device_on"):
             def value(t_ms):
-                return round(rng.uniform(*user.context_rule(sensor, t_ms)), 1)
+                return round(uniform(*user.context_rule(sensor, t_ms)), 1)
         elif sensor == "air_pressure":
             def value(t_ms):
                 return round(1008.0 + 6.0 * math.sin(2 * math.pi * t_ms / DAY_MS)
@@ -492,7 +514,7 @@ class _Simulation:
                 return _WEATHER_CHOICES[blocks[min(len(blocks) - 1, t_ms // (3 * 3_600_000))]]
         elif sensor == "wind_degrees":
             def value(t_ms):
-                return round(rng.uniform(0, 360), 0)
+                return round(uniform(0, 360), 0)
         elif sensor == "wind_speed":
             def value(t_ms):
                 return round(min(14.0, abs(rng.normal(3.0, 2.5))), 2)
@@ -503,7 +525,7 @@ class _Simulation:
             # location: zone choice coupled to the latent stress state
             def value(t_ms):
                 zone = int(rng.choice(4, p=user.context_rule(sensor, t_ms)))
-                return self._location_payload(zone, rng)
+                return self._location_payload(zone, rng, uniform)
         return value
 
     def _context_stream(self, user: _Participant, s_idx: int):
@@ -513,30 +535,33 @@ class _Simulation:
         context reader returns, or None while the sensor is blacked out.  The
         stream ends at the study's end.  Its rng draws the first emit time,
         then per emit the payload (nothing while blacked out) and the gap to
-        the next.
+        the next.  Its uniform draws go through :func:`_uniform`; a stream
+        that draws only uniforms takes its doubles from :func:`_bulk_doubles`.
         """
         sensor = CONTEXT_FEATURE_NAMES[s_idx]
         rng = np.random.default_rng([self.cfg.seed, user.index, 4, s_idx])
-        value = self._context_values(user, sensor, rng)
-        t = int(rng.uniform(0, 300_000))
+        uniform = _uniform(_bulk_doubles(rng).__next__ if sensor in _UNIFORM_ONLY_SENSORS
+                           else rng.random)
+        value = self._context_values(user, sensor, rng, uniform)
+        t = int(uniform(0, 300_000))
         while t <= self.end_ms:
             if user.blacked_out(sensor, t):
                 yield t, None
             else:
                 yield t, (user.user_id, t, sensor, value(t))
-            t += int(rng.uniform(60_000, 300_000))
+            t += int(uniform(60_000, 300_000))
 
-    def _location_payload(self, zone_code: int, rng):
+    def _location_payload(self, zone_code: int, rng, uniform):
         zone = self.zone_by_code.get(zone_code)
         if zone is not None:
             anchor, dist = zone, 0.9 * zone.radius_m * math.sqrt(rng.random())
         else:
             # outside (3) or a code with no zone: 5-15 km from the first zone
-            anchor, dist = self.cfg.zones[0], rng.uniform(5_000, 15_000)
-        theta = rng.uniform(0, 2 * math.pi)
+            anchor, dist = self.cfg.zones[0], uniform(5_000, 15_000)
+        theta = uniform(0, 2 * math.pi)
         lat = anchor.lat + (dist * math.cos(theta)) / 111_320.0
         lon = anchor.lon + (dist * math.sin(theta)) / (111_320.0 * math.cos(math.radians(anchor.lat)))
-        return [round(lat, 6), round(lon, 6), round(float(rng.uniform(10, 60)), 1)]
+        return [round(lat, 6), round(lon, 6), round(uniform(10, 60), 1)]
 
     # -- output files ------------------------------------------------------------
 
@@ -544,16 +569,19 @@ class _Simulation:
         os.makedirs(self.out_dir, exist_ok=True)
         paths = {key: os.path.join(str(self.out_dir), name)
                  for key, name in _OUTPUT_FILES.items()}
+        t0 = time.monotonic()
         with _create(paths["context"]) as fh:
             self._write_context(fh)
+        t1 = time.monotonic()
         with _create(paths["bursts"]) as bursts, _create(paths["triggers"]) as triggers:
             answers = self._write_bursts_and_triggers(bursts, triggers)
+        timings = {"context_s": round(t1 - t0, 3), "bursts_s": round(time.monotonic() - t1, 3)}
         write_ema_csv(paths["ema"], (EmaResponse(self.users[user_idx].user_id, answer_ms, level)
                                      for answer_ms, _, user_idx, level in sorted(answers)))
         self.counts["emas"] = len(answers)
         write_csv(paths["latent"], self._latent_rows(), lineterminator="\n")
         dump_zones(paths["zones"], list(self.cfg.zones))
-        return SimResult(paths=paths, counts=self.counts)
+        return SimResult(paths=paths, counts=self.counts, timings=timings)
 
     def _write_context(self, fh):
         """Write context.jsonl: every stream generated on its own, then merged."""
@@ -651,6 +679,41 @@ class _Simulation:
                 if s == len(states) or states[s] != states[run_start]:
                     yield user.user_id, run_start * SLOT_MS, s * SLOT_MS, int(states[run_start])
                     run_start = s
+
+
+def _merged(intervals):
+    """``(starts, ends)`` of the union of ``[start, end)`` intervals, sorted and
+    disjoint, so one bisect finds the interval that may hold a time."""
+    starts, ends = [], []
+    for start, end in sorted(intervals):
+        if ends and start <= ends[-1]:
+            ends[-1] = max(ends[-1], end)
+        elif start < end:
+            starts.append(start)
+            ends.append(end)
+    return starts, ends
+
+
+def _uniform(next_double):
+    """numpy's ``rng.uniform(lo, hi)`` of the doubles ``next_double()`` returns.
+
+    numpy's scalar uniform is ``lo + (hi - lo) * u`` of the generator's next
+    double ``u``, the one ``rng.random()`` would return, so this gives its
+    values bit for bit without its argument checks.
+    """
+    def uniform(lo, hi):
+        return lo + (hi - lo) * next_double()
+    return uniform
+
+
+def _bulk_doubles(rng):
+    """The doubles of ``rng.random()``, drawn ``_DRAW_CHUNK`` at a time.
+
+    Only a stream that draws nothing but doubles can take them in bulk.
+    Memory stays the same whatever the study's length; the doubles left
+    over when the stream ends are never used.
+    """
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_DRAW_CHUNK).tolist(), None))
 
 
 def _create(path):

@@ -166,6 +166,11 @@ class TestSimulate:
                           "prompts": decisions.count("trigger")}
         assert counts["prompts"] > 0
 
+    def test_manifest_times_the_two_passes(self, sim_dir):
+        timings = json.loads((sim_dir / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"total_s", "context_s", "bursts_s"}
+        assert all(0 <= timings[key] <= timings["total_s"] for key in ("context_s", "bursts_s"))
+
     @pytest.mark.parametrize("raw,reason", [
         ({"network": None}, "network must be an object, got null"),
         ({"participants": "x"}, "participants must be an object, got a string"),

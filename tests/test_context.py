@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from stressmon import context
 from stressmon.context import (CONTEXT_FEATURE_NAMES, CUTOFFS, WEATHER_CODES,
                                ContextSchema, GeoZone, assign_location,
                                discretize, dump_zones, extract_context_features,
                                fold_context_jsonl, haversine_m, load_zones, map_weather,
-                               read_context_jsonl, write_context_jsonl)
-from stressmon.errors import DataFormatError
+                               context_record, read_context_jsonl, write_context_jsonl)
+from stressmon.errors import DataFormatError, encode_json
 
 ZONES = [
     GeoZone(code=0, lat=33.6405, lon=-117.8443, radius_m=300.0),
@@ -154,3 +156,59 @@ class TestSchemaAndIo:
         path.write_text(json.dumps([{"code": 0, "lat": 1.0}]))
         with pytest.raises(DataFormatError):
             load_zones(path)
+
+
+def _reference_context_line(user_id, timestamp_ms, sensor, payload, arrival_ms):
+    """A context line as the compact encoder writes the key-ordered record."""
+    rec = {"user_id": user_id, "timestamp_ms": timestamp_ms, "sensor": sensor,
+           "payload": payload}
+    if arrival_ms is not None:
+        rec["arrival_ms"] = arrival_ms
+    return encode_json(rec)
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e22, 123456789.125)
+_AWKWARD_TEXT = ('Cl"ear', "back\\slash", "Nebel \u2013 dicht", "\u96e8", "tab\there", "\ud800",
+                 "\u2028", "", "null")
+_FLOATS = st.floats(width=64) | st.sampled_from(_SPECIAL_FLOATS)
+_INTS = (st.integers() | st.integers(-2 ** 200, 2 ** 200)
+         | st.sampled_from((0, -1, 2 ** 63, -2 ** 63)))
+_PAYLOADS = st.one_of(
+    _FLOATS, _INTS, st.booleans(), st.none(), _FLOATS.map(np.float64),
+    st.text() | st.sampled_from(_AWKWARD_TEXT),
+    st.lists(_FLOATS, max_size=4), st.lists(_FLOATS | _INTS | st.none() | st.text(), max_size=4))
+
+
+class TestContextRecordOracle:
+    """context_record is the compact encoder's text of the record, whatever the values."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(user_id=st.text(min_size=1) | st.sampled_from(_AWKWARD_TEXT).filter(bool),
+           timestamp_ms=_INTS,
+           sensor=st.sampled_from(CONTEXT_FEATURE_NAMES) | st.text(min_size=1),
+           payload=_PAYLOADS,
+           arrival_ms=st.none() | _INTS)
+    @example(user_id="u01", timestamp_ms=0, sensor="device_off", payload=-0.0, arrival_ms=5000)
+    @example(user_id="u01", timestamp_ms=1, sensor="battery_adaptor", payload=True,
+             arrival_ms=None)
+    @example(user_id="u01", timestamp_ms=2, sensor="screen_status", payload=False,
+             arrival_ms=2 ** 70)
+    @example(user_id='u"01', timestamp_ms=3, sensor="speed", payload=math.nan, arrival_ms=None)
+    @example(user_id="u01", timestamp_ms=4, sensor="speed", payload=np.float64(-math.inf),
+             arrival_ms=4)
+    @example(user_id="\u00fc01", timestamp_ms=5, sensor="weather", payload="Mist\\",
+             arrival_ms=None)
+    @example(user_id="u01", timestamp_ms=6, sensor="location",
+             payload=[33.6405, -117.8443, 10.5], arrival_ms=6)
+    def test_matches_encode_json(self, user_id, timestamp_ms, sensor, payload, arrival_ms):
+        assert context_record(user_id, timestamp_ms, sensor, payload, arrival_ms) == \
+            _reference_context_line(user_id, timestamp_ms, sensor, payload, arrival_ms)
+
+    def test_head_table_filled_past_its_bound(self):
+        for i in range(context._CONTEXT_HEADS_MAX + 100):
+            user_id = f"u{i}\"\u00e9"
+            for arrival_ms in (None, i + 5000):
+                assert context_record(user_id, i, "speed", i / 7.0, arrival_ms) == \
+                    _reference_context_line(user_id, i, "speed", i / 7.0, arrival_ms)
+        assert 0 < len(context._CONTEXT_HEADS) <= context._CONTEXT_HEADS_MAX

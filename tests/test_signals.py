@@ -285,6 +285,23 @@ class TestBurstRecordOracle:
              start_time_ms=0, rate_hz=20.0, arrival_ms=None)
     @example(samples=[0.0, -0.0, math.nan, math.inf, -math.inf], user_id="u01",
              channel="accel_z", start_time_ms=900_000, rate_hz=4.0, arrival_ms=901_000)
+    # off-wrist bursts (every sample +0.0) and the -0.0 bursts that are not
+    @example(samples=[0.0] * 2400, user_id="u01", channel="ppg", start_time_ms=0,
+             rate_hz=20.0, arrival_ms=None)
+    @example(samples=[0.0] * 2400, user_id="u01", channel="ppg", start_time_ms=0,
+             rate_hz=20.0, arrival_ms=121_000)
+    @example(samples=[0.0] * 240, user_id="u02", channel="accel_x", start_time_ms=900_000,
+             rate_hz=4.0, arrival_ms=None)
+    @example(samples=[0.0] * 240, user_id="u02", channel="accel_x", start_time_ms=900_000,
+             rate_hz=4.0, arrival_ms=1_021_000)
+    @example(samples=[-0.0] * 2400, user_id="u01", channel="ppg", start_time_ms=0,
+             rate_hz=20.0, arrival_ms=None)
+    @example(samples=[-0.0] * 2400, user_id="u01", channel="ppg", start_time_ms=0,
+             rate_hz=20.0, arrival_ms=121_000)
+    @example(samples=[0.0] * 1200 + [-0.0] + [0.0] * 1199, user_id="u01", channel="ppg",
+             start_time_ms=0, rate_hz=20.0, arrival_ms=None)
+    @example(samples=[0.0] * 1200 + [-0.0] + [0.0] * 1199, user_id="u01", channel="ppg",
+             start_time_ms=0, rate_hz=20.0, arrival_ms=121_000)
     def test_matches_json_dumps(self, samples, user_id, channel, start_time_ms, rate_hz,
                                 arrival_ms):
         burst = SensorBurst(user_id, channel, start_time_ms, rate_hz, samples)

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stressmon import cli
+from stressmon import cli, sim as sim_mod
 from stressmon.cli import featurize_directory
+from stressmon.context import CONTEXT_FEATURE_NAMES
 from stressmon.errors import ConfigError
+from stressmon.sema import DAY_MS
 from stressmon.sim import (CONTEXT_LATENCY_MS, DEFAULT_ZONES, NetworkParams,
-                           ParticipantParams, SimConfig, _arrival_order, run_simulation,
-                           synth_ppg)
+                           ParticipantParams, SimConfig, _arrival_order, _merged, _Simulation,
+                           run_simulation, synth_ppg)
 
 
 def read_jsonl(path):
@@ -343,6 +345,98 @@ class TestContextArrivalOrder:
         merged = list(_arrival_order([iter(s) for s in streams], net.outage_end_after))
         assert merged == _heap_arrival_order(streams, net.outage_end_after)
         assert [snap for _, snap in merged] == ["a0", "b0", "c0", "b1"]
+
+
+def _scalar_context_stream(simulation, user, s_idx, intervals):
+    """A context stream drawn one scalar ``rng`` call at a time.
+
+    This is the stream as it was before bulk draws: every uniform is a
+    scalar ``rng.uniform`` call, in the payload functions too, and a
+    blackout is found by testing each of the sensor's ``intervals``.
+    """
+    sensor = CONTEXT_FEATURE_NAMES[s_idx]
+    rng = np.random.default_rng([simulation.cfg.seed, user.index, 4, s_idx])
+    value = simulation._context_values(user, sensor, rng, rng.uniform)
+    t = int(rng.uniform(0, 300_000))
+    while t <= simulation.end_ms:
+        if any(s <= t < e for s, e in intervals):
+            yield t, None
+        else:
+            yield t, (user.user_id, t, sensor, value(t))
+        t += int(rng.uniform(60_000, 300_000))
+
+
+def _edge_blackouts(times, days):
+    """Blackouts that start on an emit of ``times`` at the start of each day,
+    in the middle and at the end of the study, among them overlapping,
+    nested, touching and empty intervals."""
+    intervals = []
+    for day_ms in range(0, days * DAY_MS, DAY_MS):
+        first = next(i for i, t in enumerate(times) if t >= day_ms)
+        intervals += [(times[first], times[first + 2]), (times[first + 1], times[first + 4])]
+    mid = len(times) // 2
+    intervals += [(times[mid], times[mid + 6]), (times[mid + 1], times[mid + 2]),
+                  (times[mid + 6], times[mid + 8]), (times[mid + 10], times[mid + 10]),
+                  (times[-3], times[-1] + 1)]
+    return intervals
+
+
+class TestBulkDraws:
+    """Every context stream emits what it emitted with one scalar draw at a time."""
+
+    HABITS = {"u02": {"invert_context": True},
+              "u03": {"neutral_context": True},
+              "u04": {"screen_coupled": True, "device_on_coupled": True},
+              "u05": {"invert_context": True, "neutral_context": True,
+                      "screen_coupled": True, "device_on_coupled": True}}
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    @pytest.mark.parametrize("seed,days,edges", [(1, 1, False), (7, 2, False), (2021, 1, True),
+                                                 (3, 3, True)])
+    def test_streams_match_scalar_draws(self, monkeypatch, chunk, seed, days, edges):
+        if chunk is not None:
+            monkeypatch.setattr(sim_mod, "_DRAW_CHUNK", chunk)
+        cfg = SimConfig(n_users=5, days=days, seed=seed, per_user=self.HABITS).validate()
+        simulation = _Simulation(cfg, None)
+        for user in simulation.users:
+            for s_idx, sensor in enumerate(CONTEXT_FEATURE_NAMES):
+                if edges:
+                    times = [t for t, _ in _scalar_context_stream(simulation, user, s_idx, [])]
+                    intervals = _edge_blackouts(times, days)
+                    user.blackouts[sensor] = _merged(intervals)
+                else:
+                    intervals = list(zip(*user.blackouts[sensor]))
+                expected = list(_scalar_context_stream(simulation, user, s_idx, intervals))
+                assert list(simulation._context_stream(user, s_idx)) == expected
+                assert any(rec is None for _, rec in expected) or not intervals
+
+    @pytest.mark.parametrize("chunk", [1, 5, None], ids=["chunk1", "chunk5", "default"])
+    def test_uniform_equals_numpy_uniform(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(sim_mod, "_DRAW_CHUNK", chunk)
+        bounds = [(0, 300_000), (60_000, 300_000), (0.5, 12.0), (45.0, 600.0), (0, 360),
+                  (0, 2 * math.pi), (5_000, 15_000), (10, 60), (-1e300, 1e300), (3.0, 3.0)]
+        scalar = np.random.default_rng(2021)
+        bulk = sim_mod._uniform(sim_mod._bulk_doubles(np.random.default_rng(2021)).__next__)
+        one_by_one = sim_mod._uniform(np.random.default_rng(2021).random)
+        for i in range(3_000):
+            lo, hi = bounds[i % len(bounds)]
+            expected = scalar.uniform(lo, hi).hex()
+            assert bulk(lo, hi).hex() == expected
+            assert one_by_one(lo, hi).hex() == expected
+
+
+class TestBlackouts:
+    """One bisect over the merged intervals finds what a scan of them finds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 20)), max_size=6))
+    def test_bisect_matches_interval_scan(self, spans):
+        intervals = [(start, start + length) for start, length in spans]
+        user = _Simulation(SimConfig().validate(), None).users[0]
+        user.blackouts["speed"] = _merged(intervals)
+        for t in range(-1, 82):
+            assert user.blacked_out("speed", t) == any(s <= t < e for s, e in intervals)
 
 
 class TestConfig:
