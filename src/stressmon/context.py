@@ -30,9 +30,6 @@ CUTOFFS = {
     "wind_speed": (0.0, 2.0, 5.0, 10.0),
 }
 
-#: Features whose raw value feeds the model directly.
-PASSTHROUGH = ("battery_adaptor", "screen_status")
-
 #: Zone code assigned when no configured zone contains the position.
 OUTSIDE_ZONE = 3
 
@@ -145,7 +142,7 @@ def extract_context_features(latest, schema):
             features[name] = map_weather(payload)
         elif name == "location":
             features[name] = assign_location(float(payload[0]), float(payload[1]), schema.zones)
-        else:  # passthrough
+        else:  # battery_adaptor, screen_status: the raw value
             features[name] = float(payload)
     return features
 

@@ -6,16 +6,13 @@ breathing rate.  Standard deviations are population (ddof=0) throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientSpan, NoPlausiblePeaks, TooFewIntervals
 from .signals import SensorBurst
-
-HRV_FEATURE_NAMES = ("bpm", "ibi", "sdnn", "sdsd", "rmssd", "pnn20", "pnn50",
-                     "hr_mad", "sd1", "sd2", "s", "br")
 
 NN_MIN_MS = 300.0
 NN_MAX_MS = 2000.0
@@ -70,6 +67,11 @@ class HrvFeatures:
     sd2: float
     s: float
     br: float
+
+
+#: Column order of the HRV block in the feature matrix: the fields of
+#: ``HrvFeatures``, so ``astuple`` of one burst's features fills the block.
+HRV_FEATURE_NAMES = tuple(f.name for f in fields(HrvFeatures))
 
 
 def detect_peaks(ppg: SensorBurst) -> PeakTrain:

@@ -3,8 +3,9 @@
 A watch actor records a 2-minute PPG burst plus accelerometer every
 15 minutes; a phone actor emits context snapshots every 1-5 minutes; a
 cloud actor timestamps arrivals and runs the smart-EMA trigger rules on a
-timer.  When Wi-Fi is out, watch data falls back to a slower Bluetooth
-relay and context snapshots buffer until the outage ends.  A synthetic
+timer.  Wi-Fi is out over the union of the listed outages; while it is
+out, watch data falls back to a slower Bluetooth relay and context
+snapshots buffer until it is back.  A synthetic
 participant's latent two-state stress process drives heart rate, context
 patterns and EMA answers; the latent trace is exported only so tests can
 check against ground truth.  Four context sensors can track that state:
@@ -29,18 +30,20 @@ bursts that arrived strictly before it; one pass interleaves the two
 files.  EMA answers are collected and written sorted by (answer time,
 prompt time, user).  Each (user, sensor) context stream reads only its own
 generator, the latent stress trace and its blackouts, so it is generated
-on its own, and the streams are merged into context.jsonl by arrival
-(see ``_arrival_order``), keeping in memory only the snapshots still in
-flight.  A stream's uniform draws are numpy's ``uniform`` mapping of the
-generator's doubles (``_uniform``).  The five streams that draw nothing
-but doubles take them from ``rng.random`` refills of ``_DRAW_CHUNK``
-doubles, so their memory does not grow with the study's length.  A
-sensor's blackouts are held merged and sorted, and one bisect tells
-whether an emit falls in one.
+on its own.  The streams are merged into context.jsonl in the order
+their emits are handled, which is arrival order (see ``_arrival_order``),
+so each snapshot is written as it is emitted.  A stream's uniform draws
+are numpy's ``uniform`` mapping of the generator's doubles (``_uniform``).
+The five streams that draw nothing but doubles take them from
+``rng.random`` refills of ``_DRAW_CHUNK`` doubles, so their memory does
+not grow with the study's length.  A sensor's blackouts and the Wi-Fi
+outages are held merged and sorted, and one bisect tells whether a time
+falls in one and when it ends.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import json
@@ -125,13 +128,16 @@ _OVERRIDE_FLAGS = ("invert_context", "neutral_context", "screen_coupled",
 
 @dataclass
 class NetworkParams:
-    wifi_outages_ms: tuple = ()          # absolute (start, end) pairs
+    wifi_outages_ms: tuple = ()          # absolute (start, end) pairs, in any order
+
+    @functools.cached_property
+    def _wifi_down(self):
+        """The union of the outages, merged once (``validate`` makes new params)."""
+        return _merged(self.wifi_outages_ms)
 
     def outage_end_after(self, t_ms: int) -> int:
-        for s, e in self.wifi_outages_ms:
-            if s <= t_ms < e:
-                return e
-        return t_ms
+        """The first time at or after ``t_ms`` that no listed outage covers."""
+        return _end_after(self._wifi_down, t_ms)
 
 
 @dataclass
@@ -149,7 +155,9 @@ class SimConfig:
 
     * ``n_users``, ``days``, ``seed``: the cohort's size, length and seed;
     * ``tz_offset_ms``: the local-time offset the sEMA rules run on;
-    * ``network``: ``wifi_outages_ms``, a list of ``[start, end]`` epoch ms;
+    * ``network``: ``wifi_outages_ms``, a list of ``[start, end]`` epoch ms
+      in any order.  Wi-Fi is out over the union of the listed outages, so
+      context snapshots arrive in the order their emits are handled;
     * ``participants``: ``baseline_bpm_range`` (``[low, high]``),
       ``stress_bpm_delta`` and ``ema_compliance``;
     * ``per_user``: user id (``u01``, ``u02``, ...) -> an object of
@@ -205,7 +213,7 @@ class SimConfig:
             raise ConfigError(f"wifi_outages_ms: {err}") from err
         if any(start >= end for start, end in outages):
             raise ConfigError("wifi_outages_ms: a wifi outage must end after it starts")
-        self.network.wifi_outages_ms = outages
+        self.network = NetworkParams(outages)
         self._validate_per_user()
         return self
 
@@ -421,9 +429,7 @@ class _Participant:
         return min(175.0, max(45.0, bpm))
 
     def blacked_out(self, sensor: str, t_ms: int) -> bool:
-        starts, ends = self.blackouts[sensor]
-        i = bisect.bisect_right(starts, t_ms)
-        return i > 0 and t_ms < ends[i - 1]
+        return _end_after(self.blackouts[sensor], t_ms) != t_ms
 
 
 class _Simulation:
@@ -694,6 +700,14 @@ def _merged(intervals):
     return starts, ends
 
 
+def _end_after(merged, t_ms):
+    """The first time at or after ``t_ms`` that no interval of ``_merged``'s
+    ``(starts, ends)`` holds: ``t_ms`` itself when none does."""
+    starts, ends = merged
+    i = bisect.bisect_right(starts, t_ms)
+    return ends[i - 1] if i and t_ms < ends[i - 1] else t_ms
+
+
 def _uniform(next_double):
     """numpy's ``rng.uniform(lo, hi)`` of the doubles ``next_double()`` returns.
 
@@ -724,43 +738,28 @@ def _arrival_order(streams, outage_end_after):
     """Merge context streams into ``(arrival_ms, record)`` in delivery order.
 
     ``streams`` yield ``(emit_ms, record or None)`` in emit order; a record
-    sent at ``t`` arrives at ``outage_end_after(t) +
-    CONTEXT_LATENCY_MS``.  The order is that of one event queue ordered by
-    (time, order of scheduling), in which handling an emit schedules its
-    arrival and then the stream's next emit:
-
-    * emits go by (emit time, the rank at which the stream's previous emit
-      was handled); the first emits of all streams come ahead of the rest,
-      in stream order;
-    * arrivals go by (arrival time, the rank of the emit that sent them).
-
-    An arrival is yielded once no later emit can arrive before it: every
-    emit at ``t`` or after arrives at ``t + CONTEXT_LATENCY_MS`` or after,
-    with a higher rank, because ``outage_end_after(t) >= t``.  So memory
-    holds the records in flight, not all of them.
+    sent at ``t`` arrives at ``outage_end_after(t) + CONTEXT_LATENCY_MS``.
+    Emits are handled by (emit time, the rank at which the stream's previous
+    emit was handled), the first emits of all streams first, in stream
+    order.  Wi-Fi is out over the union of the outages, so arrival times
+    never decrease in handling order: each record is yielded as its emit is
+    handled.
     """
     emits = [(first[0], i - len(streams), i, first[1])   # first emits rank below 0
              for i, first in enumerate(next(stream, None) for stream in streams)
              if first is not None]
     heapq.heapify(emits)
-    in_flight = []          # (arrival_ms, rank, record)
     rank = 0
     while emits:
         t, _, i, rec = emits[0]
-        while in_flight and in_flight[0][0] <= t + CONTEXT_LATENCY_MS:
-            arrival_ms, _, sent = heapq.heappop(in_flight)
-            yield arrival_ms, sent
         if rec is not None:
-            heapq.heappush(in_flight, (outage_end_after(t) + CONTEXT_LATENCY_MS, rank, rec))
+            yield outage_end_after(t) + CONTEXT_LATENCY_MS, rec
         following = next(streams[i], None)
         if following is None:
             heapq.heappop(emits)
         else:
             heapq.heapreplace(emits, (following[0], rank, i, following[1]))
         rank += 1
-    while in_flight:
-        arrival_ms, _, sent = heapq.heappop(in_flight)
-        yield arrival_ms, sent
 
 
 def run_simulation(config: SimConfig, out_dir) -> SimResult:

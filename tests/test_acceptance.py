@@ -18,7 +18,7 @@ from test_hrv import modulated_nn, oracle_features
 from test_signals import analog_gain_oracle, measure_tone_gain
 
 from stressmon import cli, hrv, sema, signals
-from stressmon.dataset import binarize, knn_impute
+from stressmon.dataset import binarize, knn_impute, write_matrix_csv
 from stressmon.learn import ModelSpec, grouped_cv, personalization_eval, split_users_into_folds
 from stressmon.cli import _restrict_features, featurize_directory
 from stressmon.explain import shap_values
@@ -246,16 +246,41 @@ STUDY_CONFIG = dict(
 )
 
 
-def test_c09_synthetic_study(tmp_path):
+@pytest.fixture(scope="module")
+def c09_study(tmp_path_factory):
+    """The full study, simulated and featurized once: its matrix and seconds."""
     t0 = time.monotonic()
-    run_simulation(SimConfig(**STUDY_CONFIG), tmp_path / "study")
-    matrix = featurize_directory(tmp_path / "study")
+    out = tmp_path_factory.mktemp("c09")
+    run_simulation(SimConfig(**STUDY_CONFIG), out / "study")
+    return featurize_directory(out / "study"), time.monotonic() - t0
+
+
+#: What c09 produces: the sha256 of its matrix.csv, each fold F1 of both
+#: grouped CVs and each user's (before, after) personalization F1.  A change
+#: that alters them on purpose records them again and says why.
+C09_MATRIX_SHA256 = "e43ccae98bf9fe3671e272f898ab52649f2ac26219ade9548bc4ae0718416789"
+C09_FOLD_F1 = {
+    "all": [0.7193675889328063, 0.7629157820240623, 0.753822629969419, 0.5402684563758389,
+            0.2630813953488372],
+    "ppg": [0.5719257540603248, 0.45392822502424834, 0.40374787052810907, 0.5377990430622009,
+            0.5513918629550322],
+}
+C09_PERSONALIZATION_F1 = {"u09": (0.4920993227990971, 0.5532994923857868),
+                          "u10": (0.5714285714285715, 0.5119617224880384),
+                          "u11": (0.3354838709677419, 0.5037037037037038)}
+
+
+def test_c09_synthetic_study(c09_study):
+    matrix, study_s = c09_study
+    t0 = time.monotonic()
 
     mean_f1 = {}
+    fold_f1 = {}
     for features in ("all", "ppg"):
         view = _restrict_features(matrix, features)
         rep = grouped_cv(view, ModelSpec(kind="rf", depth=5), folds=5, seed=7)
         mean_f1[features] = rep.mean_f1
+        fold_f1[features] = rep.fold_f1s
     gap = mean_f1["all"] - mean_f1["ppg"]
     assert gap >= 0.05, mean_f1
 
@@ -268,13 +293,21 @@ def test_c09_synthetic_study(tmp_path):
     wins = sum(after > before for before, after in gains.values())
     assert wins >= 2, gains
 
-    elapsed = time.monotonic() - t0
+    elapsed = study_s + time.monotonic() - t0
     assert elapsed < 600.0
+    assert fold_f1 == C09_FOLD_F1
+    assert gains == C09_PERSONALIZATION_F1
     gain_txt = ", ".join(f"{u} {b:.2f}->{a:.2f}" for u, (b, a) in gains.items())
     report(9, f"multimodal F1 {mean_f1['all']:.3f} vs PPG-only "
               f"{mean_f1['ppg']:.3f} (gap {100 * gap:.1f} pts); "
               f"personalization {gain_txt} ({wins}/3 improve); "
               f"end-to-end {elapsed:.0f}s")
+
+
+def test_c09_matrix_keeps_its_bytes(c09_study, tmp_path):
+    write_matrix_csv(c09_study[0], tmp_path / "matrix.csv")
+    assert hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest() \
+        == C09_MATRIX_SHA256
 
 
 def test_c10_pipeline_determinism(tmp_path):

@@ -319,6 +319,8 @@ MODEL = {"kind": "random_forest", "feature_names": ["bpm", "speed"],
                     "left": dict(_LEAF, probability=0.25, class_counts=[3, 1]),
                     "right": dict(_LEAF, probability=0.75, class_counts=[1, 3])}]}
 DOCUMENTS = {"config": CONFIG, "zones": ZONES, "model": MODEL}
+#: What the CLI calls each document in its error messages.
+DOCUMENT_KINDS = {"config": "simulation config", "zones": "zone config", "model": "model file"}
 PYTHON_ERRORS = ("object is not", "has no attribute", "indices must be", "cannot convert")
 
 
@@ -358,28 +360,8 @@ def test_one_corrupt_value_of_a_document_is_accepted_or_named(doc, pick, how):
     text = corrupt_document(DOCUMENTS[doc], paths[pick % len(paths)], how)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{doc}.json")
-        with open(path, "w") as fh:
-            fh.write(text)
-        if doc == "config":
-            what = "simulation config"
-            rc, err = run_cli(["simulate", "--config", path, "--out", os.path.join(tmp, "o")])
-        elif doc == "zones":
-            what = "zone config"
-            for name, empty in (("bursts.jsonl", ""), ("ema.csv", EMA_HEADER)):
-                with open(os.path.join(tmp, name), "w") as fh:
-                    fh.write(empty)
-            rc, err = run_cli(["featurize", "--data", tmp, "--zones", path,
-                               "--out", os.path.join(tmp, "m.csv")])
-        else:
-            what = "model file"
-            matrix = os.path.join(tmp, "m.csv")
-            with open(matrix, "w") as fh:
-                fh.write(csv_text([MATRIX_HEADER] + [
-                    [f"u0{u}", str(w * 900_000), str((u + w) % 2), str(60 + u + w), str(w % 3)]
-                    for u in range(1, 4) for w in range(4)]))
-            rc, err = run_cli(["explain", "--model", path, "--matrix", matrix,
-                               "--max-rows", "2", "--background", "4",
-                               "--out", os.path.join(tmp, "x")])
+        rc, err = run_on_document(doc, text, tmp)
+    what = DOCUMENT_KINDS[doc]
     assert rc in (cli.EXIT_OK, cli.EXIT_DATA), (rc, err)
     if rc == cli.EXIT_DATA:
         assert err.startswith(f"error: {path}: bad {what}: "), err

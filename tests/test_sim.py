@@ -155,13 +155,16 @@ class TestGoldenOutputs:
 class TestGoldenOutageOrder:
     """Bytes that pin the order in which delayed context snapshots arrive.
 
-    Snapshots emitted during a Wi-Fi outage all arrive at its end, so their
+    Snapshots emitted while Wi-Fi is out all arrive when it is back, so their
     order in context.jsonl is decided by emit order and tie-breaking alone.
-    The outages start at 0, overlap with the inner one listed first (so the
-    end a snapshot waits for is not monotone in its emit time: 1:00-1:30 waits
-    for 1:30, 0:30-1:00 and 1:30-3:00 for 3:00), and run past the study's end.
-    Every habit override is on.  The digests were recorded with the
-    simulator's single event heap, before context left it.
+    The outages start at 0, nest and overlap with the inner ones listed
+    first, and the last runs past the study's end.  Wi-Fi is out over their
+    union, so every snapshot emitted before 3:00 waits for 3:00, whichever
+    listed outage it falls in.  Every habit override is on.  The digests
+    were recorded with the simulator's single event heap, before context
+    left it; context.jsonl's was recorded again when the outages became
+    their union (before, a snapshot waited for the end of the first listed
+    outage holding it, and 943 were uploaded while Wi-Fi was still out).
     """
 
     CONFIG = {"n_users": 4, "days": 2, "seed": 31, "tz_offset_ms": -25_200_000,
@@ -177,7 +180,7 @@ class TestGoldenOutageOrder:
                                    "stress_bpm_delta": 0.0}}}
     SHA256 = {
         "bursts.jsonl": "807c61bfae2d90434f61a4581fbd45add1f0bb3db1f64fa0615d433c871c3ffc",
-        "context.jsonl": "f62a0655355b18a2b1c557c29df4dd10135dff9420f77046b79f6ae52b1e7255",
+        "context.jsonl": "f44c3c65477a9c8a97d486e73caa22ccd14d0ea960dc9da428df76743e04c91c",
         "ema.csv": "cb4c3b5b3b6af71b6f6133abc280dcd78b46ca889fbaafab162f9bbeeb99c44b",
         "triggers.jsonl": "59f51515dddd94ac1b39afcbcba0e732c6ceb9388c626af33b106379bba56f22",
         "latent.csv": "7ee5b8fdbc01969c8861af7f1131cdc61edf5f85b0abf83c73167a908bb06dd6",
@@ -185,18 +188,25 @@ class TestGoldenOutageOrder:
     }
 
     @pytest.fixture(scope="class")
-    def outputs(self, tmp_path_factory):
+    def sim_dir(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("golden_outage")
         (root / "config.json").write_text(json.dumps(self.CONFIG))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["simulate", "--config", str(root / "config.json"),
                              "--out", str(root / "sim")]) == 0
-        return {name: hashlib.sha256((root / "sim" / name).read_bytes()).hexdigest()
-                for name in self.SHA256}
+        return root / "sim"
 
     @pytest.mark.parametrize("name", list(SHA256))
-    def test_simulate_file(self, outputs, name):
-        assert outputs[name] == self.SHA256[name]
+    def test_simulate_file(self, sim_dir, name):
+        assert hashlib.sha256((sim_dir / name).read_bytes()).hexdigest() == self.SHA256[name]
+
+    def test_no_snapshot_is_uploaded_while_wifi_is_out(self, sim_dir):
+        outages = self.CONFIG["network"]["wifi_outages_ms"]
+        uploads = [rec["arrival_ms"] - CONTEXT_LATENCY_MS
+                   for rec in read_jsonl(sim_dir / "context.jsonl")]
+        inside = [t for t in uploads if any(s <= t < e for s, e in outages)]
+        assert len(inside) == 0, f"{len(inside)} of {len(uploads)} uploaded during an outage"
+        assert 10_800_000 in uploads        # the snapshots held back by the union
 
 
 class TestGoldenHabitCombinations:
@@ -323,8 +333,8 @@ class TestContextArrivalOrder:
     @given(grids=st.lists(st.lists(st.tuples(st.integers(0, 60), st.booleans()),
                                    max_size=12), max_size=8),
            outages=st.lists(st.tuples(st.integers(0, 600), st.integers(1, 300)), max_size=4))
-    # sent at 1 s the snapshot waits for 2.8 s; sent at 2 s, for the inner
-    # outage's 2.3 s, so it arrives first although it was sent later
+    # the outages nest: sent at 1 s and at 2 s, both snapshots wait for the
+    # outer outage's 2.8 s, not the inner one's 2.3 s, and arrive in send order
     @example(grids=[[(1, True)], [(2, True)]], outages=[(15, 8), (0, 28)])
     def test_matches_event_heap(self, grids, outages):
         streams = []
@@ -437,6 +447,26 @@ class TestBlackouts:
         user.blackouts["speed"] = _merged(intervals)
         for t in range(-1, 82):
             assert user.blacked_out("speed", t) == any(s <= t < e for s, e in intervals)
+
+
+class TestWifiOutages:
+    """Wi-Fi is out over the union of the listed outages, however they lie."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 20)), max_size=6))
+    # sent at 20 inside both outages, a snapshot waits for the outer outage's
+    # 28, not for the end, 23, of the first one listed
+    @example(spans=[(15, 8), (0, 28)])
+    def test_end_after_matches_interval_scan(self, spans):
+        outages = tuple((start, start + length) for start, length in spans)
+        net = NetworkParams(wifi_outages_ms=outages)
+        ends = [net.outage_end_after(t) for t in range(-1, 82)]
+        for t, end in zip(range(-1, 82), ends):
+            free = t            # the first time at or after t that no outage covers
+            while any(s <= free < e for s, e in outages):
+                free += 1
+            assert end == free
+        assert ends == sorted(ends)
 
 
 class TestConfig:
