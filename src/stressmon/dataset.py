@@ -5,7 +5,10 @@ subsequent self-report of the same user (within an 8-hour horizon), the
 5-point Likert answer is binarized (1 -> 0, 2..5 -> 1), and missing
 contextual cells are filled with a k-nearest-neighbor weighted average
 over standardized rows.  One exact neighbour search, :func:`nearest_rows`,
-serves the imputer and the k-NN classifier.
+serves the imputer and the k-NN classifier: a matrix product per block of
+query rows screens the candidates under a derived rounding bound, and only
+those are measured with the exact distance expression.  The imputer then
+fills all missing cells in one pass, grouped by how many donors each uses.
 """
 from __future__ import annotations
 
@@ -28,8 +31,9 @@ from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
 DEFAULT_IMPUTE_WEIGHTING = "inverse_distance"
-# Cells (query rows x training rows x features) of one distance block: 2 MB
-# of float64, so memory stays bounded whatever the number of query rows.
+# Cells (query rows x training rows) of one distance block: 2 MB of float64
+# per array the screen holds, so memory stays bounded whatever the number of
+# query rows.
 _BLOCK_CELLS = 1 << 18
 # PPG bursts band-passed per call of the filter kernel.  The call's one
 # sample-major buffer, about 20 MB of float64 for two-minute bursts, is the
@@ -188,24 +192,75 @@ def nearest_rows(z_train: np.ndarray, z_query: np.ndarray, k: int, exclude=None)
     the lower training row.  ``exclude[i]``, when given, is a training row
     that query row ``i`` must not pick (its own row when the queries are the
     training rows); it is given an infinite distance.
+
+    A distance is ``sqrt(sum((q - z)**2))``, computed as written.  Evaluating
+    it for every pair costs d passes over a (query, train) block, so the
+    search screens first: one matrix product per block of query rows gives
+    each squared distance as |q|^2 + |z|^2 - 2 q.z, and a rounding bound
+    (derived in the body) brackets the exact expression's result.  Only the
+    cells whose lower bracket is at or below the row's k-th smallest upper
+    bracket can be among its k nearest; those alone are recomputed exactly
+    and ordered by (row, distance, column), so the result is the one the
+    exhaustive search gives, bit for bit.
     """
     n, d = z_train.shape
     m = z_query.shape[0]
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    step = max(1, _BLOCK_CELLS // max(1, n * d))
+    # The screen's margin.  For a query row q and a training row z, let
+    # S = |q|^2 + |z|^2, D2 = sum((q - z)**2) exactly, u = 2**-53.  Higham's
+    # gamma_n = n u / (1 - n u) (Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., 3.1) bounds an n-term sum of products in any
+    # summation order, with or without FMA, so it holds for whatever order
+    # the BLAS picks:
+    # - the exact expression t rounds each difference and square once, then
+    #   sums d terms: |t - D2| <= gamma_{d+2} D2 <= 2 gamma_{d+2} S, as
+    #   D2 <= 2 S;
+    # - the estimate e = fl(fl(qq + zz) - 2 qz) takes the computed norms qq
+    #   and zz, each within gamma_d |.|^2, and the product qz, within
+    #   gamma_d |q||z| <= gamma_d S / 2; its two roundings add u (qq + zz)
+    #   and u |e| <= 2 u S: |e - D2| <= (2 gamma_d + 3u) S + O(d u^2) S;
+    # - the norms' own error: the scale s = fl(qq + zz) the margin is taken
+    #   of is at least S (1 - gamma_{d+1});
+    # - forming e -/+ margin rounds by at most u (e + margin) <= 3 u S.
+    # Together that is (4d + 10) u S + O(d^2 u^2) S, under gamma_{4d+16} s
+    # for any d below 10**6.  Each of the 3d products and squares that
+    # underflows may lose half a subnormal ulp, 2**-1075, beyond its relative
+    # bound; (4d + 16) times the smallest normal covers them.  The bracket is
+    # taken in sqrt space, through the same correctly rounded (so monotone)
+    # sqrt the exact distance takes: two sums that round to one distance
+    # stay tied, and the tie still goes to the lower row.
+    u = np.finfo(float).epsneg  # 2**-53
+    rel = (4 * d + 16) * u / (1 - (4 * d + 16) * u)  # gamma_{4d+16}
+    absolute = (4 * d + 16) * np.finfo(float).tiny
+    train_sq = (z_train ** 2).sum(axis=1)
+    step = max(1, _BLOCK_CELLS // max(1, n))
     for start in range(0, m, step):
         block = z_query[start:start + step]
         b = block.shape[0]
-        dd = np.sqrt(((z_train[None] - block[:, None]) ** 2).sum(axis=2))
+        e = block @ z_train.T
+        margin = (block ** 2).sum(axis=1)[:, None] + train_sq
+        e *= -2.0
+        e += margin
+        margin *= rel
+        margin += absolute
+        hi = np.sqrt(e + margin)
+        e -= margin
+        del margin
+        lo = np.sqrt(np.maximum(e, 0.0, out=e), out=e)
         if exclude is not None:
-            dd[np.arange(b), exclude[start:start + step]] = np.inf
-        # Every cell at or below a row's k-th smallest distance is a
-        # candidate; sorting them by (row, distance, column) puts each row's
+            ex = exclude[start:start + step]
+            lo[np.arange(b), ex] = hi[np.arange(b), ex] = np.inf
+        # A cell whose distance is at or below the row's k-th smallest is
+        # at or below its k-th smallest upper bracket; a NaN bracket (a
+        # non-finite or overflowing row) compares false and is kept.
+        hi.partition(k - 1, axis=1)
+        rows, cols = np.nonzero(~(lo > hi[:, k - 1:k]))
+        cand = np.sqrt(((z_train[cols] - block[rows]) ** 2).sum(axis=1))
+        if exclude is not None:
+            cand[cols == ex[rows]] = np.inf
+        # Sorting the candidates by (row, distance, column) puts each row's
         # k nearest first, ties to the lower training row.
-        kth = np.partition(dd, k - 1, axis=1)[:, k - 1:k]
-        rows, cols = np.nonzero(dd <= kth)
-        cand = dd[rows, cols]
         order = np.lexsort((cols, cand, rows))
         first = np.searchsorted(rows, np.arange(b))  # nonzero lists rows in order
         take = order[first[:, None] + np.arange(k)]
@@ -223,6 +278,14 @@ class KnnImputer:
     values in that column (found by :func:`nearest_rows`), preferring
     originally observed donor values and falling back to the donors'
     mean-imputed values when none were observed.
+
+    :meth:`transform` fills every missing cell in one pass: each cell's
+    used donors are packed to the front in nearest-first order, and the
+    cells that use u donors are averaged together as a C-contiguous
+    (cells, u) block by ``np.vecdot(w, v) / w.sum(axis=1)``.  Each row of
+    such a block goes through the same dot kernel and the same pairwise sum
+    as ``np.dot(w, v) / w.sum()`` over that cell's donors alone, so a cell's
+    value does not depend on the other cells filled with it.
     """
 
     def __init__(self, k: int = DEFAULT_IMPUTE_K,
@@ -267,16 +330,25 @@ class KnnImputer:
         neighbours, distances = nearest_rows(
             self.z_, z[todo], k_eff,
             exclude=None if exclude is None else np.asarray(exclude)[todo])
-        for i, nbrs, dists in zip(todo, neighbours, distances):
-            for j in np.flatnonzero(missing[i]):
-                donors = ~self.train_missing_[nbrs, j]
-                use = np.flatnonzero(donors) if donors.any() else np.arange(len(nbrs))
-                if self.weighting == "inverse_distance":
-                    w = 1.0 / (dists[use] + 1e-9)
-                else:
-                    w = np.ones(len(use))
-                vals = self.working_[nbrs[use], j]
-                out[i, j] = float(np.dot(w, vals) / w.sum())
+        # One entry per missing cell: its query row (into todo) and column.
+        row, col = np.nonzero(missing[todo])
+        donors = ~self.train_missing_[neighbours[row], col[:, None]]
+        donors[~donors.any(axis=1)] = True  # none observed: every neighbour
+        used = donors.sum(axis=1)
+        # Stable: the used donors move to the front in nearest-first order.
+        pack = np.argsort(~donors, axis=1, kind="stable")
+        nbrs = np.take_along_axis(neighbours[row], pack, axis=1)
+        if self.weighting == "inverse_distance":
+            w = 1.0 / (np.take_along_axis(distances[row], pack, axis=1) + 1e-9)
+        else:
+            w = np.ones(nbrs.shape)
+        v = self.working_[nbrs, col[:, None]]
+        fill = np.empty(len(row))
+        for u in np.unique(used):
+            group = used == u
+            wg = np.ascontiguousarray(w[group, :u])
+            fill[group] = np.vecdot(wg, np.ascontiguousarray(v[group, :u])) / wg.sum(axis=1)
+        out[todo[row], col] = fill
         return out
 
 
@@ -327,17 +399,37 @@ def _matrix(lines) -> FeatureMatrix:
 
     The header names each feature column once.  Every row has the
     header's cell count, a non-empty user id, a window start in 0..2**63-1
-    and a label that is empty (unlabeled), ``0`` or ``1``.
+    and a label that is empty (unlabeled), ``0`` or ``1``.  Every line ends
+    with a line end, as the writer ends it: a file cut short inside its last
+    line could otherwise read as a shorter number or an empty (missing) cell.
     """
-    reader = csv.reader(lines)
+    last = ""
+
+    def ended(line):
+        nonlocal last
+        last = line
+        return line
+
+    def check_ended():
+        if not last.endswith("\n"):
+            raise ValueError(f"the line has no line end, so the file may be cut short"
+                             f" inside its last cell, {header[-1]}")
+
+    reader = csv.reader(map(ended, lines))
     header = next(reader, [])
     if header[:3] != ["user_id", "window_start_ms", "label"]:
         raise ValueError(f"unexpected header {header[:3]}")
+    check_ended()
     columns = tuple(strict_unique(header[3:], "column names"))
     groups, starts, labels, rows = [], [], [], []
     for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+        if len(row) < len(header):
+            raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
+                             f" no cell under {', '.join(header[len(row):])}")
+        if len(row) > len(header):
+            raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
+                             f" cells past the last column, {header[-1]}")
+        check_ended()
         if row[2] not in ("", "0", "1"):
             raise ValueError(f"label must be empty, 0 or 1, got {row[2]!r}")
         # None: missing, NaN in values

@@ -300,6 +300,76 @@ def test_one_corrupt_field_is_parsed_alike_or_named(fmt, pick, how, before, blan
         assert got == expected
 
 
+# -- changing the shape of a matrix CSV ---------------------------------------
+
+SHAPES = ("drop_cell", "add_cell", "reorder_header", "truncate_line")
+
+
+def reshape_matrix(rows, how, pick):
+    """(text, line) of matrix ``rows`` (header first) with the shape of the
+    line numbered ``line`` changed as ``how`` says.
+
+    A dropped or added cell changes the second-to-last row.  A reordered
+    header moves the cells of every row with it, so the file still holds
+    the same table.  A truncated line is the file cut short inside its last
+    line, by anything from one character (its line end) to all but one.
+    """
+    rows = [list(row) for row in rows]
+    target = len(rows) - 2
+    if how == "drop_cell":
+        del rows[target][pick % len(rows[target])]
+    elif how == "add_cell":
+        rows[target].insert(pick % (len(rows[target]) + 1), ("", "0", "1.5", "x")[pick % 4])
+    elif how == "reorder_header":
+        perm = list(range(len(rows[0])))
+        i, j = pick % len(perm), pick // len(perm) % (len(perm) - 1)
+        perm.insert(j + (j >= i), perm.pop(i))  # move column i elsewhere
+        rows = [[row[c] for c in perm] for row in rows]
+        return csv_text(rows), 1
+    else:
+        text = csv_text(rows)
+        last = text.rstrip("\r\n").rfind("\n") + 1
+        cut = last + 1 + pick % (len(text) - last - 1)
+        return text[:cut], len(rows)
+    return csv_text(rows), target + 1
+
+
+def matrix_by_column(parsed):
+    """A matrix's parse keyed by column name, so a column's place is free."""
+    key = {"rows": parse_key("matrix", parsed)}
+    key["rows"] = [row[:3] for row in key["rows"]]
+    for j, name in enumerate(parsed.columns):
+        key[name] = [repr(x) for x in parsed.values[:, j].tolist()]
+    return key
+
+
+@settings(max_examples=150, deadline=None)
+@given(how=st.sampled_from(SHAPES), pick=st.integers(0, 10**6), before=st.integers(0, 3))
+def test_a_reshaped_matrix_is_parsed_alike_or_named(how, pick, before):
+    """A matrix CSV with a cell dropped or added, its columns reordered or
+    its last line cut short parses as before (exit 0), or the CLI exits 3
+    naming the line and a column, never a Python type."""
+    rows = [MATRIX_HEADER] + [MATRIX_ROWS[i % 2] for i in range(before + 2)]
+    text, lineno = reshape_matrix(rows, how, pick)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "matrix.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(csv_text(rows))
+        expected = matrix_by_column(read_matrix_csv(path))
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            got = matrix_by_column(read_matrix_csv(path))
+        except DataFormatError:
+            rc, err = run_cli(["train-eval", "--matrix", path, "--out", os.path.join(tmp, "e")])
+            assert_rejected(rc, err, f"matrix.csv:{lineno}:")
+            reason = err.split(f"matrix.csv:{lineno}:", 1)[1]
+            assert any(name in reason for name in MATRIX_HEADER), err
+            assert not PYTHON_TYPE_NAME.search(err), err
+            return
+    assert got == expected, (how, text)
+
+
 # -- corrupting one value of a whole-file document -----------------------------
 
 ZONES = [{"code": 0, "lat": 33.6405, "lon": -117.8443, "radius_m": 300.0},
