@@ -8,6 +8,7 @@ errors, 3 data/config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -245,12 +246,13 @@ def cmd_train_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    t0 = time.monotonic()
+    marks = [time.monotonic()]  # then the end of each timed stage
     model = load_model_json(args.model)
     limit = explain_mod.MAX_EXACT_FEATURES
     if len(model.feature_names) > limit:
         raise TooManyFeatures(f"{args.model}: {len(model.feature_names)} features > {limit}; "
                               f"train with --select-top {limit} or fewer")
+    marks.append(time.monotonic())
     labeled = dataset.read_matrix_csv(args.matrix).labeled()
     _require_columns(args.matrix, labeled, model.feature_names, f"the model {args.model}")
     labeled = _drop_rows_without_hrv(labeled, model.feature_names)
@@ -258,6 +260,7 @@ def cmd_explain(args) -> int:
     n = labeled.n_rows
     if n == 0:
         raise StressmonError(f"{args.matrix}: no labeled rows to explain")
+    marks.append(time.monotonic())
     rng = np.random.default_rng([args.seed, 11])
     bg_rows = np.sort(rng.choice(n, size=min(args.background, n), replace=False))
     explained = np.sort(rng.choice(n, size=min(args.max_rows, n), replace=False))
@@ -270,10 +273,12 @@ def cmd_explain(args) -> int:
     cols = [labeled.columns.index(c) for c in model.feature_names]
     background = completed[np.searchsorted(sampled, bg_rows)][:, cols]
     rows = completed[np.searchsorted(sampled, explained)][:, cols]
+    marks.append(time.monotonic())
 
     explanations = explain_mod.explain_rows(model, rows, background)
     ranking = explain_mod.mean_abs_ranking(explanations)
     records = explain_mod.beeswarm_records(explanations)
+    marks.append(time.monotonic())
 
     os.makedirs(args.out, exist_ok=True)
     ranking_path = os.path.join(args.out, "shap_ranking.json")
@@ -281,9 +286,14 @@ def cmd_explain(args) -> int:
                               for name, value in ranking], indent=2)
     beeswarm_path = os.path.join(args.out, "beeswarm.csv")
     explain_mod.write_beeswarm_csv(beeswarm_path, records)
+    marks.append(time.monotonic())
+    # whole milliseconds from the start, so the stages sum to at most the total
+    ms = [round((t - marks[0]) * 1000) for t in [*marks, time.monotonic()]]
+    timings = {f"{stage}_s": (end - start) / 1000
+               for stage, start, end in zip(("load", "read", "impute", "shap", "write"),
+                                            ms, ms[1:])}
     write_manifest(args.out, "explain", args.seed, [args.model, args.matrix],
-                   [ranking_path, beeswarm_path],
-                   {"total_s": round(time.monotonic() - t0, 3)},
+                   [ranking_path, beeswarm_path], {"total_s": ms[-1] / 1000, **timings},
                    counts={"rows_explained": len(rows), "background_rows": len(background),
                            "features": len(model.feature_names)})
     top = ", ".join(f"{name}={value:.4f}" for name, value in ranking[:5])
@@ -357,7 +367,10 @@ def _add_model_flags(parser):
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(prog="stressmon",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

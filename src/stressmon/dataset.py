@@ -394,14 +394,14 @@ def sidecar_path(csv_path):
     return str(csv_path) + ".meta.json"
 
 
-def _matrix(lines) -> FeatureMatrix:
-    """The FeatureMatrix of a matrix CSV's lines.
+def _csv_rows(lines):
+    """The header and an iterator of the rows after it.
 
-    The header names each feature column once.  Every row has the
-    header's cell count, a non-empty user id, a window start in 0..2**63-1
-    and a label that is empty (unlabeled), ``0`` or ``1``.  Every line ends
-    with a line end, as the writer ends it: a file cut short inside its last
-    line could otherwise read as a shorter number or an empty (missing) cell.
+    Iterating checks that the header and each row end with a line end, as
+    the writers end every line: a file cut short inside its last line could
+    otherwise read as a shorter number or an empty cell.  It also checks
+    that each row has the header's cell count, naming the columns it misses
+    or runs past.
     """
     last = ""
 
@@ -415,21 +415,37 @@ def _matrix(lines) -> FeatureMatrix:
             raise ValueError(f"the line has no line end, so the file may be cut short"
                              f" inside its last cell, {header[-1]}")
 
+    def rows():
+        check_ended()  # the header's, once the caller has read it
+        for row in reader:
+            if len(row) < len(header):
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
+                                 f" no cell under {', '.join(header[len(row):])}")
+            if len(row) > len(header):
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
+                                 f" cells past the last column, {header[-1]}")
+            check_ended()
+            yield row
+
     reader = csv.reader(map(ended, lines))
     header = next(reader, [])
+    return header, rows()
+
+
+def _matrix(lines) -> FeatureMatrix:
+    """The FeatureMatrix of a matrix CSV's lines.
+
+    The header names each feature column once.  Every row has the
+    header's cell count, a non-empty user id, a window start in 0..2**63-1
+    and a label that is empty (unlabeled), ``0`` or ``1``.  Every line ends
+    with a line end (see :func:`_csv_rows`).
+    """
+    header, rows_read = _csv_rows(lines)
     if header[:3] != ["user_id", "window_start_ms", "label"]:
         raise ValueError(f"unexpected header {header[:3]}")
-    check_ended()
     columns = tuple(strict_unique(header[3:], "column names"))
     groups, starts, labels, rows = [], [], [], []
-    for row in reader:
-        if len(row) < len(header):
-            raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
-                             f" no cell under {', '.join(header[len(row):])}")
-        if len(row) > len(header):
-            raise ValueError(f"{len(row)} cells, the header has {len(header)}:"
-                             f" cells past the last column, {header[-1]}")
-        check_ended()
+    for row in rows_read:
         if row[2] not in ("", "0", "1"):
             raise ValueError(f"label must be empty, 0 or 1, got {row[2]!r}")
         # None: missing, NaN in values
@@ -459,19 +475,18 @@ _EMA_COLUMNS = ("timestamp_ms", "user_id", "stress_level")
 def _emas(lines) -> list:
     """The EmaResponses of an EMA CSV's lines.
 
-    The header names each of _EMA_COLUMNS once, and every row has the
-    header's cell count.
+    The header names each of _EMA_COLUMNS once, in any order.  Every row
+    has the header's cell count, and every line ends with a line end (see
+    :func:`_csv_rows`): with ``timestamp_ms`` last, a cut line would
+    otherwise read a shorter time.
     """
-    reader = csv.reader(lines)
-    header = next(reader, [])
+    header, rows = _csv_rows(lines)
     for name in _EMA_COLUMNS:
         if header.count(name) != 1:
             raise ValueError(f"header must name {name} once, got {header}")
     at, user, level = map(header.index, _EMA_COLUMNS)
     emas = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+    for row in rows:
         emas.append(EmaResponse(
             strict_str(row[user], "user_id"),
             strict_time_ms(strict_number_text(row[at], "timestamp_ms", int), "timestamp_ms"),

@@ -10,17 +10,22 @@ A tree reads only the features it splits on, so its output at a coalition
 depends only on the coalition's bits among them (the observation behind
 interventional Tree SHAP).  Coalitions are taken in aligned blocks of 2^c
 bitmasks, together with a block of explained rows.  Within a block each
-tree is walked once, over the synthetic rows of only the coalitions it can
-tell apart: 2^k of them when it splits on k of the block's c low features.
-Its outputs are indexed back to every coalition of the block and summed in
-tree order as ``predict_proba`` sums them, so every value is the one
-scoring each synthetic row with the model gives, bit for bit.
+tree is walked once, over only the coalitions it can tell apart: 2^k of
+them when it splits on k of the block's c low features.  The walk routes
+every (row, coalition, background row) triple on the tree's split
+decisions: at a split on feature f it takes the row's comparison with the
+threshold when the coalition holds f and the background row's when it does
+not, which is the comparison the row mixed from the two would meet.  Each
+leaf's value is set where the triples reaching it lie.  The outputs are
+indexed back to every coalition of the block and summed in tree order as
+``predict_proba`` sums them, so every value is the one scoring each mixed
+row with the model gives, bit for bit.
 
 A block holds at most ``_CHUNK_ROWS`` (row, coalition, background row)
-triples, so the sum, each tree's output table and each tree's synthetic
-rows stay bounded at any row count, width and background size.  A
-background larger than the cap takes one row and one coalition per block,
-and each tree walks it in slices of the cap.
+triples, so the sum, each tree's output table and its reach masks stay
+bounded at any row count, width and background size.  A background larger
+than the cap takes one row and one coalition per block, and each tree walks
+it in slices of the cap.
 """
 from __future__ import annotations
 
@@ -31,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBackground, NotATreeModel, TooManyFeatures, write_csv
-from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes, _tree_leaf_outputs
+from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes
 
 MAX_EXACT_FEATURES = 16
 # (row, coalition, background row) triples per block: one block covers the
-# whole call of 6 rows x 2^8 coalitions x 24 background rows (36,864), and a
-# tree's synthetic rows at 16 features take at most 8 MB.
+# whole call of 6 rows x 2^8 coalitions x 24 background rows (36,864).  At
+# the cap a walk's output takes 512 KB and each reach mask on its stack 64 KB.
 _CHUNK_ROWS = 1 << 16
 
 
@@ -59,19 +64,36 @@ def _split_features(root) -> int:
     return sum({1 << node.feature_index for node in _nodes(root) if not node.is_leaf})
 
 
-def _tree_table(tree, rows, coalitions, background) -> np.ndarray:
-    """The tree's output at every (row, coalition, background row), from its
-    synthetic rows walked in slices of at most _CHUNK_ROWS rows.
+def _slice_table(tree, rows, coalitions, bg) -> np.ndarray:
+    """The tree's output at every (row, coalition, background row) of one
+    background slice, routed on the tree's split decisions.
 
-    ``coalitions`` holds one boolean row of features per coalition.
+    ``coalitions`` holds one boolean row of features per coalition.  At a
+    split on feature f a triple takes the row's comparison with the
+    threshold when its coalition holds f and the background row's when it
+    does not: the comparison the row mixed from the two would meet, so the
+    triple reaches that row's leaf.
     """
-    shape = (len(rows), len(coalitions))
-    tables = []
-    for b0 in range(0, len(background), _CHUNK_ROWS):
-        bg = background[b0:b0 + _CHUNK_ROWS]
-        synth = np.where(coalitions[None, :, None], rows[:, None, None], bg)
-        tables.append(_tree_leaf_outputs(tree, synth.reshape(-1, bg.shape[1]))
-                      .reshape(*shape, len(bg)))
+    out = np.empty((len(rows), len(coalitions), len(bg)))
+    stack = [(tree, np.ones(out.shape, dtype=bool))]
+    while stack:
+        node, reach = stack.pop()
+        if node.is_leaf:
+            out[reach] = node.value
+            continue
+        f, t = node.feature_index, node.threshold
+        left = reach & np.where(coalitions[:, f, None], (rows[:, f] <= t)[:, None, None],
+                                bg[:, f] <= t)
+        stack.append((node.left, left))
+        stack.append((node.right, reach ^ left))
+    return out
+
+
+def _tree_table(tree, rows, coalitions, background) -> np.ndarray:
+    """The tree's output at every (row, coalition, background row), from
+    slices of at most _CHUNK_ROWS background rows."""
+    tables = [_slice_table(tree, rows, coalitions, background[b0:b0 + _CHUNK_ROWS])
+              for b0 in range(0, len(background), _CHUNK_ROWS)]
     return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=2)
 
 

@@ -775,6 +775,19 @@ class TestExplain:
         assert counts == {"rows_explained": 6, "background_rows": 24, "features": 5}
         assert counts["rows_explained"] * counts["features"] == len(beeswarm) - 1
 
+    def test_manifest_times_each_stage(self, eval_dir, matrix_path, tmp_path):
+        out = tmp_path / "explain"
+        assert cli.main(["explain", "--model", str(eval_dir / "model.json"),
+                         "--matrix", str(matrix_path), "--max-rows", "2",
+                         "--background", "8", "--out", str(out)]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        stages = ("load_s", "read_s", "impute_s", "shap_s", "write_s")
+        assert set(timings) == {"total_s", *stages}
+        assert all(timings[key] >= 0 for key in stages)
+        # the times are whole milliseconds, so compare them as such
+        assert sum(round(timings[key] * 1000) for key in stages) \
+            <= round(timings["total_s"] * 1000)
+
     def test_too_many_features_exit(self, matrix_path, tmp_path, capsys):
         # a model over all 24 columns cannot be explained exactly
         out = tmp_path / "wide"

@@ -1,4 +1,5 @@
 """Exact Shapley values: axioms, hand enumeration, independent oracle."""
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from stressmon.explain import (Explanation, beeswarm_records, coalition_value_ta
                                mean_abs_ranking, shap_values, write_beeswarm_csv)
 from stressmon.learn import (TreeEnsembleModel, TreeNode, train_boosted,
                              train_random_forest)
+from stressmon.learn.trees import tree_nodes
 
 
 def leaf(p):
@@ -276,15 +278,16 @@ class TestBatchedTable:
 
 
 def record_walks(monkeypatch):
-    """(tree, rows) of every tree walk the explain kernel makes from now on."""
+    """(tree, cells) of every tree walk the explain kernel makes from now on,
+    a cell being one (row, coalition, background row) triple."""
     walks = []
-    walk = explain._tree_leaf_outputs
+    walk = explain._slice_table
 
-    def recording(root, X):
-        walks.append((root, len(X)))
-        return walk(root, X)
+    def recording(root, rows, coalitions, bg):
+        walks.append((root, len(rows) * len(coalitions) * len(bg)))
+        return walk(root, rows, coalitions, bg)
 
-    monkeypatch.setattr(explain, "_tree_leaf_outputs", recording)
+    monkeypatch.setattr(explain, "_slice_table", recording)
     return walks
 
 
@@ -352,3 +355,73 @@ def test_kernel_equals_per_coalition_loop(case):
         assert one.base_value == alone.base_value
         assert np.array_equal(one.shap_values, alone.shap_values)
         assert np.array_equal(one.feature_values, alone.feature_values)
+
+
+def boundary_cells(model, rng, shape):
+    """Cells drawn from the model's thresholds, the floats either side of
+    each, signed zeros, NaN and both infinities."""
+    thresholds = np.array([node.threshold for node in tree_nodes(model) if not node.is_leaf])
+    pool = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                           np.nextafter(thresholds, np.inf),
+                           [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    return rng.choice(pool, size=shape)
+
+
+def signed_zero_leaves(model, rng):
+    """A copy of ``model`` with about half its leaves, and a boosted model's
+    base score, set to -0.0."""
+    model = copy.deepcopy(model)
+    for node in tree_nodes(model):
+        if node.is_leaf and rng.random() < 0.5:
+            node.value = -0.0
+    if model.kind == "boosted":
+        model.base_score = -0.0
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_cases(), signed_zeros=st.booleans())
+def test_kernel_equals_per_coalition_loop_at_boundaries(case, signed_zeros):
+    # cells on a threshold or one ulp from it, NaN and infinities, given
+    # straight to explain_rows, go the way predict_proba sends them
+    cap, d, kind, hand, n_rows, n_bg, seed = case
+    model = hand_model(kind, d, seed) if hand else fitted_model(kind, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    if signed_zeros:
+        model = signed_zero_leaves(model, rng)
+    rows = boundary_cells(model, rng, (n_rows, d))
+    background = boundary_cells(model, rng, (n_bg, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explain, "_CHUNK_ROWS", cap)
+        tables = explain._value_tables(model, rows, background)
+        explanations = explain.explain_rows(model, rows, background)
+    for table, exp, row in zip(tables, explanations, rows, strict=True):
+        expected = loop_value_table(model, row, background)
+        assert np.array_equal(table, expected)
+        assert exp.base_value == expected[0]
+        assert np.isfinite(exp.shap_values).all()
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "boosted"])
+def test_cells_on_a_threshold_go_left(kind):
+    # x <= 0.5 goes left in predict_proba; so must a row or background cell
+    # of exactly 0.5, and NaN (no comparison holds) goes right
+    def split(feature, left, right):
+        return TreeNode(feature_index=feature, threshold=0.5, impurity_decrease=0.1,
+                        sample_fraction=1.0, left=left, right=right)
+
+    tree = split(0, leaf(0.25), split(1, leaf(-0.0), leaf(0.75)))
+    if kind == "boosted":
+        model = TreeEnsembleModel(kind=kind, trees=[tree], tree_weights=[1.0],
+                                  feature_names=["f0", "f1"], hyperparameters={}, seed=0,
+                                  base_score=-0.0)
+    else:
+        model = forest([tree], 2)
+    background = np.array([[0.5, 0.0], [np.nextafter(0.5, 1.0), np.nan],
+                           [np.nan, np.inf], [np.inf, -np.inf], [-np.inf, 0.5]])
+    for row in ([0.5, 0.5], [np.nan, 0.0], [-np.inf, np.inf], [np.nextafter(0.5, 0.0), -0.0]):
+        row = np.array(row)
+        table = explain._value_tables(model, row.reshape(1, -1), background)[0]
+        assert np.array_equal(table, loop_value_table(model, row, background))
+        assert explain.explain_rows(model, row.reshape(1, -1), background)[0].base_value \
+            == table[0]

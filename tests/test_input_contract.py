@@ -68,6 +68,13 @@ class TestRegressions:
         assert_rejected(*featurize(tmp_path, {"bursts.jsonl": good + b"\n" + bad + b"\n"}),
                         "bursts.jsonl:2:")
 
+    def test_ema_line_cut_inside_its_time(self, tmp_path):
+        # "3,u01,36000000\n" cut by its line end and one digit read 3,600,000
+        text = "stress_level,user_id,timestamp_ms\n3,u01,3600000"
+        rc, err = featurize(tmp_path, {"ema.csv": text})
+        assert_rejected(rc, err, "ema.csv:2:")
+        assert "no line end" in err and "timestamp_ms" in err
+
     def test_matrix_cell_over_csv_field_limit(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("user_id,window_start_ms,label,bpm\n"
@@ -300,13 +307,13 @@ def test_one_corrupt_field_is_parsed_alike_or_named(fmt, pick, how, before, blan
         assert got == expected
 
 
-# -- changing the shape of a matrix CSV ---------------------------------------
+# -- changing the shape of a CSV ----------------------------------------------
 
 SHAPES = ("drop_cell", "add_cell", "reorder_header", "truncate_line")
 
 
-def reshape_matrix(rows, how, pick):
-    """(text, line) of matrix ``rows`` (header first) with the shape of the
+def reshape_csv(rows, how, pick):
+    """(text, line) of CSV ``rows`` (header first) with the shape of the
     line numbered ``line`` changed as ``how`` says.
 
     A dropped or added cell changes the second-to-last row.  A reordered
@@ -350,7 +357,7 @@ def test_a_reshaped_matrix_is_parsed_alike_or_named(how, pick, before):
     its last line cut short parses as before (exit 0), or the CLI exits 3
     naming the line and a column, never a Python type."""
     rows = [MATRIX_HEADER] + [MATRIX_ROWS[i % 2] for i in range(before + 2)]
-    text, lineno = reshape_matrix(rows, how, pick)
+    text, lineno = reshape_csv(rows, how, pick)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "matrix.csv")
         with open(path, "w", newline="") as fh:
@@ -365,6 +372,36 @@ def test_a_reshaped_matrix_is_parsed_alike_or_named(how, pick, before):
             assert_rejected(rc, err, f"matrix.csv:{lineno}:")
             reason = err.split(f"matrix.csv:{lineno}:", 1)[1]
             assert any(name in reason for name in MATRIX_HEADER), err
+            assert not PYTHON_TYPE_NAME.search(err), err
+            return
+    assert got == expected, (how, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(how=st.sampled_from(SHAPES), pick=st.integers(0, 10**6), before=st.integers(0, 3),
+       order=st.permutations(range(3)))
+def test_a_reshaped_ema_file_is_parsed_alike_or_named(how, pick, before, order):
+    """An EMA CSV, its columns first put in ``order``, with a cell dropped or
+    added, its columns reordered or its last line cut short parses as before
+    (exit 0), or the CLI exits 3 naming the line and a column, never a
+    Python type."""
+    header = EMA_HEADER.strip().split(",")
+    rows = [[row[c] for c in order] for row in [header] + [EMAS[i % 2] for i in range(before + 2)]]
+    text, lineno = reshape_csv(rows, how, pick)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ema.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(csv_text(rows))
+        expected = parse_key("ema", read_ema_csv(path))
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            got = parse_key("ema", read_ema_csv(path))
+        except DataFormatError:
+            rc, err = featurize(tmp, {"ema.csv": text})
+            assert_rejected(rc, err, f"ema.csv:{lineno}:")
+            reason = err.split(f"ema.csv:{lineno}:", 1)[1]
+            assert any(name in reason for name in header), err
             assert not PYTHON_TYPE_NAME.search(err), err
             return
     assert got == expected, (how, text)
