@@ -11,8 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (encode_json, fold_jsonl, json_type, read_input, read_jsonl, strict_float,
-                     strict_int, strict_str, strict_time_ms, write_json)
+from .errors import (TextTable, encode_json, fold_jsonl, json_type, read_input, read_jsonl,
+                     strict_float, strict_int, strict_str, strict_time_ms, write_json)
 
 #: Text forecast -> numeric code; anything else is treated as missing.
 WEATHER_CODES = {"clear": 0, "mist": 1, "clouds": 2, "rain": 3, "snow": 4}
@@ -197,28 +197,15 @@ def fold_context_jsonl(path, key_of, latest) -> int:
     return fold_jsonl(path, "context record", add)
 
 
-class _ContextHeads(dict):
-    """(user_id, sensor) -> the fixed text of that stream's lines, filled on first use.
-
-    The two texts are ``{"user_id":<id>,"timestamp_ms":`` and
-    ``,"sensor":<sensor>,"payload":``, each value in the compact encoder's
-    spelling.  The table is emptied once it holds _CONTEXT_HEADS_MAX
-    entries, which bounds its memory whatever the ids.
-    """
-
-    def __missing__(self, key):
-        if len(self) >= _CONTEXT_HEADS_MAX:
-            self.clear()
-        user_id, sensor = key
-        heads = self[key] = (f'{{"user_id":{encode_json(user_id)},"timestamp_ms":',
-                             f',"sensor":{encode_json(sensor)},"payload":')
-        return heads
-
-
 #: Entries the head table holds before it is emptied; an 11-user study has
 #: 132 (user, sensor) streams.
 _CONTEXT_HEADS_MAX = 2 ** 12
-_CONTEXT_HEADS = _ContextHeads()
+#: (user_id, sensor) -> the fixed texts of that stream's lines,
+#: ``{"user_id":<id>,"timestamp_ms":`` and ``,"sensor":<sensor>,"payload":``,
+#: each value in the compact encoder's spelling.
+_CONTEXT_HEADS = TextTable(lambda key: (f'{{"user_id":{encode_json(key[0])},"timestamp_ms":',
+                                        f',"sensor":{encode_json(key[1])},"payload":'),
+                           _CONTEXT_HEADS_MAX)
 
 
 def _json_text(value) -> str:

@@ -172,6 +172,21 @@ def read_jsonl(path, what, record):
 encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+class TextTable(dict):
+    """key -> ``text_of(key)``, filled on first use.  The table is emptied
+    once it holds ``limit`` entries, which bounds its memory whatever the keys."""
+
+    def __init__(self, text_of, limit):
+        super().__init__()
+        self.text_of, self.limit = text_of, limit
+
+    def __missing__(self, key):
+        if len(self) >= self.limit:
+            self.clear()
+        text = self[key] = self.text_of(key)
+        return text
+
+
 def write_json(path, value, **options):
     """``value`` as a UTF-8 JSON file ended by a newline; ``options`` go to
     json.dumps, which encodes in C when there is no ``indent`` (json.dump

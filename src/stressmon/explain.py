@@ -15,17 +15,20 @@ them when it splits on k of the block's c low features.  The walk routes
 every (row, coalition, background row) triple on the tree's split
 decisions: at a split on feature f it takes the row's comparison with the
 threshold when the coalition holds f and the background row's when it does
-not, which is the comparison the row mixed from the two would meet.  Each
-leaf's value is set where the triples reaching it lie.  The outputs are
+not, which is the comparison the row mixed from the two would meet.  The
+router is ``trees._route``, the one ``predict_proba`` routes rows with, and
+each leaf's value is set where the triples reaching it lie.  The outputs are
 indexed back to every coalition of the block and summed in tree order as
 ``predict_proba`` sums them, so every value is the one scoring each mixed
 row with the model gives, bit for bit.
 
-A block holds at most ``_CHUNK_ROWS`` (row, coalition, background row)
-triples, so the sum, each tree's output table and its reach masks stay
-bounded at any row count, width and background size.  A background larger
-than the cap takes one row and one coalition per block, and each tree walks
-it in slices of the cap.
+Up to ``_CHUNK_ROWS`` background rows, a block holds at most
+``_CHUNK_ROWS`` (row, coalition, background row) triples, so the sum, each
+tree's output table and its reach masks stay bounded at any row count and
+width.  A larger background takes one row and one coalition per block, and
+such a block holds every background row: the sum and each tree's table
+grow with the background, and only the reach masks stay under the cap, as
+each tree walks the background in slices of the cap.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBackground, NotATreeModel, TooManyFeatures, write_csv
-from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes
+from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes, _route
 
 MAX_EXACT_FEATURES = 16
 # (row, coalition, background row) triples per block: one block covers the
@@ -66,27 +69,12 @@ def _split_features(root) -> int:
 
 def _slice_table(tree, rows, coalitions, bg) -> np.ndarray:
     """The tree's output at every (row, coalition, background row) of one
-    background slice, routed on the tree's split decisions.
-
-    ``coalitions`` holds one boolean row of features per coalition.  At a
-    split on feature f a triple takes the row's comparison with the
-    threshold when its coalition holds f and the background row's when it
-    does not: the comparison the row mixed from the two would meet, so the
-    triple reaches that row's leaf.
-    """
-    out = np.empty((len(rows), len(coalitions), len(bg)))
-    stack = [(tree, np.ones(out.shape, dtype=bool))]
-    while stack:
-        node, reach = stack.pop()
-        if node.is_leaf:
-            out[reach] = node.value
-            continue
-        f, t = node.feature_index, node.threshold
-        left = reach & np.where(coalitions[:, f, None], (rows[:, f] <= t)[:, None, None],
-                                bg[:, f] <= t)
-        stack.append((node.left, left))
-        stack.append((node.right, reach ^ left))
-    return out
+    background slice; ``coalitions`` holds one boolean row of features per
+    coalition.  A triple meets each split as the row mixed from its row and
+    background row would (see the module docstring)."""
+    return _route(tree, (len(rows), len(coalitions), len(bg)),
+                  lambda f, t: np.where(coalitions[:, f, None], (rows[:, f] <= t)[:, None, None],
+                                        bg[:, f] <= t))
 
 
 def _tree_table(tree, rows, coalitions, background) -> np.ndarray:
@@ -183,6 +171,13 @@ def shap_values(model, row, background_rows) -> Explanation:
                         background_rows)[0]
 
 
+def _mean_abs(explanations):
+    """Mean |shap| per feature over the explanations, and the feature indices
+    ranked by it, descending; ties keep feature order."""
+    means = sum(np.abs(exp.shap_values) for exp in explanations) / len(explanations)
+    return means, np.lexsort((np.arange(len(means)), -means))
+
+
 def mean_abs_ranking(explanations):
     """Mean |shap| per feature over the explanations, ranked descending.
 
@@ -190,28 +185,22 @@ def mean_abs_ranking(explanations):
     """
     if not explanations:
         raise ValueError("need at least one row to explain")
-    totals = np.zeros(explanations[0].shap_values.size)
-    for exp in explanations:
-        totals += np.abs(exp.shap_values)
-    means = totals / len(explanations)
+    means, order = _mean_abs(explanations)
     names = explanations[0].feature_names
-    order = np.lexsort((np.arange(len(means)), -means))
     return [(names[i], float(means[i])) for i in order]
 
 
 def beeswarm_records(explanations):
     """Long-format (row, feature, shap, feature_value) records.
 
-    Features are ordered by total |shap| over all rows, descending, which
-    is the usual beeswarm panel order.
+    Features are taken in :func:`mean_abs_ranking` order, the usual beeswarm
+    panel order.
     """
     if not explanations:
         return []
     names = explanations[0].feature_names
-    totals = np.abs(np.stack([e.shap_values for e in explanations])).sum(axis=0)
-    order = np.lexsort((np.arange(len(totals)), -totals))
     records = []
-    for j in order:
+    for j in _mean_abs(explanations)[1]:
         for i, exp in enumerate(explanations):
             records.append({"row": i, "feature": names[j],
                             "shap": float(exp.shap_values[j]),

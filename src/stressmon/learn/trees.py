@@ -117,8 +117,10 @@ class TreeEnsembleModel:
     def predict_proba(self, X) -> np.ndarray:
         """Positive-class probability per row."""
         X = np.asarray(X, dtype=float)
-        return _ensemble_proba(self, (_tree_leaf_outputs(tree, X) for tree in self.trees),
-                               X.shape[0])
+        # each split reads one contiguous column; [f, :] rejects a 1-D X
+        XT = np.ascontiguousarray(X.T)
+        return _ensemble_proba(self, (_route(tree, X.shape[:1], lambda f, t: XT[f, :] <= t)
+                                      for tree in self.trees), X.shape[0])
 
     def predict(self, X) -> np.ndarray:
         """0/1 labels at the fixed 0.5 probability threshold (ties -> 0)."""
@@ -141,19 +143,23 @@ def _ensemble_proba(model: TreeEnsembleModel, tree_outputs, shape) -> np.ndarray
     return agg
 
 
-def _tree_leaf_outputs(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
+def _route(root: TreeNode, shape, goes_left) -> np.ndarray:
+    """The value of the leaf each cell of an array of ``shape`` reaches.
+
+    ``goes_left(feature, threshold)`` gives, broadcast to ``shape``, the
+    cells a split sends left.  Each node's reach mask is carried down the
+    tree and each leaf's value is set where its mask holds.
+    """
+    out = np.empty(shape)
+    stack = [(root, np.ones(shape, dtype=bool))]
     while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
+        node, reach = stack.pop()
         if node.is_leaf:
-            out[rows] = node.value
-        else:
-            go_left = X[rows, node.feature_index] <= node.threshold
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
+            out[reach] = node.value
+            continue
+        left = reach & goes_left(node.feature_index, node.threshold)
+        stack.append((node.left, left))
+        stack.append((node.right, reach ^ left))
     return out
 
 

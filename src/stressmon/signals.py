@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .context import fold_context_jsonl
-from .errors import (InvalidBand, TooShort, Unstable, encode_json, fold_jsonl,
+from .errors import (InvalidBand, TextTable, TooShort, Unstable, encode_json, fold_jsonl,
                      read_jsonl, strict_float, strict_str, strict_time_ms)
 
 PPG_RATE_HZ = 20.0
@@ -378,26 +378,14 @@ def read_bursts_jsonl(path):
     return read_jsonl(path, "burst record", _burst)
 
 
-class _SampleText(dict):
-    """float64 bit pattern -> json's text of that float, filled on first use.
-
-    Keying by bits keeps ``-0.0`` apart from ``0.0`` and every NaN payload
-    apart; each text is the compact encoder's own, so NaN and the infinities
-    keep json's spelling.  The table is emptied once it holds
-    _SAMPLE_TEXT_MAX entries, which bounds its memory whatever the values.
-    """
-
-    def __missing__(self, bits):
-        if len(self) >= _SAMPLE_TEXT_MAX:
-            self.clear()
-        text = self[bits] = encode_json(struct.unpack("<d", struct.pack("<q", bits))[0])
-        return text
-
-
 #: Entries the sample-text table holds before it is emptied; a 4-user day
 #: writes about 10,000 distinct sample values.
 _SAMPLE_TEXT_MAX = 2 ** 15
-_SAMPLE_TEXT = _SampleText()
+#: float64 bit pattern -> json's text of that float.  Keying by bits keeps
+#: ``-0.0`` apart from ``0.0`` and every NaN payload apart; each text is the
+#: compact encoder's own, so NaN and the infinities keep json's spelling.
+_SAMPLE_TEXT = TextTable(lambda bits: encode_json(struct.unpack("<d", struct.pack("<q", bits))[0]),
+                         _SAMPLE_TEXT_MAX)
 
 
 @functools.lru_cache(maxsize=8)

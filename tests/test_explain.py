@@ -14,7 +14,7 @@ from stressmon.explain import (Explanation, beeswarm_records, coalition_value_ta
                                mean_abs_ranking, shap_values, write_beeswarm_csv)
 from stressmon.learn import (TreeEnsembleModel, TreeNode, train_boosted,
                              train_random_forest)
-from stressmon.learn.trees import tree_nodes
+from stressmon.learn.trees import _ensemble_proba, tree_nodes
 
 
 def leaf(p):
@@ -400,6 +400,33 @@ def test_kernel_equals_per_coalition_loop_at_boundaries(case, signed_zeros):
         assert np.array_equal(table, expected)
         assert exp.base_value == expected[0]
         assert np.isfinite(exp.shap_values).all()
+
+
+def walked_proba(model, X):
+    """predict_proba's reference: each row walked down each tree alone by
+    tree_output, the outputs summed by _ensemble_proba."""
+    outputs = (np.array([tree_output(tree, x) for x in X], dtype=float)
+               for tree in model.trees)
+    return _ensemble_proba(model, outputs, len(X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["random_forest", "boosted"]), hand=st.booleans(),
+       d=st.integers(1, 8), n_rows=st.integers(0, 30), fortran=st.booleans(),
+       signed_zeros=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_predict_proba_equals_per_row_walk(kind, hand, d, n_rows, fortran, signed_zeros, seed):
+    # an oracle for predict_proba that shares no code with its router, which
+    # the explain kernel and its per-coalition reference both go through
+    model = hand_model(kind, d, seed) if hand else fitted_model(kind, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    if signed_zeros:
+        model = signed_zero_leaves(model, rng)
+    X = boundary_cells(model, rng, (n_rows, d))
+    if fortran:
+        X = np.asfortranarray(X)
+    got = model.predict_proba(X)
+    assert got.shape == (n_rows,)
+    assert np.array_equal(got, walked_proba(model, X))
 
 
 @pytest.mark.parametrize("kind", ["random_forest", "boosted"])

@@ -307,6 +307,61 @@ def test_one_corrupt_field_is_parsed_alike_or_named(fmt, pick, how, before, blan
         assert got == expected
 
 
+# -- changing the shape of a JSON line -----------------------------------------
+
+JSON_SHAPES = ("add_key", "repeat_key", "reorder_keys", "truncate_line")
+
+
+def reshape_json(rec, how, pick, order):
+    """One JSON line of ``rec``, without its line end, with its shape changed
+    as ``how`` says: an unknown key added, a key repeated with its own
+    value, the keys put in ``order`` (a permutation of at least as many
+    places as ``rec`` has keys), or the line cut short after anything from
+    one character to all but one."""
+    items = list(rec.items())
+    at = pick % (len(items) + 1)
+    if how == "add_key":
+        items.insert(at, ("extra", (None, 1, "x", [1.5], {"a": 1})[pick % 5]))
+    elif how == "repeat_key":
+        items.insert(at, items[pick // (len(items) + 1) % len(items)])
+    elif how == "reorder_keys":
+        items = [items[i] for i in order if i < len(items)]
+    text = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in items) + "}"
+    return text[:1 + pick % (len(text) - 1)] if how == "truncate_line" else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(fmt=st.sampled_from(["bursts", "context"]), how=st.sampled_from(JSON_SHAPES),
+       pick=st.integers(0, 10**6), order=st.permutations(range(5)),
+       before=st.integers(0, 3), line_end=st.booleans())
+def test_a_reshaped_json_line_is_parsed_alike_or_named(fmt, how, pick, order, before, line_end):
+    """A bursts.jsonl or context.jsonl whose last line has an unknown key
+    added, a key repeated, its keys reordered or is cut short, with or
+    without its line end, parses as before (exit 0), or the CLI exits 3
+    naming the file and line, never a Python type."""
+    records = BURSTS if fmt == "bursts" else SNAPSHOTS
+    rec = records[pick % len(records)]
+    head = "".join(json.dumps(records[i % len(records)]) + "\n" for i in range(before))
+    text = head + reshape_json(rec, how, pick // len(records), order) + "\n" * line_end
+    name = "bursts.jsonl" if fmt == "bursts" else "context.jsonl"
+    read = read_bursts_jsonl if fmt == "bursts" else read_context_jsonl
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", newline="") as fh:
+            fh.write(head + json.dumps(rec) + "\n")
+        expected = parse_key(fmt, read(path))
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            got = parse_key(fmt, read(path))
+        except DataFormatError:
+            rc, err = featurize(tmp, {name: text})
+            assert_rejected(rc, err, f"{name}:{before + 1}:")
+            assert not PYTHON_TYPE_NAME.search(err), err
+            return
+    assert got == expected, (how, text)
+
+
 # -- changing the shape of a CSV ----------------------------------------------
 
 SHAPES = ("drop_cell", "add_cell", "reorder_header", "truncate_line")

@@ -76,6 +76,13 @@ class TestRandomForest:
         p2 = model.predict_proba(X)
         assert np.allclose(p1, p2, atol=1e-12)
 
+    def test_one_row_given_as_a_vector_is_rejected(self):
+        # a row's d values are not read as d rows of one value each
+        X, y = separable(seed=6)
+        model = train_random_forest(X, y, depth=3, n_trees=3, seed=2)
+        with pytest.raises(IndexError):
+            model.predict_proba(X[0])
+
 
 class TestGiniImportance:
     def test_unused_feature_zero(self):
