@@ -24,9 +24,9 @@ import numpy as np
 from . import hrv as hrv_mod
 from . import signals
 from .context import CONTEXT_FEATURE_NAMES, ContextSchema, extract_context_features
-from .errors import (EmptyColumn, InsufficientSpan, NoPlausiblePeaks, OutOfRange,
-                     TooFewIntervals, TooShort, read_input, strict_number_text, strict_str,
-                     strict_time_ms, strict_unique, write_csv, write_json)
+from .errors import (EmptyColumn, NoPlausiblePeaks, OutOfRange, TooFewIntervals, TooShort,
+                     read_input, strict_number_text, strict_str, strict_time_ms,
+                     strict_unique, write_csv, write_json)
 
 LABEL_HORIZON_MS = 8 * 3600 * 1000
 DEFAULT_IMPUTE_K = 5
@@ -132,7 +132,7 @@ def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
             # freed before the next block's buffer is made.
             for i, burst in zip(block, signals.bandpass_bursts(
                     [raw_windows[i].ppg for i in block], design)):
-                with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals, InsufficientSpan):
+                with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals):
                     values[i, :n_hrv] = astuple(hrv_mod.burst_hrv(burst))
     for i, raw in enumerate(raw_windows):
         context = extract_context_features(raw.context, schema)

@@ -408,7 +408,8 @@ def _sse_split(cols, r, rows, n_root):
 
 def _validate_training_inputs(X, y, feature_names):
     """``(X, y, names)``, names ``f0, f1, ...`` by default; raises ValueError
-    unless X is (n, d) without missing values and y holds n 0/1 labels."""
+    unless X is (n, d) without missing values, y holds n 0/1 labels and the
+    names are d distinct ones (``model_from_dict`` loads no other model)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -417,8 +418,10 @@ def _validate_training_inputs(X, y, feature_names):
         raise ValueError("training matrix contains missing values; impute first")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be binary 0/1")
-    names = (list(feature_names) if feature_names is not None
+    names = (strict_unique(feature_names, "feature names") if feature_names is not None
              else [f"f{i}" for i in range(X.shape[1])])
+    if len(names) != X.shape[1]:
+        raise ValueError(f"{len(names)} feature names for {X.shape[1]} columns")
     return X, y.astype(int), names
 
 

@@ -388,8 +388,9 @@ class _Participant:
     def _build_context_rules(self, over):
         """``{sensor: (stressed, calm)}`` for the four sensors that can track stress.
 
-        Location pairs zone probabilities, the others (low, high) ranges; a
-        sensor that does not track the user's stress holds one value twice.
+        Location pairs cumulative zone tables (:func:`_cumulative`), the
+        others (low, high) ranges; a sensor that does not track the user's
+        stress holds one value twice.
         ``neutral_context`` wins over ``invert_context`` when both are set.
         """
         location = (STRESS_LOCATION_PROBS, CALM_LOCATION_PROBS)
@@ -402,7 +403,7 @@ class _Participant:
         elif over.get("invert_context"):
             location, device_off = location[::-1], device_off[::-1]
         self.context_rules = {
-            "location": location, "device_off": device_off,
+            "location": tuple(_cumulative(p) for p in location), "device_off": device_off,
             # personal habits: long phone sessions and compulsive checking under stress
             "device_on": (((25.0, 60.0), (0.5, 8.0)) if over.get("device_on_coupled")
                           else ((0.5, 25.0),) * 2),
@@ -530,7 +531,7 @@ class _Simulation:
         else:
             # location: zone choice coupled to the latent stress state
             def value(t_ms):
-                zone = int(rng.choice(4, p=user.context_rule(sensor, t_ms)))
+                zone = _draw(user.context_rule(sensor, t_ms), rng)
                 return self._location_payload(zone, rng, uniform)
         return value
 
@@ -671,8 +672,7 @@ class _Simulation:
             return None
         level = 1
         if user.stressed(answer_ms):
-            weights = np.asarray(STRESSED_LEVEL_WEIGHTS, dtype=float)
-            level = 2 + int(rng.choice(4, p=weights / weights.sum()))
+            level = 2 + _draw(_STRESSED_LEVELS, rng)
         return answer_ms, prompt_ms, user.index, level
 
     def _latent_rows(self):
@@ -706,6 +706,27 @@ def _end_after(merged, t_ms):
     starts, ends = merged
     i = bisect.bisect_right(starts, t_ms)
     return ends[i - 1] if i and t_ms < ends[i - 1] else t_ms
+
+
+def _cumulative(p):
+    """The table ``Generator.choice`` searches for probabilities ``p``:
+    ``cumsum(p)`` divided by its last entry."""
+    c = np.cumsum(np.asarray(p, dtype=float))
+    return (c / c[-1]).tolist()
+
+
+def _draw(table, rng) -> int:
+    """``int(rng.choice(len(table), p=p))`` for ``table = _cumulative(p)``.
+
+    numpy's choice draws one double and returns its right insertion point
+    in the table, so this gives the same index and leaves the generator in
+    the same state, without checking and summing ``p`` on every call.
+    """
+    return bisect.bisect_right(table, rng.random())
+
+
+#: The table of a stressed EMA answer's level, 2 + ``_draw(_STRESSED_LEVELS, rng)``.
+_STRESSED_LEVELS = _cumulative(STRESSED_LEVEL_WEIGHTS)
 
 
 def _uniform(next_double):

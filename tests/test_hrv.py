@@ -198,6 +198,97 @@ class TestDetectPeaksOracle:
             assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
 
 
+def _baseline(burst):
+    return hrv._centered_mean(burst.samples,
+                              max(1, int(round(hrv.BASELINE_SECONDS * burst.rate_hz))))
+
+
+def _every_level(x, baseline, amp):
+    """Each level's train from ``_level_trains``, a skipped level taking the
+    train of the last level yielded before it."""
+    yielded = list(hrv._level_trains(x, baseline, amp))
+    levels = [k for k, _ in yielded]
+    assert levels[0] == 0 and levels == sorted(set(levels))
+    trains = []
+    for k in range(len(hrv.RAISE_LEVELS_PERMILLE)):
+        if yielded and yielded[0][0] == k:
+            last = yielded.pop(0)[1]
+        trains.append(last)
+    return trains
+
+
+def _assert_levels_match_oracle(x, baseline, amp):
+    for k, (r, train) in enumerate(zip(hrv.RAISE_LEVELS_PERMILLE, _every_level(x, baseline, amp))):
+        scale = r / 1000.0
+        expect = _oracle_region_maxima(x, baseline * (1.0 + scale) + scale * amp)
+        assert np.array_equal(train, expect), f"level {k}"
+
+
+def _certificate_edge_burst(above):
+    """A burst whose sample 100 has a baseline of about -1 and whose amp is
+    ``fl(K * |baseline|)`` there (``above``) or one ulp below it, with the
+    sample itself strictly between its lowest and highest raised baseline.
+
+    The dip x[93:108] = -1 makes that baseline the most negative; the rest
+    sits at -0.5 (baseline -0.5, certified with room), and the maximum at
+    sample 120 is set so that ``amp`` lands on the wanted side of K |b|.
+    Sample 100 is moved towards the middle of its thresholds, which moves
+    its baseline a little, so the construction is repeated until it holds.
+    """
+    x = np.full(240, -0.5)
+    x[93:108] = -1.0
+    for _ in range(20):
+        b = _baseline(signals.SensorBurst("u", "ppg", 0, FS, x))[100]
+        target = hrv._RISE_RATIO * -b
+        amp = target if above else np.nextafter(target, 0.0)
+        x[120] = amp - 1.0
+        t = [b * (1.0 + r / 1000.0) + r / 1000.0 * amp for r in hrv.RAISE_LEVELS_PERMILLE]
+        lo, hi = min(t), max(t)
+        burst = signals.SensorBurst("u", "ppg", 0, FS, x.copy())
+        if (float(x.max() - x.min()) == amp and _baseline(burst)[100] == b
+                and lo < x[100] < hi):
+            return burst
+        x[100] = (lo + hi) / 2
+    raise AssertionError("no burst on the certificate's edge")
+
+
+class TestLevelTrains:
+    """``_level_trains`` against the per-level region search, level by level,
+    including the levels the walk skips."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(peak_bursts())
+    def test_every_level_matches_region_search(self, burst):
+        x = burst.samples
+        amp = float(x.max() - x.min())
+        if amp <= 1e-9:         # detect_peaks stops here
+            return
+        _assert_levels_match_oracle(x, _baseline(burst), amp)
+
+    def test_every_level_matches_on_band_passed_pulses(self):
+        design = signals.default_design()
+        for i, bpm in enumerate(np.linspace(40.0, 180.0, 15)):
+            burst, _ = synth_ppg(bpm, 120, FS, (0.0, 0.05, 0.2, 0.5)[i % 4], seed=i)
+            burst = signals.bandpass_filter(burst, design)
+            x = burst.samples
+            _assert_levels_match_oracle(x, _baseline(burst), float(x.max() - x.min()))
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_amp_one_ulp_either_side_of_the_certificate(self, above, monkeypatch):
+        burst = _certificate_edge_burst(above)
+        x = burst.samples
+        amp = float(x.max() - x.min())
+        every_level = []
+        level_peaks = hrv._level_peaks
+        monkeypatch.setattr(hrv, "_level_peaks",
+                            lambda *args: every_level.append(1) or level_peaks(*args))
+        _assert_levels_match_oracle(x, _baseline(burst), amp)
+        assert bool(every_level) != above       # the certificate chose the path
+        trains = _every_level(x, _baseline(burst), amp)
+        assert any(100 in t for t in trains) and not all(100 in t for t in trains)
+        assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
+
+
 class TestCleanNn:
     def test_all_kept(self):
         peaks = hrv.PeakTrain(np.arange(10) * 800.0)

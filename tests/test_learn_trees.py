@@ -207,6 +207,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="value must be a finite number"):
             model_from_dict(rec)
 
+    def test_trainers_refuse_feature_names_a_model_file_cannot_hold(self):
+        """A model with two features of one name, or with fewer names than
+        columns, could not be loaded again, so no trainer builds one; d
+        distinct names still load."""
+        from stressmon.learn.knn import train_knn
+        X, y = separable(d=2, seed=19)
+        trainers = [lambda names: train_random_forest(X, y, depth=2, n_trees=2, seed=1,
+                                                      feature_names=names),
+                    lambda names: train_boosted(X, y, rounds=2, depth=1, seed=1,
+                                                feature_names=names),
+                    lambda names: train_knn(X, y, k=3, feature_names=names)]
+        for train in trainers:
+            with pytest.raises(ValueError, match=r"feature names repeated: \['a'\]"):
+                train(["a", "a"])
+            with pytest.raises(ValueError, match="1 feature names for 2 columns"):
+                train(["a"])
+        for train in trainers[:2]:
+            model = train(["a", "b"])
+            assert model_from_dict(model_to_dict(model)).feature_names == ["a", "b"]
+
 
 class TestGoldenModels:
     """Fits whose JSON must not change while the split search is reworked.

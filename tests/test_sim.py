@@ -436,6 +436,26 @@ class TestBulkDraws:
             assert one_by_one(lo, hi).hex() == expected
 
 
+    def test_draw_equals_numpy_choice(self):
+        """``_draw`` gives the index ``rng.choice(len(p), p=p)`` gives and leaves
+        the generator in the same state, between other draws, for every table
+        the simulator draws from (the stressed EMA level's from the weights
+        made to sum to one)."""
+        location = (sim_mod.STRESS_LOCATION_PROBS, sim_mod.CALM_LOCATION_PROBS)
+        mixed = tuple(0.5 * (a + b) for a, b in zip(*location))
+        weights = np.asarray(sim_mod.STRESSED_LEVEL_WEIGHTS)
+        tables = [(p, sim_mod._cumulative(p)) for p in (*location, mixed)]
+        tables.append((weights / weights.sum(), sim_mod._STRESSED_LEVELS))
+        for seed in range(3):
+            for p, table in tables:
+                choice, draw = np.random.default_rng(seed), np.random.default_rng(seed)
+                for i in range(2_000):
+                    if i % 3 == 0:
+                        assert draw.normal() == choice.normal()
+                    assert sim_mod._draw(table, draw) == int(choice.choice(len(p), p=p))
+                assert draw.bit_generator.state == choice.bit_generator.state
+
+
 class TestBlackouts:
     """One bisect over the merged intervals finds what a scan of them finds."""
 
