@@ -22,13 +22,12 @@ indexed back to every coalition of the block and summed in tree order as
 ``predict_proba`` sums them, so every value is the one scoring each mixed
 row with the model gives, bit for bit.
 
-Up to ``_CHUNK_ROWS`` background rows, a block holds at most
-``_CHUNK_ROWS`` (row, coalition, background row) triples, so the sum, each
-tree's output table and its reach masks stay bounded at any row count and
-width.  A larger background takes one row and one coalition per block, and
-such a block holds every background row: the sum and each tree's table
-grow with the background, and only the reach masks stay under the cap, as
-each tree walks the background in slices of the cap.
+A block holds every background row, and each tree walks it in one
+``_route`` call.  Up to ``_CHUNK_ROWS`` background rows, a block holds at
+most ``_CHUNK_ROWS`` (row, coalition, background row) triples, so the sum,
+each tree's output table and its reach masks stay bounded at any row count
+and width.  A larger background goes one row and one coalition per block,
+and all three grow with the background.
 """
 from __future__ import annotations
 
@@ -42,7 +41,9 @@ from .errors import EmptyBackground, NotATreeModel, TooManyFeatures, write_csv
 from .learn.trees import TREE_KINDS, _ensemble_proba, _nodes, _route
 
 MAX_EXACT_FEATURES = 16
-# (row, coalition, background row) triples per block: one block covers the
+# (row, coalition, background row) triples per block, up to this many
+# background rows; a larger background goes one row and one coalition per
+# block, since a block holds every background row.  One block covers the
 # whole call of 6 rows x 2^8 coalitions x 24 background rows (36,864).  At
 # the cap a walk's output takes 512 KB and each reach mask on its stack 64 KB.
 _CHUNK_ROWS = 1 << 16
@@ -69,20 +70,12 @@ def _split_features(root) -> int:
 
 def _slice_table(tree, rows, coalitions, bg) -> np.ndarray:
     """The tree's output at every (row, coalition, background row) of one
-    background slice; ``coalitions`` holds one boolean row of features per
-    coalition.  A triple meets each split as the row mixed from its row and
-    background row would (see the module docstring)."""
+    block; ``coalitions`` holds one boolean row of features per coalition.
+    A triple meets each split as the row mixed from its row and background
+    row would (see the module docstring)."""
     return _route(tree, (len(rows), len(coalitions), len(bg)),
                   lambda f, t: np.where(coalitions[:, f, None], (rows[:, f] <= t)[:, None, None],
                                         bg[:, f] <= t))
-
-
-def _tree_table(tree, rows, coalitions, background) -> np.ndarray:
-    """The tree's output at every (row, coalition, background row), from
-    slices of at most _CHUNK_ROWS background rows."""
-    tables = [_slice_table(tree, rows, coalitions, background[b0:b0 + _CHUNK_ROWS])
-              for b0 in range(0, len(background), _CHUNK_ROWS)]
-    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=2)
 
 
 def _block_tables(model, used, rows, start, width, background):
@@ -96,7 +89,7 @@ def _block_tables(model, used, rows, start, width, background):
         low = split & (width - 1)
         subsets = masks[(masks & ~low) == 0]
         coalitions = (((start & split) | subsets)[:, None] >> features) & 1
-        table = _tree_table(tree, rows, coalitions.astype(bool), background)
+        table = _slice_table(tree, rows, coalitions.astype(bool), background)
         yield table[:, np.searchsorted(subsets, masks & low)]
 
 

@@ -103,8 +103,7 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
 
     The trains are searched in level order with plain per-level arithmetic
     (``np.diff``, ``mean``, ``std``, strict ``<``).  A train with fewer than
-    two peaks is skipped, and so is one equal to the previous level's: it
-    would give the same rate and SD and lose the strict ``<``.
+    two peaks is skipped.
 
     Raises NoPlausiblePeaks when no level yields a plausible rate.
     """
@@ -118,12 +117,10 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
     baseline = _centered_mean(x, max(1, int(round(BASELINE_SECONDS * fs))))
 
     best_sd = np.inf
-    best_idx = prev = None
+    best_idx = None
     for _, idx in _level_trains(x, baseline, amp):
-        key = idx.tobytes()
-        if idx.size < 2 or key == prev:
+        if idx.size < 2:
             continue
-        prev = key
         nn = np.diff(idx) * (1000.0 / fs)
         bpm_k = 60_000.0 / nn.mean()
         if not (BPM_MIN <= bpm_k <= BPM_MAX):
@@ -165,9 +162,12 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
 
     Level k's train is the first maximum of each run of ``x > t_k``, where
     ``t_k = baseline * (1 + s_k) + s_k * amp`` with the bits of
-    ``_level_peaks``' rows.  A level that is not yielded has the train of
-    the last level yielded before it; level 0 is always yielded, and an
-    empty train ends the walk (no level above it has a run).
+    ``_level_peaks``' rows.  No two trains yielded in a row are equal: a
+    level that is not yielded has the train of the last level yielded
+    before it (the same train gives ``detect_peaks`` the same rate and SD,
+    which lose its strict ``<``).  Level 0 is always yielded, and in the
+    height map's walk an empty train ends the walk (no level above it has a
+    run).
 
     The height map.  When a sample's thresholds never decrease with k, the
     levels it lies above are a prefix, of length h (its height), found by a
@@ -189,7 +189,8 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
       (1 + u), which is below amp a_k - 4e because amp a_k u > 5e for any
       amp > 1e-9.
     A burst with any sample that fails the certificate builds every level
-    with ``_level_peaks``.
+    with ``_level_peaks`` and yields each level whose train differs from the
+    previous level's.
 
     The walk.  A level-k run starts at each i with h[i-1] <= k < h[i], so
     one count of the rises of h gives every level's run count.  Level k's
@@ -208,8 +209,13 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
     if np.any(neg) and not np.all(amp >= _RISE_RATIO * -baseline[neg]):
         peaks, level = _level_peaks(x, baseline, amp)
         bounds = np.searchsorted(level, np.arange(levels + 1))
+        prev = None
         for k in range(levels):
-            yield k, peaks[bounds[k]:bounds[k + 1]]
+            train = peaks[bounds[k]:bounds[k + 1]]
+            key = train.tobytes()
+            if key != prev:
+                yield k, train
+            prev = key
         return
     h = np.zeros(len(x), dtype=np.intp)
     lift = _SCALES * amp

@@ -248,7 +248,8 @@ class TestBatchedTable:
                                             (4, 3, 10), (4, 10, 10), (3, 25, 10),
                                             (2, 7, 1)])
     def test_no_call_exceeds_cap(self, monkeypatch, d, n_bg, cap):
-        # no tree walk, over 3 rows, takes more synthetic rows than the cap
+        # no tree walk, over 3 rows, takes more triples than the cap, or than
+        # one row and coalition over the whole background when that is larger
         if cap is not None:
             monkeypatch.setattr(explain, "_CHUNK_ROWS", cap)
         cap = explain._CHUNK_ROWS
@@ -256,7 +257,7 @@ class TestBatchedTable:
         model = fitted_model("random_forest", d, seed=d)
         rng = np.random.default_rng(n_bg)
         explain.explain_rows(model, rng.normal(size=(3, d)), rng.normal(size=(n_bg, d)))
-        assert max(n for _, n in walks) <= cap
+        assert max(n for _, n in walks) <= max(cap, n_bg)
         # per block of `width` masks a tree walks the 2^k coalitions of its k
         # split features below the width, for every row and background row
         width = min(1 << d, 1 << (max(1, cap // n_bg).bit_length() - 1))

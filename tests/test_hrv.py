@@ -209,6 +209,8 @@ def _every_level(x, baseline, amp):
     yielded = list(hrv._level_trains(x, baseline, amp))
     levels = [k for k, _ in yielded]
     assert levels[0] == 0 and levels == sorted(set(levels))
+    # a repeated train is skipped on either path
+    assert not any(np.array_equal(a, b) for (_, a), (_, b) in zip(yielded, yielded[1:]))
     trains = []
     for k in range(len(hrv.RAISE_LEVELS_PERMILLE)):
         if yielded and yielded[0][0] == k:
@@ -287,6 +289,25 @@ class TestLevelTrains:
         trains = _every_level(x, _baseline(burst), amp)
         assert any(100 in t for t in trains) and not all(100 in t for t in trains)
         assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bpm=st.floats(40.0, 180.0), width=st.floats(0.05, 0.2),
+           noise=st.floats(0.0, 1.0), offset=st.sampled_from([0.0, 5.0, -5.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_simulated_bursts_take_the_height_map(self, bpm, width, noise, offset, seed):
+        # a PPG burst as the simulator writes it (3 decimals), band-passed as
+        # featurize reads it, never needs every level built
+        burst, _ = synth_ppg(bpm, signals.BURST_SECONDS, FS, noise, seed=seed,
+                             pulse_width_s=width)
+        burst = signals.SensorBurst("u", "ppg", 0, FS, np.round(burst.samples + offset, 3))
+        burst = signals.bandpass_filter(burst, signals.default_design())
+        every_level = []
+        level_peaks = hrv._level_peaks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hrv, "_level_peaks",
+                       lambda *args: every_level.append(1) or level_peaks(*args))
+            _outcome(hrv.detect_peaks, burst)
+        assert not every_level
 
 
 class TestCleanNn:
