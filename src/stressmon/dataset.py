@@ -108,8 +108,8 @@ def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
     filtered, as it is its own result.  So besides the windows given, at
     most one block's buffer and one burst are live, whatever the cohort: at
     most two copies of the held PPG samples.  Windows whose PPG burst is too
-    short to filter or yields no plausible beat train keep their HRV cells
-    missing rather than failing the batch.
+    short to filter or to detect, or yields no plausible beat train, keep
+    their HRV cells missing rather than failing the batch.
     """
     n_hrv = len(hrv_mod.HRV_FEATURE_NAMES)
     values = np.full((len(raw_windows), len(FEATURE_COLUMNS)), np.nan)
@@ -132,7 +132,7 @@ def featurize_windows(raw_windows, schema: ContextSchema) -> FeatureMatrix:
             # freed before the next block's buffer is made.
             for i, burst in zip(block, signals.bandpass_bursts(
                     [raw_windows[i].ppg for i in block], design)):
-                with contextlib.suppress(NoPlausiblePeaks, TooFewIntervals):
+                with contextlib.suppress(TooShort, NoPlausiblePeaks, TooFewIntervals):
                     values[i, :n_hrv] = astuple(hrv_mod.burst_hrv(burst))
     for i, raw in enumerate(raw_windows):
         context = extract_context_features(raw.context, schema)

@@ -27,7 +27,7 @@ class Unstable(StressmonError):
     """Filter design produced poles on or outside the unit circle."""
 
 
-class TooShort(StressmonError):
+class TooShort(StressmonError, ValueError):
     """Burst shorter than the minimum length the operation needs."""
 
 

@@ -5,14 +5,15 @@ SDSD, RMSSD, PNN20, PNN50, HR_mad, Poincare SD1/SD2, ellipse area S and
 breathing rate.  Standard deviations are population (ddof=0) throughout.
 
 Peak detection searches 60 raised baselines (``detect_peaks``).  A burst
-whose raised baselines provably never fall from one level to the next (the
-certificate in ``_level_trains``) gets a height map: for each sample, the
-number of levels it lies above, from a six-round bisection.  The walk over
-that map builds the runs of only the levels where the peak train can
-change: 1.4 of 60 a burst on average over the non-flat bursts of perfbench's
-collect cohort.  Any other burst takes the general path, which builds every
-level's runs (``_level_peaks``); both give each level the train of the plain
-per-level region search.
+whose raised baselines provably never fall from one level to the next
+(``_certified``) gets a height map: for each sample, the number of levels
+it lies above, from a six-round bisection.  The walk over that map builds
+the runs of only the levels where the peak train can change: 1.4 of 60 a
+burst on average over the non-flat bursts of perfbench's collect cohort.
+Only a burst in effect at or below 0 everywhere fails the certificate, and
+it walks every level.  Both walks share one run extractor (``_runs``) and
+one first-maximum query (``_first_maxima``), and give each level the train
+of the plain per-level region search.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientSpan, NoPlausiblePeaks, TooFewIntervals
+from .errors import InsufficientSpan, NoPlausiblePeaks, TooFewIntervals, TooShort
 from .signals import SensorBurst
 
 NN_MIN_MS = 300.0
@@ -105,10 +106,11 @@ def detect_peaks(ppg: SensorBurst) -> PeakTrain:
     (``np.diff``, ``mean``, ``std``, strict ``<``).  A train with fewer than
     two peaks is skipped.
 
-    Raises NoPlausiblePeaks when no level yields a plausible rate.
+    Raises TooShort below MIN_DETECT_SECONDS of signal, and
+    NoPlausiblePeaks when no level yields a plausible rate.
     """
     if ppg.duration_s < MIN_DETECT_SECONDS:
-        raise ValueError(f"need >= {MIN_DETECT_SECONDS} s of signal")
+        raise TooShort(f"need >= {MIN_DETECT_SECONDS} s of signal")
     x = ppg.samples
     fs = ppg.rate_hz
     amp = float(x.max() - x.min())
@@ -161,13 +163,14 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
     """Yield ``(level, peaks)`` in level order, skipping repeated trains.
 
     Level k's train is the first maximum of each run of ``x > t_k``, where
-    ``t_k = baseline * (1 + s_k) + s_k * amp`` with the bits of
-    ``_level_peaks``' rows.  No two trains yielded in a row are equal: a
-    level that is not yielded has the train of the last level yielded
-    before it (the same train gives ``detect_peaks`` the same rate and SD,
-    which lose its strict ``<``).  Level 0 is always yielded, and in the
-    height map's walk an empty train ends the walk (no level above it has a
-    run).
+    ``t_k = baseline * (1 + s_k) + s_k * amp``, computed in that order so
+    its bits are those of the plain expression.  No two trains yielded in a
+    row are equal: a level that is not yielded has the train of the last
+    level yielded before it (the same train gives ``detect_peaks`` the same
+    rate and SD, which lose its strict ``<``).  Level 0 is always yielded,
+    and in the height map's walk an empty train ends the walk (no level
+    above it has a run).  Both walks below take every level's runs from
+    ``_runs`` and their first maxima from ``_first_maxima``.
 
     The height map.  When a sample's thresholds never decrease with k, the
     levels it lies above are a prefix, of length h (its height), found by a
@@ -188,9 +191,6 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
       ``_rise_ratio`` and rounded up) that leaves B g_k <= a_k (amp + e) /
       (1 + u), which is below amp a_k - 4e because amp a_k u > 5e for any
       amp > 1e-9.
-    A burst with any sample that fails the certificate builds every level
-    with ``_level_peaks`` and yields each level whose train differs from the
-    previous level's.
 
     The walk.  A level-k run starts at each i with h[i-1] <= k < h[i], so
     one count of the rises of h gives every level's run count.  Level k's
@@ -203,30 +203,35 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
     sits in some R, and with equal counts each R keeps exactly one, R',
     which holds p.  Every sample of R before p is below x[p] and x[p] is R's
     maximum, so p is also the first maximum of R'.
+
+    Every level.  A burst that fails the certificate (``_certified``) builds
+    each row ``x > t_k`` in turn, queries one sparse table sized for a run
+    as long as the burst (the rows need not nest), and yields each level
+    whose train differs from the last.  Failing needs a baseline b < 0 with
+    amp < K |b|; a moving mean is no lower than min(x) but for rounding, so
+    the maximum lies below about (K - 1) |min(x)|, which no simulated or
+    band-passed burst does.
     """
     levels = len(RAISE_LEVELS_PERMILLE)
-    neg = baseline < 0
-    if np.any(neg) and not np.all(amp >= _RISE_RATIO * -baseline[neg]):
-        peaks, level = _level_peaks(x, baseline, amp)
-        bounds = np.searchsorted(level, np.arange(levels + 1))
+    if not _certified(baseline, amp):
+        table = _max_table(x, len(x))
         prev = None
         for k in range(levels):
-            train = peaks[bounds[k]:bounds[k + 1]]
-            key = train.tobytes()
-            if key != prev:
-                yield k, train
-            prev = key
+            above = x > baseline * _FACTORS[k] + _SCALES[k] * amp
+            peaks = _first_maxima(x, table, *_runs(above))
+            if prev is None or not np.array_equal(peaks, prev):
+                yield k, peaks
+            prev = peaks
         return
     h = np.zeros(len(x), dtype=np.intp)
     lift = _SCALES * amp
     for step in (32, 16, 8, 4, 2, 1):
         probe = h + (step - 1)
         h += step * (x > baseline * _FACTORS[probe] + lift[probe])
-    padded = np.zeros(len(x) + 2, dtype=np.intp)
-    padded[1:-1] = h
-    rise = np.flatnonzero(padded[1:] > padded[:-1])
-    counts = np.cumsum(np.bincount(padded[rise], minlength=levels + 1)
-                       - np.bincount(padded[rise + 1], minlength=levels + 1))
+    prior = np.concatenate(([0], h[:-1]))
+    rise = np.flatnonzero(h > prior)
+    counts = np.cumsum(np.bincount(prior[rise], minlength=levels + 1)
+                       - np.bincount(h[rise], minlength=levels + 1))
     changes = np.append(np.flatnonzero(counts[1:levels] != counts[:levels - 1]) + 1, levels)
     table = None
     k = 0
@@ -234,9 +239,7 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
         if counts[k] == 0:
             yield k, np.empty(0, dtype=np.intp)
             return
-        above = padded > k
-        edges = np.flatnonzero(above[1:] != above[:-1])
-        begin, length = edges[0::2], edges[1::2] - edges[0::2]
+        begin, length = _runs(h > k)
         if table is None:
             table = _max_table(x, int(length.max()))
         peaks = _first_maxima(x, table, begin, length)
@@ -244,32 +247,19 @@ def _level_trains(x: np.ndarray, baseline: np.ndarray, amp: float):
         k = min(int(h[peaks].min()), int(changes[np.searchsorted(changes, k, side="right")]))
 
 
-def _level_peaks(x: np.ndarray, baseline: np.ndarray, amp: float):
-    """First maximum of each region above each raised baseline.
+def _certified(baseline: np.ndarray, amp: float) -> bool:
+    """Whether no sample's raised baseline falls from one level to the
+    next: the certificate in ``_level_trains``, which only a negative
+    baseline can fail."""
+    return bool(np.all(amp >= _RISE_RATIO * -baseline[baseline < 0]))
 
-    Returns the peaks' sample indices and the level number of each, ordered
-    by level, then by time.  Row k of a boolean mask is ``x > baseline * (1
-    + s) + s * amp`` for the k-th scale s, computed in that order so its
-    bits are those of the plain expression; a False column on each side
-    keeps a run from crossing rows, so one comparison of the flat mask with
-    itself shifted gives every run's start and end.
-    """
-    n = len(x)
-    width = n + 2
-    mask = np.zeros((len(RAISE_LEVELS_PERMILLE), width), dtype=bool)
-    buf = np.empty(n)
-    for row, scale, factor in zip(mask, _SCALES, _FACTORS):
-        np.multiply(baseline, factor, out=buf)
-        np.add(buf, scale * amp, out=buf)
-        np.greater(x, buf, out=row[1:-1])
-    flat = mask.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    level = starts // width
-    begin = starts - level * width - 1
-    length = ends - starts
-    table = _max_table(x, int(length.max(initial=1)))
-    return _first_maxima(x, table, begin, length), level
+
+def _runs(above: np.ndarray):
+    """Start and length of each run of True in ``above``."""
+    padded = np.zeros(len(above) + 2, dtype=bool)
+    padded[1:-1] = above
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2] - edges[0::2]
 
 
 def _max_table(x: np.ndarray, longest: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from stressmon.dataset import (EmaResponse, FeatureMatrix, KnnImputer, binarize,
                                read_ema_csv, read_matrix_csv, write_ema_csv, write_matrix_csv)
 from stressmon.errors import DataFormatError, EmptyColumn, OutOfRange
 from stressmon.hrv import HRV_FEATURE_NAMES
+from stressmon.sim import synth_ppg
 
 
 def brute_force_impute(values, missing, k=5, weighting="inverse_distance"):
@@ -137,6 +138,15 @@ class TestAssemble:
     def test_empty(self):
         m = featurize_windows([], ContextSchema(zones=[]))
         assert m.n_rows == 0 and m.values.shape == (0, 24) and len(m.columns) == 24
+
+    def test_burst_too_short_to_detect_keeps_its_window(self):
+        # 100 samples: enough to band-pass, under detect_peaks' 10 s
+        burst, _ = synth_ppg(72.0, 5.0, signals.PPG_RATE_HZ, 0.0, seed=0)
+        assert len(burst.samples) >= signals.default_design().min_samples
+        m = featurize_windows([_raw("u", 0, ppg=burst, context={"screen_status": 1.0}),
+                               _raw("u", signals.WINDOW_MS)], ContextSchema(zones=[]))
+        assert m.n_rows == 2 and np.isnan(m.values[:, :12]).all()
+        assert m.values[0, m.columns.index("screen_status")] == 1.0
 
 
 class TestLabeledRows:

@@ -4,11 +4,11 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stressmon import hrv, signals
 from stressmon.errors import (InsufficientSpan, NoPlausiblePeaks,
-                              TooFewIntervals)
+                              TooFewIntervals, TooShort)
 from stressmon.sim import synth_ppg
 
 FS = 20.0
@@ -94,7 +94,7 @@ def _oracle_region_maxima(x, threshold):
 def _oracle_detect_peaks(ppg):
     """Level-by-level raised-baseline search: one region pass per level."""
     if ppg.duration_s < hrv.MIN_DETECT_SECONDS:
-        raise ValueError("too short")
+        raise TooShort("too short")
     x = ppg.samples
     fs = ppg.rate_hz
     amp = float(x.max() - x.min())
@@ -254,12 +254,60 @@ def _certificate_edge_burst(above):
     raise AssertionError("no burst on the certificate's edge")
 
 
+def _spy_certified(monkeypatch):
+    """The verdicts of every ``hrv._certified`` call while the patch holds."""
+    verdicts = []
+    certified = hrv._certified
+
+    def spy(baseline, amp):
+        verdicts.append(certified(baseline, amp))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hrv, "_certified", spy)
+    return verdicts
+
+
+#: Pulses lowered below zero: every baseline is about -3 against an amp of
+#: about 1, so the certificate fails and every level is walked.
+_SUNKEN_PULSES = signals.SensorBurst(
+    "u", "ppg", 0, FS, synth_ppg(72.0, 30.0, FS, 0.0, seed=0)[0].samples - 3.0)
+
+
+@st.composite
+def positive_max_bursts(draw):
+    """Bursts at the PPG rate, at most a burst long, whose maximum is r times
+    their largest magnitude for some r in (1e-12, 1]: noise, impulses, sines
+    or pulses, scaled by 1e-4 to 1e8, then shifted to that maximum."""
+    n = draw(st.integers(int(hrv.MIN_DETECT_SECONDS * FS), signals.BURST_SAMPLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "impulses", "sine", "pulses"]))
+    if kind == "noise":
+        y = rng.standard_normal(n)
+    elif kind == "impulses":
+        y = np.zeros(n)
+        y[draw(st.integers(0, 5))::draw(st.integers(6, 30))] = 1.0
+    elif kind == "sine":
+        y = np.sin(2 * np.pi * draw(st.floats(0.05, 9.0)) * np.arange(n) / FS)
+    else:
+        y = synth_ppg(draw(st.floats(40.0, 180.0)), n / FS, FS,
+                      draw(st.sampled_from([0.0, 0.0, 0.02, 0.3])), seed=rng.integers(1 << 30),
+                      pulse_width_s=draw(st.floats(0.05, 0.2)))[0].samples
+    y = y * 10.0 ** draw(st.floats(-4.0, 8.0))
+    r = 10.0 ** draw(st.floats(-12.0, 0.0, exclude_min=True))
+    # min -> -m and max -> r m, with (1 + r) m the range
+    m = (y.max() - y.min()) / (1.0 + r)
+    x = y + (r * m - y.max())
+    assume(x.max() > 1e-12 * np.abs(x).max())
+    return signals.SensorBurst("u", "ppg", 0, FS, x)
+
+
 class TestLevelTrains:
     """``_level_trains`` against the per-level region search, level by level,
     including the levels the walk skips."""
 
     @settings(max_examples=300, deadline=None)
     @given(peak_bursts())
+    @example(burst=_SUNKEN_PULSES)
     def test_every_level_matches_region_search(self, burst):
         x = burst.samples
         amp = float(x.max() - x.min())
@@ -280,12 +328,9 @@ class TestLevelTrains:
         burst = _certificate_edge_burst(above)
         x = burst.samples
         amp = float(x.max() - x.min())
-        every_level = []
-        level_peaks = hrv._level_peaks
-        monkeypatch.setattr(hrv, "_level_peaks",
-                            lambda *args: every_level.append(1) or level_peaks(*args))
+        verdicts = _spy_certified(monkeypatch)
         _assert_levels_match_oracle(x, _baseline(burst), amp)
-        assert bool(every_level) != above       # the certificate chose the path
+        assert verdicts == [above]              # the certificate chose the path
         trains = _every_level(x, _baseline(burst), amp)
         assert any(100 in t for t in trains) and not all(100 in t for t in trains)
         assert _outcome(hrv.detect_peaks, burst) == _outcome(_oracle_detect_peaks, burst)
@@ -301,13 +346,33 @@ class TestLevelTrains:
                              pulse_width_s=width)
         burst = signals.SensorBurst("u", "ppg", 0, FS, np.round(burst.samples + offset, 3))
         burst = signals.bandpass_filter(burst, signals.default_design())
-        every_level = []
-        level_peaks = hrv._level_peaks
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hrv, "_level_peaks",
-                       lambda *args: every_level.append(1) or level_peaks(*args))
+            verdicts = _spy_certified(mp)
             _outcome(hrv.detect_peaks, burst)
-        assert not every_level
+        assert all(verdicts)
+
+    def test_sunken_pulses_walk_every_level(self):
+        x = _SUNKEN_PULSES.samples
+        assert not hrv._certified(_baseline(_SUNKEN_PULSES), float(x.max() - x.min()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(positive_max_bursts())
+    def test_a_positive_maximum_is_certified(self, burst):
+        """A burst whose maximum exceeds 1e-12 of its largest magnitude M
+        passes the certificate, so only a burst in effect at or below 0
+        everywhere walks every level.
+
+        Failing needs a baseline b < 0 with amp < fl(K |b|) <= K (1 + u) |b|,
+        u = 2**-53.  A baseline is (csum[hi] - csum[lo]) / w over w >= 1
+        samples.  Every partial sum of the n <= BURST_SAMPLES samples is at
+        most n M in magnitude, so each of the w additions between lo and hi,
+        and the subtraction, rounds by at most u n M; with the division's
+        rounding, b >= min(x) - d, d = (2n + 1) u M, below 5.4e-13 M.  With
+        min(x) = -M and amp = max(x) + M, failing needs max(x) < (K (1 + u)
+        - 1) M + K (1 + u) d, below (9.4e-14 + 5.4e-13) M < 1e-12 M.
+        """
+        x = burst.samples
+        assert hrv._certified(_baseline(burst), float(x.max() - x.min()))
 
 
 class TestCleanNn:
