@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -309,8 +310,11 @@ def cmd_personalize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "personalization.json")
     write_json(report_path, result.to_dict(), indent=2, sort_keys=True)
-    write_manifest(args.out, "personalize", args.seed, [args.matrix],
-                   [report_path], {"total_s": round(time.monotonic() - t0, 3)})
+    # whole milliseconds, rounded down, so the fits sum to at most the total
+    fits = dict(zip(("before_fit_s", "after_fit_s"), (int(s * 1000) / 1000 for s in result.fit_s)))
+    write_manifest(args.out, "personalize", args.seed, [args.matrix], [report_path],
+                   {"total_s": round(time.monotonic() - t0, 3), **fits},
+                   counts=dict(zip(("before_train_rows", "after_train_rows"), result.train_rows)))
     print(f"user {args.user}: F1 before={result.f1_before:.3f} "
           f"after={result.f1_after:.3f} -> {args.out}")
     return EXIT_OK
@@ -415,12 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, printing each distinct warning it raised once to stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (StressmonError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # once per place, so the record stays small
+        try:
+            return args.func(args)
+        except (StressmonError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_DATA
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

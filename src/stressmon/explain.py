@@ -9,25 +9,25 @@ is tractable and serves as its own ground truth.
 A tree reads only the features it splits on, so its output at a coalition
 depends only on the coalition's bits among them (the observation behind
 interventional Tree SHAP).  Coalitions are taken in aligned blocks of 2^c
-bitmasks, together with a block of explained rows.  Within a block each
-tree is walked once, over only the coalitions it can tell apart: 2^k of
-them when it splits on k of the block's c low features.  The walk routes
-every (row, coalition, background row) triple on the tree's split
-decisions: at a split on feature f it takes the row's comparison with the
-threshold when the coalition holds f and the background row's when it does
-not, which is the comparison the row mixed from the two would meet.  The
-router is ``trees._route``, the one ``predict_proba`` routes rows with, and
-each leaf's value is set where the triples reaching it lie.  The outputs are
-indexed back to every coalition of the block and summed in tree order as
-``predict_proba`` sums them, so every value is the one scoring each mixed
-row with the model gives, bit for bit.
+bitmasks, laid out as c axes of length 2, bit c - 1 first, together with a
+block of explained rows and every background row.  Each tree is walked once
+a block, over a table whose axis of a block bit has length 2 where the tree
+splits on the bit's feature and 1 elsewhere: 2^k coalitions when it splits
+on k of the c features.  The walk routes every (row, coalition, background
+row) triple on the tree's split decisions: at a split on feature f it takes
+the row's comparison with the threshold when the coalition holds f and the
+background row's when it does not, which is the comparison the row mixed
+from the two would meet.  The router is ``trees._route``, the one
+``predict_proba`` routes rows with, and each leaf's value is set where the
+triples reaching it lie.  The tables are added into the block's sum by
+broadcasting, in tree order as ``predict_proba`` sums them, so every value
+is the one scoring each mixed row with the model gives, bit for bit.
 
-A block holds every background row, and each tree walks it in one
-``_route`` call.  Up to ``_CHUNK_ROWS`` background rows, a block holds at
-most ``_CHUNK_ROWS`` (row, coalition, background row) triples, so the sum,
-each tree's output table and its reach masks stay bounded at any row count
-and width.  A larger background goes one row and one coalition per block,
-and all three grow with the background.
+Up to ``_CHUNK_ROWS`` background rows, a block holds at most
+``_CHUNK_ROWS`` triples, so the sum, each tree's table (no larger than the
+sum) and its reach masks stay bounded at any row count and width.  A larger
+background goes one row and one coalition per block, and all three grow
+with the background.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ MAX_EXACT_FEATURES = 16
 # background rows; a larger background goes one row and one coalition per
 # block, since a block holds every background row.  One block covers the
 # whole call of 6 rows x 2^8 coalitions x 24 background rows (36,864).  At
-# the cap a walk's output takes 512 KB and each reach mask on its stack 64 KB.
+# the cap the sum and each tree's table take at most 512 KB, a reach mask 64 KB.
 _CHUNK_ROWS = 1 << 16
 
 
@@ -68,29 +68,11 @@ def _split_features(root) -> int:
     return sum({1 << node.feature_index for node in _nodes(root) if not node.is_leaf})
 
 
-def _slice_table(tree, rows, coalitions, bg) -> np.ndarray:
-    """The tree's output at every (row, coalition, background row) of one
-    block; ``coalitions`` holds one boolean row of features per coalition.
-    A triple meets each split as the row mixed from its row and background
-    row would (see the module docstring)."""
-    return _route(tree, (len(rows), len(coalitions), len(bg)),
-                  lambda f, t: np.where(coalitions[:, f, None], (rows[:, f] <= t)[:, None, None],
-                                        bg[:, f] <= t))
-
-
-def _block_tables(model, used, rows, start, width, background):
-    """Each tree's output at every (row, coalition, background row) of the
-    block of ``rows`` and coalitions ``start .. start + width - 1``, in tree
-    order; ``used`` holds each tree's split-feature bitmask."""
-    masks = np.arange(width)
-    features = np.arange(rows.shape[1])
-    for tree, split in zip(model.trees, used):
-        # the coalitions the tree tells apart, and the one each mask falls on
-        low = split & (width - 1)
-        subsets = masks[(masks & ~low) == 0]
-        coalitions = (((start & split) | subsets)[:, None] >> features) & 1
-        table = _slice_table(tree, rows, coalitions.astype(bool), background)
-        yield table[:, np.searchsorted(subsets, masks & low)]
+def _slice_table(tree, shape, rows, holds, bg) -> np.ndarray:
+    """The tree's output table of ``shape`` over one block (see the module
+    docstring); ``holds[f]`` says whether a coalition holds feature f, and
+    ``rows`` has the table's rank, its features last."""
+    return _route(tree, shape, lambda f, t: np.where(holds[f], rows[..., f] <= t, bg[:, f] <= t))
 
 
 def _value_tables(model, rows, background) -> np.ndarray:
@@ -101,15 +83,20 @@ def _value_tables(model, rows, background) -> np.ndarray:
     pairs = max(1, _CHUNK_ROWS // n_bg)  # (row, coalition) pairs per block
     width = min(n_masks, 1 << (pairs.bit_length() - 1))
     row_step = max(1, pairs // width)
+    c = width.bit_length() - 1  # the block bits, one axis each, bit c - 1 first
     used = [_split_features(tree) for tree in model.trees]
     values = np.empty((n_rows, n_masks))
-    for r0 in range(0, n_rows, row_step):
-        block = rows[r0:r0 + row_step]
-        for start in range(0, n_masks, width):
-            proba = _ensemble_proba(
-                model, _block_tables(model, used, block, start, width, background),
-                (len(block), width, n_bg))
-            values[r0:r0 + row_step, start:start + width] = proba.mean(axis=2)
+    for r0, start in itertools.product(range(0, n_rows, row_step), range(0, n_masks, width)):
+        n = min(row_step, n_rows - r0)
+        cells = rows[r0:r0 + n].reshape(n, *[1] * (c + 1), d)  # the table's rank
+        # bit f < c is 0 then 1 along its axis; a higher bit is start's
+        holds = [np.arange(2, dtype=bool).reshape(2, *[1] * (f + 1)) if f < c
+                 else bool(start >> f & 1) for f in range(d)]
+        tables = (_slice_table(tree, (n, *[1 + (mask >> b & 1) for b in reversed(range(c))], n_bg),
+                               cells, holds, background)
+                  for tree, mask in zip(model.trees, used))
+        proba = _ensemble_proba(model, tables, (n, *[2] * c, n_bg))
+        values[r0:r0 + n, start:start + width] = proba.reshape(n, width, n_bg).mean(axis=2)
     return values
 
 
@@ -192,13 +179,9 @@ def beeswarm_records(explanations):
     if not explanations:
         return []
     names = explanations[0].feature_names
-    records = []
-    for j in _mean_abs(explanations)[1]:
-        for i, exp in enumerate(explanations):
-            records.append({"row": i, "feature": names[j],
-                            "shap": float(exp.shap_values[j]),
-                            "feature_value": float(exp.feature_values[j])})
-    return records
+    return [{"row": i, "feature": names[j], "shap": float(exp.shap_values[j]),
+             "feature_value": float(exp.feature_values[j])}
+            for j in _mean_abs(explanations)[1] for i, exp in enumerate(explanations)]
 
 
 def write_beeswarm_csv(path, records):

@@ -6,6 +6,7 @@ model are fit on the training users only.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -207,9 +208,12 @@ class PersonalizationResult:
     user: str
     f1_before: float
     f1_after: float
+    #: (before, after) fits' training rows and fit-plus-predict seconds; not reported
+    train_rows: tuple
+    fit_s: tuple
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"user": self.user, "f1_before": self.f1_before, "f1_after": self.f1_after}
 
 
 def personalization_eval(matrix: FeatureMatrix, target_user: str,
@@ -232,8 +236,11 @@ def personalization_eval(matrix: FeatureMatrix, target_user: str,
         raise InsufficientTargetData(
             f"user {target_user!r} is the only user with labeled windows; "
             "no other user's are left to train on")
-    scores = [f1_score(*_held_out(labeled, train_rows, test_rows, spec, seed)[:2])
-              for train_rows in (other_rows,
-                                 np.sort(np.concatenate([other_rows, extra_rows])))]
-    return PersonalizationResult(user=target_user, f1_before=scores[0],
-                                 f1_after=scores[1])
+    trains = (other_rows, np.sort(np.concatenate([other_rows, extra_rows])))
+    scores, fit_s = [], []
+    for train_rows in trains:
+        t0 = time.monotonic()
+        scores.append(f1_score(*_held_out(labeled, train_rows, test_rows, spec, seed)[:2]))
+        fit_s.append(time.monotonic() - t0)
+    return PersonalizationResult(user=target_user, f1_before=scores[0], f1_after=scores[1],
+                                 train_rows=tuple(map(len, trains)), fit_s=tuple(fit_s))

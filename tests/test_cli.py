@@ -749,6 +749,19 @@ class TestTrainEval:
         assert json.loads((out / "report.json").read_text())["model"]["learning_rate"] == 0.1
         assert json.loads((out / "model.json").read_text())["tree_weights"] == [0.1] * 3
 
+    def test_one_label_warns_once_in_one_line(self, matrix_path, tmp_path, capsys):
+        # every fold and the final fit see only label 0; the warning is printed
+        # once, without the source path and line Python's own display gives
+        matrix = read_matrix_csv(matrix_path)
+        matrix.labels[~np.isnan(matrix.labels)] = 0
+        zeros = tmp_path / "zeros.csv"
+        write_matrix_csv(matrix, zeros)
+        capsys.readouterr()
+        assert cli.main(["train-eval", "--matrix", str(zeros), "--depth", "2", "--n-trees", "3",
+                         "--folds", "3", "--out", str(tmp_path / "e")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: all labels are 0; returning a constant predictor\n")
+
     def test_knn_model_runs(self, matrix_path, tmp_path):
         out = tmp_path / "knn"
         assert cli.main(["train-eval", "--matrix", str(matrix_path),
@@ -1164,6 +1177,26 @@ class TestPersonalize:
         rec = json.loads((out / "personalization.json").read_text())
         assert set(rec) == {"user", "f1_before", "f1_after"}
         assert rec["user"] == "u02"
+
+    def test_manifest_times_and_counts_both_fits(self, matrix_path, tmp_path):
+        out = tmp_path / "pers"
+        assert cli.main(["personalize", "--matrix", str(matrix_path), "--user", "u02",
+                         "--depth", "3", "--n-trees", "10", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"total_s", "before_fit_s", "after_fit_s"}
+        # each time is in whole milliseconds
+        before, after, total = (round(timings[k] * 1000)
+                                for k in ("before_fit_s", "after_fit_s", "total_s"))
+        assert 0 <= before + after <= total
+        # the labeled rows with an HRV value, which --features all trains on
+        matrix = read_matrix_csv(matrix_path).labeled()
+        hrv = matrix.values[:, [matrix.columns.index(c) for c in HRV_FEATURE_NAMES]]
+        groups = np.array(matrix.groups)[~np.isnan(hrv).all(axis=1)]
+        others, target = np.sum(groups != "u02"), np.sum(groups == "u02")
+        assert target >= 2
+        assert manifest["counts"] == {"before_train_rows": others,
+                                      "after_train_rows": others + target - (target + 1) // 2}
 
     def test_unknown_user(self, matrix_path, tmp_path, capsys):
         rc = cli.main(["personalize", "--matrix", str(matrix_path),

@@ -278,15 +278,74 @@ class TestBatchedTable:
             assert n == 6 * (1 << len(split_features(tree))) * 24
 
 
-def record_walks(monkeypatch):
-    """(tree, cells) of every tree walk the explain kernel makes from now on,
-    a cell being one (row, coalition, background row) triple."""
+@pytest.mark.parametrize("hand", [False, True])
+@pytest.mark.parametrize("d,n_bg,cap", [(8, 24, None), (6, 3, 10), (10, 5, 80), (4, 10, 10)])
+def test_each_walk_spans_only_its_trees_block_bits(monkeypatch, hand, d, n_bg, cap):
+    # a tree's table has length 2 on each block bit whose feature it splits
+    # on and 1 on every other, so it never spans a bit it does not read
+    if cap is not None:
+        monkeypatch.setattr(explain, "_CHUNK_ROWS", cap)
+    pairs = max(1, explain._CHUNK_ROWS // n_bg)
+    c = min(d, pairs.bit_length() - 1)
+    shapes = record_walks(monkeypatch, np.shape)
+    model = hand_model("random_forest", d, seed=d) if hand else fitted_model("boosted", d, seed=d)
+    rng = np.random.default_rng(n_bg)
+    explain.explain_rows(model, rng.normal(size=(3, d)), rng.normal(size=(n_bg, d)))
+    assert {id(tree) for tree, _ in shapes} == {id(tree) for tree in model.trees}
+    for tree, shape in shapes:
+        used = split_features(tree)
+        assert shape[1:] == (*(2 if f in used else 1 for f in reversed(range(c))), n_bg)
+        assert 1 <= shape[0] <= max(1, pairs >> c)
+
+
+def test_model_of_no_features_gives_its_leaf():
+    # no feature, so one coalition and zero-width rows the kernel still reshapes
+    model = forest([leaf(0.3)], 0)
+    table = explain._value_tables(model, np.empty((2, 0)), np.empty((3, 0)))
+    assert np.array_equal(table, [[0.3], [0.3]])
+
+
+def blocked_model(kind, hand, d, seed):
+    """``fitted_model`` or ``hand_model``, with a tree that splits on features
+    both below 4 and at 4 or above."""
+    model = hand_model(kind, d, seed) if hand else fitted_model(kind, d, seed)
+    assert any(split_features(tree) & set(range(4)) and split_features(tree) - set(range(4))
+               for tree in model.trees)
+    return model
+
+
+@pytest.mark.parametrize("kind,hand,d,seed", [("random_forest", False, 10, 3),
+                                              ("boosted", False, 11, 5),
+                                              ("random_forest", True, 10, 7),
+                                              ("boosted", True, 11, 9)])
+def test_wide_model_in_blocks_of_four_bits(monkeypatch, kind, hand, d, seed):
+    # 80 triples over 5 background rows: blocks of 2^4 coalitions and one
+    # row, so most blocks start above 0 and trees split on features both
+    # inside the block bits and above them
+    model = blocked_model(kind, hand, d, seed)
+    monkeypatch.setattr(explain, "_CHUNK_ROWS", 80)
+    rng = np.random.default_rng(seed + 1)
+    rows = np.round(rng.normal(size=(2, d)), 1)
+    background = np.round(rng.normal(size=(5, d)), 1)
+    walks = record_walks(monkeypatch)
+    tables = explain._value_tables(model, rows, background)
+    assert len(walks) == 2 * (1 << (d - 4)) * len(model.trees)
+    assert max(n for _, n in walks) <= 80
+    for table, row in zip(tables, rows, strict=True):
+        assert np.array_equal(table, loop_value_table(model, row, background))
+
+
+def record_walks(monkeypatch, measure=np.size):
+    """(tree, measure(table)) of every tree walk the explain kernel makes from
+    now on; by default the cells of the table the walk returns, one per (row,
+    coalition, background row) triple it tells apart."""
     walks = []
     walk = explain._slice_table
 
-    def recording(root, rows, coalitions, bg):
-        walks.append((root, len(rows) * len(coalitions) * len(bg)))
-        return walk(root, rows, coalitions, bg)
+    def recording(root, *args):
+        table = walk(root, *args)
+        walks.append((root, measure(table)))
+        return table
 
     monkeypatch.setattr(explain, "_slice_table", recording)
     return walks
